@@ -18,11 +18,8 @@ from .circuit import (
     Circuit,
     Gate,
     GateCountReport,
-    State,
-    apply_gate,
     basis_gadget,
     ccnot,
-    circuit_permutation,
     cnot,
     count_gates,
     invert,
@@ -31,7 +28,13 @@ from .circuit import (
     simulate,
     truth_table_masks,
 )
-from .errors import CapacityError, FormatError, ParameterError, ParityError
+from .errors import (
+    CapacityError,
+    ContractError,
+    FormatError,
+    ParameterError,
+    ParityError,
+)
 from .io import (
     parse_circuit,
     parse_mapping,
@@ -56,7 +59,6 @@ from .perm import (
 )
 from .synth_basic import (
     BlockMatrix,
-    ConjugationLog,
     choose_block_size,
     synth_block,
     synth_even_permutation,
@@ -71,7 +73,6 @@ from .synth_lupanov import (
     xor_bank,
 )
 from .toffoli import (
-    DecompositionPlan,
     decompose_borrowed,
     decompose_clean,
     decompose_garbage,

@@ -28,12 +28,21 @@ PSI_REGISTRY: dict[str, Callable[[int], float]] = {
 }
 
 EXACT_GLUHOV_LIMIT = 20
+# Bounds are float-valued; 3n 2^(n+4) in no_ancilla_upper is the first to
+# leave the float range, near n = 1009, so n stops at 1000.
+MAX_BOUND_N = 1000
+
+
+def _check_n(n: int, low: int) -> None:
+    if not low <= n <= MAX_BOUND_N:
+        raise ParameterError(f"need {low} <= n <= {MAX_BOUND_N}, got n={n}")
 
 
 def shannon_lower(n: int, q: int) -> float:
     """General lower bound 2^n (n-2) / (3 log2(n+q)) - n/3."""
-    if n < 2 or q < 0 or n + q < 2:
-        raise ParameterError(f"need n >= 2 and q >= 0 with n+q >= 2, got n={n}, q={q}")
+    _check_n(n, 2)
+    if q < 0:
+        raise ParameterError(f"need q >= 0, got q={q}")
     return (1 << n) * (n - 2) / (3.0 * math.log2(n + q)) - n / 3.0
 
 
@@ -56,8 +65,7 @@ def _log2_big(value: int) -> float:
 def gluhov_bound(n: int) -> int:
     """Generator-length heuristic ceil(log_r |A(Z_2^n)|) with r the gate set
     size; exact factorials up to n=20, log-gamma beyond."""
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got n={n}")
+    _check_n(n, 2)
     r = gate_set_size(n)
     if n <= EXACT_GLUHOV_LIMIT:
         group_order = math.factorial(1 << n) // 2
@@ -69,8 +77,7 @@ def gluhov_bound(n: int) -> int:
 
 def simple_lower(n: int) -> float:
     """Counting lower bound n 2^n / (3 log2 n) for the no-ancilla case."""
-    if n < 4:
-        raise ParameterError(f"need n >= 4, got n={n}")
+    _check_n(n, 4)
     return n * (1 << n) / (3.0 * math.log2(n))
 
 
@@ -86,8 +93,7 @@ def no_ancilla_upper(n: int, phi_id: str = "one") -> tuple[float, float]:
 
     Requires phi(n) < n / log2 n so the denominator is positive.
     """
-    if n < 4:
-        raise ParameterError(f"need n >= 4, got n={n}")
+    _check_n(n, 4)
     phi = PHI_REGISTRY[phi_id](n)
     if phi >= n / math.log2(n):
         raise ParameterError(

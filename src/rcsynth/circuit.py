@@ -12,10 +12,12 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
-from .errors import CapacityError
-from .perm import BooleanMapping, Permutation
+from .errors import CapacityError, FormatError
+from .perm import BooleanMapping
 
 DEFAULT_EXHAUSTIVE_CAP = 24
 CAP_ENV_VAR = "RCSYNTH_CAP"
@@ -24,6 +26,7 @@ KIND_NOT = "NOT"
 KIND_CNOT = "CNOT"
 KIND_2CNOT = "2-CNOT"
 KIND_GENERALIZED = "generalized"
+_KIND_BY_ARITY = (KIND_NOT, KIND_CNOT, KIND_2CNOT)
 
 
 def resolve_cap(cap: int | None = None) -> int:
@@ -31,49 +34,50 @@ def resolve_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
+    if env is None:
+        return DEFAULT_EXHAUSTIVE_CAP
+    try:
         return int(env)
-    return DEFAULT_EXHAUSTIVE_CAP
+    except ValueError:
+        raise FormatError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(tuple):
     """One reversible element: flip `target` iff all `controls` are 1.
 
     No controls is a NOT, one a CNOT, two a 2-CNOT.  Three or more controls
     make a generalized gate, legal in memory but outside the emitted basis.
+    A gate is the pair (controls, target) with the controls in ascending
+    order; which lines it may use is checked by the `Circuit` that holds it.
     """
 
-    controls: tuple[int, ...]
-    target: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        controls = tuple(sorted(self.controls))
-        object.__setattr__(self, "controls", controls)
-        if len(set(controls)) != len(controls):
-            raise ValueError(f"duplicate control lines in {controls}")
-        if self.target in controls:
-            raise ValueError(f"target {self.target} is also a control")
-        if self.target < 0 or any(c < 0 for c in controls):
-            raise ValueError("line indices must be non-negative")
+    def __new__(cls, controls: Iterable[int], target: int) -> "Gate":
+        return tuple.__new__(cls, (tuple(sorted(controls)), target))
+
+    def __repr__(self) -> str:
+        return f"Gate({self[0]!r}, {self[1]!r})"
+
+    @property
+    def controls(self) -> tuple[int, ...]:
+        return self[0]
+
+    @property
+    def target(self) -> int:
+        return self[1]
 
     @property
     def kind(self) -> str:
-        return {0: KIND_NOT, 1: KIND_CNOT, 2: KIND_2CNOT}.get(
-            len(self.controls), KIND_GENERALIZED
-        )
-
-    @property
-    def lines(self) -> tuple[int, ...]:
-        return self.controls + (self.target,)
-
-    def fires(self, bits: int) -> bool:
-        return all((bits >> c) & 1 for c in self.controls)
+        k = len(self[0])
+        return _KIND_BY_ARITY[k] if k < 3 else KIND_GENERALIZED
 
     def apply_to_bits(self, bits: int) -> int:
-        if self.fires(bits):
-            return bits ^ (1 << self.target)
-        return bits
+        controls, target = self
+        for c in controls:
+            if not (bits >> c) & 1:
+                return bits
+        return bits ^ (1 << target)
 
 
 def not_gate(target: int) -> Gate:
@@ -88,26 +92,21 @@ def ccnot(c1: int, c2: int, target: int) -> Gate:
     return Gate((c1, c2), target)
 
 
-@dataclass(frozen=True)
-class State:
-    """Bit word on a fixed number of lines."""
-
-    bits: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError("state width must be at least 1")
-        if not 0 <= self.bits < (1 << self.width):
-            raise ValueError(f"bits {self.bits:#b} do not fit in {self.width} lines")
-
-
-def apply_gate(gate: Gate, state: State) -> State:
-    """Semantics of a single gate: the target bit flips iff every control
-    bit is 1; no other bit changes."""
-    if gate.target >= state.width or any(c >= state.width for c in gate.controls):
-        raise ValueError(f"gate {gate} does not fit in {state.width} lines")
-    return State(gate.apply_to_bits(state.bits), state.width)
+def find_gate_fault(gates: Iterable[Gate], m: int) -> tuple[int, str] | None:
+    """Index and reason of the first gate that is not a valid gate on m lines:
+    a line index outside [0, m), a repeated control, or a target that is
+    also a control.  None when every gate is valid."""
+    for i, (controls, target) in enumerate(gates):
+        if not 0 <= target < m:
+            return i, f"target {target} out of range [0, {m})"
+        if controls:
+            if controls[0] < 0 or controls[-1] >= m:
+                return i, f"controls {controls} out of range [0, {m})"
+            if target in controls:
+                return i, f"target {target} is also a control"
+            if len(controls) > 1 and len(set(controls)) != len(controls):
+                return i, f"duplicate control lines in {controls}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -130,9 +129,9 @@ class Circuit:
         for line in self.outputs:
             if not 0 <= line < self.m:
                 raise ValueError(f"output line {line} out of range [0, {self.m})")
-        for gate in self.gates:
-            if gate.target >= self.m or any(c >= self.m for c in gate.controls):
-                raise ValueError(f"gate {gate} does not fit in {self.m} lines")
+        fault = find_gate_fault(self.gates, self.m)
+        if fault is not None:
+            raise ValueError(f"gate {fault[0]}: {fault[1]}")
 
     @property
     def q(self) -> int:
@@ -159,15 +158,14 @@ class GateCountReport:
 
 
 def count_gates(circuit: Circuit) -> GateCountReport:
-    counts = {KIND_NOT: 0, KIND_CNOT: 0, KIND_2CNOT: 0, KIND_GENERALIZED: 0}
-    for gate in circuit.gates:
-        counts[gate.kind] += 1
+    by_arity = Counter(len(controls) for controls, _ in circuit.gates)
+    total = len(circuit.gates)
     return GateCountReport(
-        nots=counts[KIND_NOT],
-        cnots=counts[KIND_CNOT],
-        toffolis=counts[KIND_2CNOT],
-        generalized=counts[KIND_GENERALIZED],
-        total=len(circuit.gates),
+        nots=by_arity[0],
+        cnots=by_arity[1],
+        toffolis=by_arity[2],
+        generalized=total - by_arity[0] - by_arity[1] - by_arity[2],
+        total=total,
         ancillas=circuit.q,
     )
 
@@ -212,11 +210,11 @@ def _sweep(circuit: Circuit, enumerated: int) -> list[int]:
     tables = [0] * circuit.m
     for line, mask in enumerate(truth_table_masks(enumerated)):
         tables[line] = mask
-    for gate in circuit.gates:
+    for controls, target in circuit.gates:
         fired = full
-        for c in gate.controls:
+        for c in controls:
             fired &= tables[c]
-        tables[gate.target] ^= fired
+        tables[target] ^= fired
     return tables
 
 
@@ -237,24 +235,6 @@ def realized_mapping(circuit: Circuit, cap: int | None = None) -> BooleanMapping
             value |= ((table >> w) & 1) << j
         images.append(value)
     return BooleanMapping(circuit.n, tuple(images))
-
-
-def circuit_permutation(circuit: Circuit, cap: int | None = None) -> Permutation:
-    """The bijection on all 2^m states, every line treated as an input."""
-    cap = resolve_cap(cap)
-    if circuit.m > cap:
-        raise CapacityError(
-            f"circuit_permutation over 2^{circuit.m} states exceeds cap {cap}"
-        )
-    widened = Circuit(circuit.m, circuit.m, circuit.gates, tuple(range(circuit.m)))
-    tables = _sweep(widened, circuit.m)
-    images = []
-    for w in range(1 << circuit.m):
-        value = 0
-        for line in range(circuit.m):
-            value |= ((tables[line] >> w) & 1) << line
-        images.append(value)
-    return Permutation(circuit.m, tuple(images))
 
 
 def invert(circuit: Circuit) -> Circuit:

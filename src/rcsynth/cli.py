@@ -2,7 +2,7 @@
 instance generation.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or format,
-3 constraint violation (parity, parameters, capacity).
+3 constraint violation (parity, parameters, capacity, synthesis contract).
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from random import Random
 
 from . import bounds as bounds_mod
 from .circuit import Circuit, count_gates, realized_mapping, simulate
-from .errors import CapacityError, FormatError, ParameterError, ParityError
+from .errors import CapacityError, ContractError, FormatError, ParameterError, ParityError
 from .io import (
     parse_circuit,
     parse_permutation,
@@ -248,7 +248,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"CNOT {report.cnots}")
     print(f"2-CNOT {report.toffolis}")
     print(f"generalized {report.generalized}")
-    print(f"shannon_lower {_fmt(bounds_mod.shannon_lower(circuit.n, circuit.q))}")
+    if circuit.n >= 2:
+        print(f"shannon_lower {_fmt(bounds_mod.shannon_lower(circuit.n, circuit.q))}")
+    else:
+        print("shannon_lower n/a (requires n >= 2)")
     if circuit.n >= 4:
         print(f"simple_lower {_fmt(bounds_mod.simple_lower(circuit.n))}")
         print(f"pair_block_upper {_fmt(bounds_mod.pair_block_upper(circuit.n))}")
@@ -328,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ParityError, ParameterError, CapacityError) as exc:
+    except (ParityError, ParameterError, CapacityError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
 

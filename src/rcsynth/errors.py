@@ -2,11 +2,17 @@
 
 
 class FormatError(ValueError):
-    """A circuit, permutation or mapping file does not match its format."""
+    """A file, literal or setting given to the toolkit does not match its format."""
 
 
 class CapacityError(RuntimeError):
     """An exhaustive sweep, line allocation or helper budget was exceeded."""
+
+
+class ContractError(RuntimeError):
+    """A synthesis result broke its own contract: a block over its gate budget,
+    stage accounting that does not add up, or a decomposition residue of the
+    wrong shape.  This is a defect in the toolkit, not in the input."""
 
 
 class ParityError(ValueError):

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, find_gate_fault
 from .errors import FormatError
 from .perm import BooleanMapping, Permutation
 
-_GATE_LETTER = {0: "n", 1: "c", 2: "t"}
+# Letter of the basis gate with i controls is GATE_LETTERS[i].
+GATE_LETTERS = ("n", "c", "t")
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -63,18 +64,15 @@ def parse_circuit(text: str, allow_generalized: bool = False) -> Circuit:
 
     gates = []
     for lineno, line in lines[3:]:
-        parts = line.split()
-        letter, args = parts[0], parts[1:]
+        letter, *args = line.split()
         try:
             values = [int(tok) for tok in args]
         except ValueError:
             raise FormatError(f"line {lineno}: gate arguments must be integers") from None
-        expected = {"n": 1, "c": 2, "t": 3}
-        if letter in expected:
-            if len(values) != expected[letter]:
-                raise FormatError(
-                    f"line {lineno}: `{letter}` takes {expected[letter]} arguments"
-                )
+        if letter in GATE_LETTERS:
+            arity = GATE_LETTERS.index(letter) + 1
+            if len(values) != arity:
+                raise FormatError(f"line {lineno}: `{letter}` takes {arity} arguments")
         elif letter == "x":
             if len(values) < 4:
                 raise FormatError(
@@ -86,15 +84,16 @@ def parse_circuit(text: str, allow_generalized: bool = False) -> Circuit:
                 )
         else:
             raise FormatError(f"line {lineno}: unknown gate kind {letter!r}")
-        try:
-            gates.append(Gate(tuple(values[:-1]), values[-1]))
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
+        gates.append(Gate(values[:-1], values[-1]))
 
     try:
-        return Circuit(m, n, tuple(gates), outputs)
+        return Circuit(m, n, gates, outputs)
     except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        fault = find_gate_fault(gates, m)
+        if fault is None:
+            raise FormatError(str(exc)) from None
+        index, reason = fault
+        raise FormatError(f"line {lines[3 + index][0]}: {reason}") from None
 
 
 def serialize_circuit(
@@ -106,16 +105,15 @@ def serialize_circuit(
     out.append(f"lines {circuit.m}")
     out.append(f"inputs {circuit.n}")
     out.append("outputs " + " ".join(str(i) for i in circuit.outputs))
-    for gate in circuit.gates:
-        k = len(gate.controls)
+    for controls, target in circuit.gates:
+        k = len(controls)
         if k > 2 and not allow_generalized:
             raise FormatError(
                 f"gate with {k} controls is outside the basis; "
                 "pass allow_generalized to serialize it"
             )
-        letter = _GATE_LETTER.get(k, "x")
-        fields = list(gate.controls) + [gate.target]
-        out.append(letter + " " + " ".join(str(v) for v in fields))
+        letter = GATE_LETTERS[k] if k < 3 else "x"
+        out.append(" ".join([letter, *map(str, controls), str(target)]))
     return "\n".join(out) + "\n"
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ContractError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -245,8 +245,8 @@ def transposition_stream(p: Permutation, K: int) -> list[TranspositionGroup]:
             groups.append(TranspositionGroup(tuple(batch)))
 
     if work:
-        # At most one cycle of length 2 or 3 can remain.
-        assert len(work) == 1 and len(work[0]) in (2, 3)
+        if len(work) != 1 or len(work[0]) not in (2, 3):
+            raise ContractError(f"residual cycles {work}: expected one of length 2 or 3")
         cycle = work[0]
         if len(cycle) == 2:
             groups.append(TranspositionGroup((Transposition(cycle[0], cycle[1]),)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .bounds import PHI_REGISTRY, block_upper
 from .circuit import Circuit, Gate, GateCountReport, cnot, count_gates, not_gate
-from .errors import ParameterError, ParityError
+from .errors import ContractError, ParameterError, ParityError
 from .perm import (
     Permutation,
     TranspositionGroup,
@@ -20,7 +20,7 @@ from .perm import (
     plain_transpositions,
     transposition_stream,
 )
-from .toffoli import DecompositionPlan, decompose_borrowed, decompose_clean
+from .toffoli import decompose_borrowed, decompose_clean
 
 
 def _bit_positions(value: int) -> tuple[int, ...]:
@@ -62,13 +62,6 @@ class BlockMatrix:
         for i, row in enumerate(self.rows):
             pattern |= ((row >> j) & 1) << i
         return pattern
-
-
-@dataclass(frozen=True)
-class ConjugationLog:
-    """Self-inverse gates applied as conjugators, in application order."""
-
-    gates: tuple[Gate, ...]
 
 
 def choose_block_size(n: int, phi_id: str = "log2") -> int:
@@ -152,7 +145,7 @@ def synth_block(
     group: TranspositionGroup,
     n: int,
     ancilla_lines: tuple[int, ...] = (),
-) -> tuple[list[Gate], ConjugationLog]:
+) -> list[Gate]:
     """Gates realizing exactly the permutation of one transposition group on
     2^n states: expanded conjugators, expanded core gate, conjugators again
     in reverse.  With ancilla_lines the core gate is expanded through clean
@@ -163,18 +156,14 @@ def synth_block(
     conjugators, core, _ = _canonicalize(rows, n)
 
     def expand(gate: Gate, clean: bool = False) -> list[Gate]:
-        if len(gate.controls) <= 2:
+        controls, target = gate
+        if len(controls) <= 2:
             return [gate]
         if clean and ancilla_lines:
-            needed = len(gate.controls) - 2
-            plan = DecompositionPlan(
-                "clean", gate.controls, gate.target, ancilla_lines[:needed]
-            )
-            return decompose_clean(plan)
-        used = set(gate.controls) | {gate.target}
+            return decompose_clean(controls, target, ancilla_lines[: len(controls) - 2])
+        used = set(controls) | {target}
         free = tuple(line for line in range(n) if line not in used) + ancilla_lines
-        plan = DecompositionPlan("borrowed", gate.controls, gate.target, free)
-        return decompose_borrowed(plan)
+        return decompose_borrowed(controls, target, free)
 
     gates: list[Gate] = []
     for gate in conjugators:
@@ -183,10 +172,10 @@ def synth_block(
     for gate in reversed(conjugators):
         gates.extend(expand(gate))
 
-    k = len(rows)
-    budget = block_upper(n, k)
-    assert len(gates) <= budget, f"block emitted {len(gates)} gates, budget {budget}"
-    return gates, ConjugationLog(tuple(conjugators))
+    budget = block_upper(n, len(rows))
+    if len(gates) > budget:
+        raise ContractError(f"block emitted {len(gates)} gates, budget {budget}")
+    return gates
 
 
 def _validate_block_size(k: int, n: int, ancilla_budget: int) -> None:
@@ -256,7 +245,6 @@ def synth_even_permutation(
 
     gates = []
     for group in groups:
-        block_gates, _ = synth_block(group, n, ancilla_lines)
-        gates.extend(block_gates)
+        gates.extend(synth_block(group, n, ancilla_lines))
     circuit = Circuit(m, n, tuple(gates), outputs)
     return circuit, count_gates(circuit)

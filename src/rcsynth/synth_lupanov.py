@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bounds import PHI_REGISTRY, PSI_REGISTRY
 from .circuit import Circuit, Gate, basis_gadget, cnot, ccnot
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ContractError, ParameterError
 from .perm import BooleanMapping
 
 DEFAULT_LINE_CAP = 1 << 20
@@ -170,18 +170,6 @@ def psi_satisfied(n: int, k: int, s: int, psi_id: str) -> bool:
     return (1 << k) / s >= PSI_REGISTRY[psi_id](n)
 
 
-@dataclass
-class _Layout:
-    """Line bookkeeping exposed for stage-boundary checks."""
-
-    first_bank: dict[int, int]
-    second_bank: dict[int, int]
-    zero_line: int
-    group_banks: list[dict[int, int]]
-    group_ranges: list[tuple[int, int]]
-    coordinate_lines: dict[tuple[int, int], int]
-
-
 def _coordinate_support(f: BooleanMapping, k: int, i: int, j: int) -> int:
     """Mask over sigma in [0, 2^k) with bit sigma set iff output bit j of
     f(sigma | i << k) is 1."""
@@ -192,9 +180,18 @@ def _coordinate_support(f: BooleanMapping, k: int, i: int, j: int) -> int:
     return support
 
 
-def _synth_mapping(
-    f: BooleanMapping, k: int, s: int, line_cap: int, psi_id: str | None
-) -> tuple[Circuit, StageReport, _Layout]:
+def synth_mapping(
+    f: BooleanMapping,
+    k: int,
+    s: int,
+    line_cap: int = DEFAULT_LINE_CAP,
+    psi_id: str | None = None,
+) -> tuple[Circuit, StageReport]:
+    """Synthesize a circuit realizing the arbitrary mapping f with ancillas.
+
+    Stage budgets: L4 <= p n 2^(n-k) and L5 <= n 2^(n-k) with q5 = n output
+    lines; all gates have at most two controls by construction.
+    """
     n = f.n
     if not 1 <= k < n / 2:
         raise ParameterError(f"need 1 <= k < n/2, got k={k}, n={n}")
@@ -203,27 +200,22 @@ def _synth_mapping(
     p = math.ceil((1 << k) / s)
     alloc = LineAllocator(n, cap=line_cap)
     gates: list[Gate] = []
-    l_counts = []
-    q_counts = []
+    marks = [(0, n)]  # (gates, next free line) at each stage boundary
 
-    def close_stage(start_gates: int, start_lines: int) -> None:
-        l_counts.append(len(gates) - start_gates)
-        q_counts.append(alloc.next_free - start_lines)
+    def close_stage() -> None:
+        marks.append((len(gates), alloc.next_free))
 
     # S1: conjunctions of the first k input variables.
-    g0, l0 = len(gates), alloc.next_free
     bank_gates, first_bank = conjunction_bank(tuple(range(k)), alloc)
     gates.extend(bank_gates)
-    close_stage(g0, l0)
+    close_stage()
 
     # S2: conjunctions of the remaining n - k input variables.
-    g0, l0 = len(gates), alloc.next_free
     bank_gates, second_bank = conjunction_bank(tuple(range(k, n)), alloc)
     gates.extend(bank_gates)
-    close_stage(g0, l0)
+    close_stage()
 
     # S3: subset-XOR bank per group of at most s first-bank lines.
-    g0, l0 = len(gates), alloc.next_free
     zero_line = alloc.take()
     group_banks: list[dict[int, int]] = []
     group_ranges: list[tuple[int, int]] = []
@@ -235,10 +227,9 @@ def _synth_mapping(
         gates.extend(bank_gates)
         group_banks.append(bank)
         group_ranges.append((start, stop))
-    close_stage(g0, l0)
+    close_stage()
 
     # S4: one line per coordinate function, XOR of its group restrictions.
-    g0, l0 = len(gates), alloc.next_free
     coordinate_lines: dict[tuple[int, int], int] = {}
     for i in range(1 << (n - k)):
         for j in range(n):
@@ -256,10 +247,9 @@ def _synth_mapping(
                 fresh = alloc.take()
                 gates.extend(cnot(line, fresh) for line in picked)
                 coordinate_lines[(i, j)] = fresh
-    close_stage(g0, l0)
+    close_stage()
 
     # S5: combine second-bank minterms with coordinate lines onto outputs.
-    g0, l0 = len(gates), alloc.next_free
     out_lines = tuple(alloc.take() for _ in range(n))
     for j in range(n):
         for i in range(1 << (n - k)):
@@ -267,7 +257,7 @@ def _synth_mapping(
             if line == zero_line:
                 continue
             gates.append(ccnot(second_bank[i], line, out_lines[j]))
-    close_stage(g0, l0)
+    close_stage()
 
     waived = None
     if psi_id is not None:
@@ -276,35 +266,15 @@ def _synth_mapping(
         k=k,
         s=s,
         p=p,
-        gate_counts=tuple(l_counts),
-        ancilla_counts=tuple(q_counts),
+        gate_counts=tuple(b[0] - a[0] for a, b in zip(marks, marks[1:])),
+        ancilla_counts=tuple(b[1] - a[1] for a, b in zip(marks, marks[1:])),
         psi_waived=waived,
     )
     circuit = Circuit(alloc.next_free, n, tuple(gates), out_lines)
-    assert report.total_gates == len(circuit.gates)
-    assert report.total_ancillas == circuit.q
-    layout = _Layout(
-        first_bank=first_bank,
-        second_bank=second_bank,
-        zero_line=zero_line,
-        group_banks=group_banks,
-        group_ranges=group_ranges,
-        coordinate_lines=coordinate_lines,
-    )
-    return circuit, report, layout
-
-
-def synth_mapping(
-    f: BooleanMapping,
-    k: int,
-    s: int,
-    line_cap: int = DEFAULT_LINE_CAP,
-    psi_id: str | None = None,
-) -> tuple[Circuit, StageReport]:
-    """Synthesize a circuit realizing the arbitrary mapping f with ancillas.
-
-    Stage budgets: L4 <= p n 2^(n-k) and L5 <= n 2^(n-k) with q5 = n output
-    lines; all gates have at most two controls by construction.
-    """
-    circuit, report, _ = _synth_mapping(f, k, s, line_cap, psi_id)
+    if (report.total_gates, report.total_ancillas) != (len(circuit), circuit.q):
+        raise ContractError(
+            f"stages account for {report.total_gates} gates and "
+            f"{report.total_ancillas} ancillas, the circuit has {len(circuit)} "
+            f"and {circuit.q}"
+        )
     return circuit, report

@@ -1,5 +1,8 @@
 """Replace a generalized k-CNOT by 2-CNOTs under three helper regimes.
 
+Each function takes the k control lines, the target line and the helper
+lines, which must be disjoint from the gate's own lines.
+
 borrowed: helper lines hold arbitrary values and are restored; the whole
           m-line state is preserved except for the intended target flip.
 clean:    k-2 helpers start at 0 and end at 0, exactly 2k-3 gates.
@@ -7,51 +10,10 @@ garbage:  k-2 helpers start at 0 and may end dirty, exactly k-1 gates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .circuit import Gate, ccnot
 from .errors import CapacityError, ParameterError
-
-MODES = ("borrowed", "clean", "garbage")
-
-
-@dataclass(frozen=True)
-class DecompositionPlan:
-    """Controls, target and helper lines for one k-CNOT replacement."""
-
-    mode: str
-    controls: tuple[int, ...]
-    target: int
-    helper_lines: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", tuple(self.controls))
-        object.__setattr__(self, "helper_lines", tuple(self.helper_lines))
-        if self.mode not in MODES:
-            raise ParameterError(f"unknown mode {self.mode!r}")
-        if len(set(self.controls)) != len(self.controls):
-            raise ParameterError("duplicate control lines")
-        if self.target in self.controls:
-            raise ParameterError("target is also a control")
-        used = set(self.controls) | {self.target}
-        if used & set(self.helper_lines):
-            raise ParameterError("helper lines must be disjoint from the gate lines")
-        if len(set(self.helper_lines)) != len(self.helper_lines):
-            raise ParameterError("duplicate helper lines")
-
-    @property
-    def k(self) -> int:
-        return len(self.controls)
-
-
-def _ladder(controls: Sequence[int], helpers: Sequence[int]) -> list[Gate]:
-    """AND chain: helpers[i] accumulates controls[0] & ... & controls[i+1],
-    consuming all controls but the last one."""
-    gates = [ccnot(controls[0], controls[1], helpers[0])]
-    for i in range(len(helpers) - 1):
-        gates.append(ccnot(controls[i + 2], helpers[i], helpers[i + 1]))
-    return gates
 
 
 def _dirty_chain(controls: Sequence[int], borrows: Sequence[int], target: int) -> list[Gate]:
@@ -71,67 +33,57 @@ def _dirty_chain(controls: Sequence[int], borrows: Sequence[int], target: int) -
     return [last] + mountain + [last] + mountain
 
 
-def _borrowed(controls: Sequence[int], target: int, pool: Sequence[int]) -> list[Gate]:
+def decompose_borrowed(
+    controls: Sequence[int], target: int, helpers: Sequence[int]
+) -> list[Gate]:
+    """Full-state equivalent replacement, at most 8k gates; helpers may hold
+    anything and are restored for every input."""
     k = len(controls)
     if k <= 2:
-        return [Gate(tuple(controls), target)]
-    if not pool:
+        return [Gate(controls, target)]
+    if not helpers:
         raise CapacityError(f"{k}-CNOT needs at least one free line to borrow")
-    if len(pool) >= k - 2:
-        return _dirty_chain(controls, pool[: k - 2], target)
+    if len(helpers) >= k - 2:
+        return _dirty_chain(controls, helpers[: k - 2], target)
     # Too few helpers: split through one borrowed line.  Each half sees the
     # other half's lines as borrows, so one level always suffices.
-    bridge = pool[0]
+    bridge = helpers[0]
     first, second = list(controls[: (k + 1) // 2]), list(controls[(k + 1) // 2 :])
-    pool_first = sorted(set(second) | {target} | set(pool[1:]))
-    pool_second = sorted(set(first) | set(pool[1:]))
-    a = _borrowed(first, bridge, pool_first)
-    b = _borrowed(second + [bridge], target, pool_second)
+    pool_first = sorted(set(second) | {target} | set(helpers[1:]))
+    pool_second = sorted(set(first) | set(helpers[1:]))
+    a = decompose_borrowed(first, bridge, pool_first)
+    b = decompose_borrowed(second + [bridge], target, pool_second)
     return a + b + a + b
 
 
-def decompose_borrowed(plan: DecompositionPlan) -> list[Gate]:
-    """Full-state equivalent replacement, at most 8k gates; helpers may hold
-    anything and are restored for every input."""
-    if plan.mode != "borrowed":
-        raise ParameterError(f"plan mode is {plan.mode!r}, not 'borrowed'")
-    if plan.k <= 2:
-        return [Gate(plan.controls, plan.target)]
-    if not plan.helper_lines:
-        raise CapacityError(f"{plan.k}-CNOT needs a free line to borrow")
-    return _borrowed(plan.controls, plan.target, plan.helper_lines)
-
-
-def _require_exact_helpers(plan: DecompositionPlan) -> None:
-    needed = max(plan.k - 2, 0)
-    if len(plan.helper_lines) != needed:
-        raise ParameterError(
-            f"{plan.k}-CNOT in {plan.mode} mode needs exactly {needed} helpers, "
-            f"got {len(plan.helper_lines)}"
-        )
-
-
-def decompose_clean(plan: DecompositionPlan) -> list[Gate]:
-    """Exactly 2k-3 gates; equivalent on the subspace where the k-2 helpers
-    start at 0, and every helper ends at 0 again."""
-    if plan.mode != "clean":
-        raise ParameterError(f"plan mode is {plan.mode!r}, not 'clean'")
-    _require_exact_helpers(plan)
-    if plan.k <= 2:
-        return [Gate(plan.controls, plan.target)]
-    up = _ladder(plan.controls, plan.helper_lines)
-    apply = ccnot(plan.controls[-1], plan.helper_lines[-1], plan.target)
-    return up + [apply] + list(reversed(up))
-
-
-def decompose_garbage(plan: DecompositionPlan) -> list[Gate]:
+def decompose_garbage(
+    controls: Sequence[int], target: int, helpers: Sequence[int]
+) -> list[Gate]:
     """Exactly k-1 gates; target and control lines correct on the helper-zero
-    subspace, helpers are left dirty and must be retired by the caller."""
-    if plan.mode != "garbage":
-        raise ParameterError(f"plan mode is {plan.mode!r}, not 'garbage'")
-    _require_exact_helpers(plan)
-    if plan.k <= 2:
-        return [Gate(plan.controls, plan.target)]
-    up = _ladder(plan.controls, plan.helper_lines)
-    apply = ccnot(plan.controls[-1], plan.helper_lines[-1], plan.target)
-    return up + [apply]
+    subspace, helpers are left dirty and must be retired by the caller.
+
+    helpers[i] accumulates controls[0] & ... & controls[i+1]; the last helper
+    and the last control then drive the target."""
+    k = len(controls)
+    needed = max(k - 2, 0)
+    if len(helpers) != needed:
+        raise ParameterError(
+            f"{k}-CNOT needs exactly {needed} helpers, got {len(helpers)}"
+        )
+    if k <= 2:
+        return [Gate(controls, target)]
+    gates = [ccnot(controls[0], controls[1], helpers[0])]
+    for i in range(k - 3):
+        gates.append(ccnot(controls[i + 2], helpers[i], helpers[i + 1]))
+    gates.append(ccnot(controls[-1], helpers[-1], target))
+    return gates
+
+
+def decompose_clean(
+    controls: Sequence[int], target: int, helpers: Sequence[int]
+) -> list[Gate]:
+    """Exactly 2k-3 gates; equivalent on the subspace where the k-2 helpers
+    start at 0, and every helper ends at 0 again: the garbage chain followed
+    by its helper gates in reverse."""
+    gates = decompose_garbage(controls, target, helpers)
+    return gates + gates[-2::-1]

@@ -11,7 +11,6 @@ import pytest
 from rcsynth import (
     BooleanMapping,
     Circuit,
-    DecompositionPlan,
     Gate,
     LineAllocator,
     Permutation,
@@ -51,7 +50,7 @@ def basic_sweep():
             p = random_even_permutation(n, rng)
             gates = []
             for group in transposition_stream(p, 2):
-                block_gates, _ = synth_block(group, n)
+                block_gates = synth_block(group, n)
                 block_counts.append((n, 2 * len(group), len(block_gates)))
                 gates.extend(block_gates)
             circuit = Circuit(n, n, tuple(gates), tuple(range(n)))
@@ -105,9 +104,7 @@ def test_criterion_4_toffoli_decompositions():
         controls, target = tuple(range(k)), k
         oracle = Gate(controls, target)
 
-        borrowed = decompose_borrowed(
-            DecompositionPlan("borrowed", controls, target, (k + 1,))
-        )
+        borrowed = decompose_borrowed(controls, target, (k + 1,))
         assert len(borrowed) <= 8 * k
         for w in range(1 << m):
             bits = w
@@ -116,11 +113,9 @@ def test_criterion_4_toffoli_decompositions():
             assert bits == oracle.apply_to_bits(w), ("borrowed", k, w)
 
         helpers = tuple(range(k + 1, 2 * k - 1))
-        clean = decompose_clean(DecompositionPlan("clean", controls, target, helpers))
+        clean = decompose_clean(controls, target, helpers)
         assert len(clean) == 2 * k - 3
-        garbage = decompose_garbage(
-            DecompositionPlan("garbage", controls, target, helpers)
-        )
+        garbage = decompose_garbage(controls, target, helpers)
         assert len(garbage) == k - 1
         visible = (1 << (k + 1)) - 1
         for w in range(1 << (k + 1)):  # helper-zero subspace

@@ -7,10 +7,8 @@ from rcsynth import (
     CapacityError,
     Circuit,
     Gate,
-    State,
-    apply_gate,
+    Permutation,
     basis_gadget,
-    circuit_permutation,
     cnot,
     count_gates,
     invert,
@@ -22,6 +20,13 @@ from rcsynth import (
     truth_table_masks,
 )
 from conftest import naive_mapping, random_circuit
+
+
+def whole_state_permutation(c):
+    """The bijection on all 2^m states: realized_mapping of the circuit
+    widened so that every line is an input and an output."""
+    widened = Circuit(c.m, c.m, c.gates, tuple(range(c.m)))
+    return Permutation(c.m, realized_mapping(widened).images)
 
 
 def all_basis_gates(m):
@@ -39,40 +44,49 @@ def all_basis_gates(m):
 
 class TestApplyGate:
     def test_not_sets_bit(self):
-        assert apply_gate(not_gate(0), State(0b00, 2)) == State(0b01, 2)
+        assert not_gate(0).apply_to_bits(0b00) == 0b01
 
     def test_toffoli_fires_only_when_all_controls_set(self):
         gate = ccnot(0, 1, 2)
-        assert apply_gate(gate, State(0b011, 3)) == State(0b111, 3)
-        assert apply_gate(gate, State(0b001, 3)) == State(0b001, 3)
+        assert gate.apply_to_bits(0b011) == 0b111
+        assert gate.apply_to_bits(0b001) == 0b001
 
     def test_every_gate_is_an_involution(self):
         for gate in all_basis_gates(4):
             for bits in range(16):
-                state = State(bits, 4)
-                assert apply_gate(gate, apply_gate(gate, state)) == state
+                assert gate.apply_to_bits(gate.apply_to_bits(bits)) == bits
 
     def test_locality_changes_at_most_one_bit(self):
         for gate in all_basis_gates(4):
             for bits in range(16):
-                after = apply_gate(gate, State(bits, 4)).bits
+                after = gate.apply_to_bits(bits)
                 assert bin(after ^ bits).count("1") <= 1
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
-            apply_gate(not_gate(3), State(0, 2))
+            Circuit(2, 2, (not_gate(3),), (0, 1))
         with pytest.raises(ValueError):
-            apply_gate(cnot(0, 2), State(0, 2))
+            Circuit(2, 2, (cnot(0, 2),), (0, 1))
+        with pytest.raises(ValueError):
+            Circuit(2, 2, (cnot(-1, 0),), (0, 1))
 
 
 class TestGateValidation:
+    # A gate is a plain value; the Circuit holding it checks its lines.
     def test_target_cannot_be_a_control(self):
-        with pytest.raises(ValueError):
-            Gate((0, 1), 1)
+        with pytest.raises(ValueError, match="also a control"):
+            Circuit(3, 3, (Gate((0, 1), 1),), (0, 1, 2))
 
     def test_duplicate_controls_rejected(self):
-        with pytest.raises(ValueError):
-            Gate((0, 0), 1)
+        with pytest.raises(ValueError, match="duplicate"):
+            Circuit(3, 3, (Gate((0, 0), 1),), (0, 1, 2))
+        with pytest.raises(ValueError, match="duplicate"):
+            Circuit(5, 5, (Gate((3, 0, 3), 1),), tuple(range(5)))
+
+    def test_controls_are_sorted_and_define_equality(self):
+        assert Gate((2, 0), 1).controls == (0, 2)
+        assert Gate((2, 0), 1) == ccnot(0, 2, 1)
+        assert Gate((2, 0), 1).target == 1
 
     def test_kind_is_derived_from_control_count(self):
         assert not_gate(0).kind == "NOT"
@@ -136,17 +150,17 @@ class TestRealizedMapping:
 class TestCircuitPermutation:
     def test_single_not(self):
         c = Circuit(1, 1, (not_gate(0),), (0,))
-        assert circuit_permutation(c).images == (1, 0)
+        assert whole_state_permutation(c).images == (1, 0)
 
     def test_cnot_table(self):
         c = Circuit(2, 2, (cnot(0, 1),), (0, 1))
-        assert circuit_permutation(c).images == (0, 3, 2, 1)
+        assert whole_state_permutation(c).images == (0, 3, 2, 1)
 
     def test_even_on_four_or_more_lines(self, rng):
         for _ in range(15):
             m = rng.randrange(4, 7)
             c = random_circuit(m, rng.randrange(1, 30), rng)
-            assert is_even(circuit_permutation(c))
+            assert is_even(whole_state_permutation(c))
 
     def test_agrees_with_realized_mapping(self, rng):
         # psi(g(phi(w))): pad with zero ancillas, permute, project outputs.
@@ -154,7 +168,7 @@ class TestCircuitPermutation:
         for m, n in sizes:
             n = rng.randrange(1, m + 1) if n is None else n
             c = random_circuit(m, rng.randrange(0, 20), rng, n=n)
-            g = circuit_permutation(c)
+            g = whole_state_permutation(c)
             realized = realized_mapping(c)
             for w in range(1 << n):
                 full = g.images[w]
@@ -181,8 +195,8 @@ class TestInvert:
 
     def test_permutation_tables_are_inverse(self, rng):
         c = random_circuit(5, 15, rng)
-        forward = circuit_permutation(c)
-        backward = circuit_permutation(invert(c))
+        forward = whole_state_permutation(c)
+        backward = whole_state_permutation(invert(c))
         assert backward == forward.inverse()
 
 

@@ -34,6 +34,11 @@ class TestBounds:
             main(["bounds"])
         assert info.value.code == 2
 
+    def test_n_beyond_float_range_exits_3(self, capsys):
+        code, out, err = run(capsys, "bounds", "--n", "1100")
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestRand:
     def test_deterministic_for_fixed_seed(self, tmp_path, capsys):
@@ -132,6 +137,14 @@ class TestSynthAndVerify:
         code, _, err = run(capsys, "synth", "lupanov", str(f), "--k", "2", "--s", "2")
         assert code == 3
 
+    def test_non_integer_cap_env_exits_2(self, tmp_path, capsys, monkeypatch):
+        perm = tmp_path / "p.perm"
+        run(capsys, "rand", "even-perm", "--n", "4", "-o", str(perm))
+        monkeypatch.setenv("RCSYNTH_CAP", "abc")
+        code, _, err = run(capsys, "synth", "basic", str(perm))
+        assert code == 2
+        assert err == "error: RCSYNTH_CAP must be an integer, got 'abc'\n"
+
     def test_ancilla_budget_flag(self, tmp_path, capsys):
         code, perm, circ, out = self.synth(
             tmp_path, capsys, extra=("--ancillas", "2")
@@ -194,3 +207,11 @@ class TestStats:
         assert "NOT 1" in out
         assert "CNOT 1" in out
         assert "2-CNOT 1" in out
+
+    def test_one_line_circuit(self, tmp_path, capsys):
+        circ = tmp_path / "c.circ"
+        circ.write_text("lines 1\ninputs 1\noutputs 0\nn 0\n")
+        code, out, _ = run(capsys, "stats", str(circ))
+        assert code == 0
+        assert "lines 1\n" in out and "gates 1\n" in out
+        assert "shannon_lower n/a (requires n >= 2)" in out

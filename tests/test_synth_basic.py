@@ -7,6 +7,7 @@ import pytest
 from rcsynth import (
     BlockMatrix,
     Circuit,
+    ContractError,
     ParameterError,
     ParityError,
     Permutation,
@@ -23,6 +24,8 @@ from rcsynth import (
     transposition_stream,
     transpositions_product,
 )
+from rcsynth import synth_basic
+from rcsynth.synth_basic import _canonicalize
 from conftest import random_even_permutation, random_permutation
 
 
@@ -35,7 +38,7 @@ def random_group(n, K, rng):
 
 
 def block_realizes_group(group, n, ancilla_lines=()):
-    gates, _ = synth_block(group, n, ancilla_lines)
+    gates = synth_block(group, n, ancilla_lines)
     m = n + len(ancilla_lines)
     circuit = Circuit(m, n, tuple(gates), tuple(range(n)))
     want = transpositions_product(group.members, n)
@@ -107,12 +110,23 @@ class TestSynthBlock:
                 assert final >> n == 0
 
     def test_mirror_symmetry(self, rng):
-        group = random_group(6, 4, rng)
-        _, log = synth_block(group, 6)
-        prefix = list(log.gates)
-        suffix = list(reversed(log.gates))
-        assert prefix == list(reversed(suffix))
-        assert all(len(set(g.lines)) == len(g.lines) for g in prefix)
+        # With k = 4 every conjugator is a basis gate and is emitted as is:
+        # the block reads conjugators, expanded core, conjugators reversed.
+        group = random_group(6, 2, rng)
+        conjugators, _, _ = _canonicalize(group.points, 6)
+        gates = synth_block(group, 6)
+        j = len(conjugators)
+        assert j > 0
+        assert gates[:j] == conjugators
+        assert gates[len(gates) - j :] == conjugators[::-1]
+        assert all(
+            t not in cs and len(set(cs)) == len(cs) for cs, t in conjugators
+        )
+
+    def test_over_budget_block_raises(self, monkeypatch, rng):
+        monkeypatch.setattr(synth_basic, "block_upper", lambda n, k: 0)
+        with pytest.raises(ContractError, match="budget"):
+            synth_block(random_group(5, 2, rng), 5)
 
     def test_eight_point_block(self, rng):
         # k = 8 exercises generalized conjugators through borrowed expansion.
@@ -207,7 +221,7 @@ class TestBlockBudgets:
             for _ in range(10):
                 p = random_even_permutation(n, rng)
                 for group in transposition_stream(p, 2):
-                    gates, _ = synth_block(group, n)
+                    gates = synth_block(group, n)
                     k = 2 * len(group)
                     assert len(gates) <= block_upper(n, k)
                     if k == 4:

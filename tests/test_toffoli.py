@@ -3,7 +3,6 @@ import pytest
 
 from rcsynth import (
     CapacityError,
-    DecompositionPlan,
     Gate,
     ParameterError,
     decompose_borrowed,
@@ -18,27 +17,24 @@ def run(gates, bits):
     return bits
 
 
-def borrowed_plan(k, helpers):
-    return DecompositionPlan("borrowed", tuple(range(k)), k, tuple(helpers))
+def borrowed(k, helpers):
+    return decompose_borrowed(tuple(range(k)), k, tuple(helpers))
 
 
-def helper_plan(mode, k):
-    return DecompositionPlan(
-        mode, tuple(range(k)), k, tuple(range(k + 1, 2 * k - 1))
-    )
+def with_helpers(decompose, k):
+    """k controls on lines 0..k-1, target k, helpers k+1..2k-2."""
+    return decompose(tuple(range(k)), k, tuple(range(k + 1, 2 * k - 1)))
 
 
 class TestBorrowed:
     def test_passthrough_below_three_controls(self):
         for k in (0, 1, 2):
-            plan = DecompositionPlan("borrowed", tuple(range(k)), k, (k + 1,))
-            assert decompose_borrowed(plan) == [Gate(tuple(range(k)), k)]
+            assert borrowed(k, (k + 1,)) == [Gate(tuple(range(k)), k)]
 
     @pytest.mark.parametrize("k", range(3, 9))
     def test_single_borrow_full_state_equivalence(self, k):
         # m = k + 2 lines: k controls, target, one borrowed line of any value.
-        plan = borrowed_plan(k, [k + 1])
-        gates = decompose_borrowed(plan)
+        gates = borrowed(k, [k + 1])
         assert len(gates) <= 8 * k
         assert all(len(g.controls) <= 2 for g in gates)
         oracle = Gate(tuple(range(k)), k)
@@ -48,8 +44,7 @@ class TestBorrowed:
     @pytest.mark.parametrize("k", range(3, 7))
     def test_many_borrows_full_state_equivalence(self, k):
         helpers = tuple(range(k + 1, 2 * k - 1))
-        plan = borrowed_plan(k, helpers)
-        gates = decompose_borrowed(plan)
+        gates = borrowed(k, helpers)
         assert len(gates) == 4 * (k - 2)
         oracle = Gate(tuple(range(k)), k)
         for w in range(1 << (2 * k - 1)):
@@ -57,11 +52,11 @@ class TestBorrowed:
 
     def test_needs_a_free_line(self):
         with pytest.raises(CapacityError):
-            decompose_borrowed(DecompositionPlan("borrowed", (0, 1, 2), 3, ()))
+            decompose_borrowed((0, 1, 2), 3, ())
 
     def test_frozen_counts(self):
         counts = {
-            k: len(decompose_borrowed(borrowed_plan(k, [k + 1]))) for k in range(3, 9)
+            k: len(borrowed(k, [k + 1])) for k in range(3, 9)
         }
         assert counts == {3: 4, 4: 10, 5: 16, 6: 24, 7: 32, 8: 40}
 
@@ -69,7 +64,7 @@ class TestBorrowed:
 class TestClean:
     @pytest.mark.parametrize("k", range(3, 9))
     def test_count_and_helper_restoration(self, k):
-        gates = decompose_clean(helper_plan("clean", k))
+        gates = with_helpers(decompose_clean, k)
         assert len(gates) == 2 * k - 3
         oracle = Gate(tuple(range(k)), k)
         for w in range(1 << (k + 1)):  # helpers start at zero
@@ -77,26 +72,22 @@ class TestClean:
             assert after == oracle.apply_to_bits(w)  # helpers end at zero too
 
     def test_three_controls_shape(self):
-        gates = decompose_clean(DecompositionPlan("clean", (0, 1, 2), 3, (4,)))
+        gates = decompose_clean((0, 1, 2), 3, (4,))
         assert gates == [Gate((0, 1), 4), Gate((2, 4), 3), Gate((0, 1), 4)]
 
     def test_four_controls_count(self):
-        gates = decompose_clean(DecompositionPlan("clean", (0, 1, 2, 3), 4, (5, 6)))
+        gates = decompose_clean((0, 1, 2, 3), 4, (5, 6))
         assert len(gates) == 5
 
     def test_wrong_helper_count_rejected(self):
         with pytest.raises(ParameterError):
-            decompose_clean(DecompositionPlan("clean", (0, 1, 2, 3), 4, (5,)))
-
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ParameterError):
-            decompose_clean(helper_plan("garbage", 4))
+            decompose_clean((0, 1, 2, 3), 4, (5,))
 
 
 class TestGarbage:
     @pytest.mark.parametrize("k", range(3, 9))
     def test_count_and_target_column(self, k):
-        gates = decompose_garbage(helper_plan("garbage", k))
+        gates = with_helpers(decompose_garbage, k)
         assert len(gates) == k - 1
         oracle = Gate(tuple(range(k)), k)
         visible = (1 << (k + 1)) - 1
@@ -109,17 +100,9 @@ class TestGarbage:
         assert dirty_seen, "garbage mode must leave some helper nonzero"
 
     def test_three_controls_count(self):
-        gates = decompose_garbage(DecompositionPlan("garbage", (0, 1, 2), 3, (4,)))
+        gates = decompose_garbage((0, 1, 2), 3, (4,))
         assert len(gates) == 2
 
-
-class TestPlanValidation:
-    def test_helpers_must_be_disjoint(self):
+    def test_wrong_helper_count_rejected(self):
         with pytest.raises(ParameterError):
-            DecompositionPlan("borrowed", (0, 1, 2), 3, (2,))
-        with pytest.raises(ParameterError):
-            DecompositionPlan("clean", (0, 1, 2), 3, (3,))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ParameterError):
-            DecompositionPlan("dirty", (0, 1), 2, ())
+            decompose_garbage((0, 1, 2, 3), 4, (5, 6, 7))
