@@ -3,7 +3,6 @@ NOT, CNOT and 2-CNOT gates."""
 
 from .bounds import (
     PHI_REGISTRY,
-    PSI_REGISTRY,
     BoundReport,
     block_upper,
     build_report,
@@ -18,7 +17,6 @@ from .circuit import (
     Circuit,
     Gate,
     GateCountReport,
-    basis_gadget,
     ccnot,
     cnot,
     count_gates,
@@ -47,19 +45,13 @@ from .io import (
 from .perm import (
     BooleanMapping,
     Permutation,
-    Transposition,
-    TranspositionGroup,
     cycle_decomposition,
     is_even,
-    moved_points,
-    parity,
     split_dependent_pair,
     transposition_stream,
     transpositions_product,
 )
 from .synth_basic import (
-    BlockMatrix,
-    choose_block_size,
     synth_block,
     synth_even_permutation,
 )

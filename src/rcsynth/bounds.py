@@ -1,7 +1,7 @@
 """Closed-form complexity bound evaluation for circuits over NOT/CNOT/2-CNOT.
 
-All logarithms are binary.  The slowly-growing functions phi and psi live in
-named registries so that reports are reproducible from a CLI identifier.
+All logarithms are binary.  The slowly-growing function phi is taken from a
+named registry so that reports are reproducible from a CLI identifier.
 """
 from __future__ import annotations
 
@@ -19,12 +19,6 @@ PHI_REGISTRY: dict[str, Callable[[int], float]] = {
     "sqrt": lambda n: math.sqrt(n),
     # n / (log2 n + 1): keeps k = ceil(n / phi(n)) near log2 n + 1.
     "lupanov": lambda n: n / (math.log2(n) + 1.0),
-}
-
-PSI_REGISTRY: dict[str, Callable[[int], float]] = {
-    "one": lambda n: 1.0,
-    "log2": lambda n: math.log2(n),
-    "loglog": lambda n: math.log2(math.log2(n)),
 }
 
 EXACT_GLUHOV_LIMIT = 20

@@ -242,24 +242,3 @@ def invert(circuit: Circuit) -> Circuit:
     result realizes the inverse permutation."""
     return Circuit(circuit.m, circuit.n, tuple(reversed(circuit.gates)), circuit.outputs)
 
-
-def basis_gadget(op: str, sources: tuple[int, ...], fresh: int) -> list[Gate]:
-    """Classical {not, xor, and} on a fresh zero line, at most two gates.
-
-    negation:    fresh = 1 ^ a      [NOT fresh, CNOT a -> fresh]
-    xor:         fresh = a ^ b      [CNOT a -> fresh, CNOT b -> fresh]
-    conjunction: fresh = a & b      [2-CNOT {a, b} -> fresh]
-    """
-    sources = tuple(sources)
-    if fresh in sources:
-        raise ValueError("fresh line must differ from the sources")
-    if op == "negation":
-        (a,) = sources
-        return [not_gate(fresh), cnot(a, fresh)]
-    if op == "xor":
-        a, b = sources
-        return [cnot(a, fresh), cnot(b, fresh)]
-    if op == "conjunction":
-        a, b = sources
-        return [ccnot(a, b, fresh)]
-    raise ValueError(f"unknown gadget op {op!r}")

@@ -14,7 +14,7 @@ from pathlib import Path
 from random import Random
 
 from . import bounds as bounds_mod
-from .circuit import Circuit, count_gates, realized_mapping, simulate
+from .circuit import Circuit, count_gates, realized_mapping, resolve_cap, simulate
 from .errors import CapacityError, ContractError, FormatError, ParameterError, ParityError
 from .io import (
     parse_circuit,
@@ -45,6 +45,13 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None
+
+
 def _write_or_print(text: str, path: str | None, report_lines: list[str]) -> None:
     """Circuit text goes to the output file, or to stdout with the report on
     stderr so the circuit stays machine readable."""
@@ -53,7 +60,7 @@ def _write_or_print(text: str, path: str | None, report_lines: list[str]) -> Non
         for line in report_lines:
             print(line, file=sys.stderr)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _write(path, text)
         for line in report_lines:
             print(line)
 
@@ -103,36 +110,32 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 + [rep.reference_constants["7n2^n"], rep.reference_constants["6n2^n"]]
             )
         text = buf.getvalue()
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-    lines = []
-    for rep in reports:
-        lines.append(f"n {rep.n}  q {rep.q}")
-        lines.append(f"gate_set_size {rep.gate_set_size}")
-        lines.append(f"shannon_lower {_fmt(rep.shannon_lower)}")
-        lines.append(f"gluhov_bound {rep.gluhov_bound} (heuristic)")
-        if rep.simple_lower is not None:
-            lines.append(f"simple_lower {_fmt(rep.simple_lower)}")
-        else:
-            lines.append("simple_lower n/a (requires n >= 4)")
-        if rep.no_ancilla_upper is not None:
-            lines.append(
-                f"no_ancilla_upper {_fmt(rep.no_ancilla_upper)} "
-                f"(phi={args.phi}, epsilon={_fmt(rep.no_ancilla_epsilon)})"
-            )
-        else:
-            lines.append(f"no_ancilla_upper n/a ({rep.no_ancilla_note})")
-        for k, value in sorted(rep.block_upper.items()):
-            lines.append(f"block_upper[k={k}] {_fmt(value)}")
-        ref = rep.reference_constants
-        lines.append(f"reference 7n2^n {ref['7n2^n']}  6n2^n {ref['6n2^n']}")
-        lines.append("")
-    text = "\n".join(lines)
+    else:
+        lines = []
+        for rep in reports:
+            lines.append(f"n {rep.n}  q {rep.q}")
+            lines.append(f"gate_set_size {rep.gate_set_size}")
+            lines.append(f"shannon_lower {_fmt(rep.shannon_lower)}")
+            lines.append(f"gluhov_bound {rep.gluhov_bound} (heuristic)")
+            if rep.simple_lower is not None:
+                lines.append(f"simple_lower {_fmt(rep.simple_lower)}")
+            else:
+                lines.append("simple_lower n/a (requires n >= 4)")
+            if rep.no_ancilla_upper is not None:
+                lines.append(
+                    f"no_ancilla_upper {_fmt(rep.no_ancilla_upper)} "
+                    f"(phi={args.phi}, epsilon={_fmt(rep.no_ancilla_epsilon)})"
+                )
+            else:
+                lines.append(f"no_ancilla_upper n/a ({rep.no_ancilla_note})")
+            for k, value in sorted(rep.block_upper.items()):
+                lines.append(f"block_upper[k={k}] {_fmt(value)}")
+            ref = rep.reference_constants
+            lines.append(f"reference 7n2^n {ref['7n2^n']}  6n2^n {ref['6n2^n']}")
+            lines.append("")
+        text = "\n".join(lines)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -143,9 +146,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.mode == "basic":
         target = parse_permutation(text)
         ancillas = args.ancillas if args.ancillas is not None else 0
-        circuit, report = synth_even_permutation(
-            target, k=args.k, ancilla_budget=ancillas, phi_id=args.phi
-        )
+        circuit, report = synth_even_permutation(target, k=args.k, ancilla_budget=ancillas)
         report_lines = [
             f"synthesized basic circuit: lines {circuit.m}, gates {report.total}",
             f"gate counts: NOT {report.nots}, CNOT {report.cnots}, "
@@ -159,8 +160,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 raise ParameterError("lupanov mode needs both --k and --s or neither")
             k, s = args.k, args.s
         else:
-            k, s, _ = choose_params(target.n, args.phi_lupanov, args.psi)
-        circuit, stage = synth_mapping(target, k, s, psi_id=args.psi)
+            k, s, _ = choose_params(target.n)
+        circuit, stage = synth_mapping(target, k, s)
         report_lines = [
             f"synthesized lupanov circuit: lines {circuit.m}, gates {stage.total_gates}",
             f"parameters: k {stage.k}, s {stage.s}, p {stage.p}"
@@ -216,6 +217,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_rand(args: argparse.Namespace) -> int:
+    cap = resolve_cap()
+    if not 1 <= args.n <= cap:
+        raise ParameterError(f"need 1 <= n <= {cap} (RCSYNTH_CAP), got n={args.n}")
     rng = Random(args.seed)
     size = 1 << args.n
     header = [f"rcsynth rand {args.kind}", f"n {args.n} seed {args.seed}"]
@@ -231,7 +235,7 @@ def cmd_rand(args: argparse.Namespace) -> int:
             p = Permutation(args.n, tuple(images))
         text = serialize_permutation(p, header)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -283,14 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument(
         "--ancillas", type=int, default=None, help="ancilla budget for basic mode (0 or n-3)"
     )
-    p_synth.add_argument("--phi", choices=sorted(bounds_mod.PHI_REGISTRY), default="log2")
-    p_synth.add_argument(
-        "--phi-lupanov",
-        choices=sorted(bounds_mod.PHI_REGISTRY),
-        default="lupanov",
-        help="phi used by lupanov parameter selection",
-    )
-    p_synth.add_argument("--psi", choices=sorted(bounds_mod.PSI_REGISTRY), default="log2")
     p_synth.add_argument("--no-verify", action="store_true")
     p_synth.add_argument("--cap", type=int, default=None)
     p_synth.set_defaults(func=cmd_synth)

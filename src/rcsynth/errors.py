@@ -11,8 +11,9 @@ class CapacityError(RuntimeError):
 
 class ContractError(RuntimeError):
     """A synthesis result broke its own contract: a block over its gate budget,
-    stage accounting that does not add up, or a decomposition residue of the
-    wrong shape.  This is a defect in the toolkit, not in the input."""
+    a block that did not canonicalize to its single core gate, or a
+    decomposition residue of the wrong shape.  This is a defect in the
+    toolkit, not in the input."""
 
 
 class ParityError(ValueError):
@@ -20,4 +21,4 @@ class ParityError(ValueError):
 
 
 class ParameterError(ValueError):
-    """A synthesis parameter (k, s, K, phi, ancilla budget) is out of range."""
+    """A parameter (k, s, K, n, phi, ancilla budget) is out of range."""

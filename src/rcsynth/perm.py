@@ -66,19 +66,8 @@ class Permutation(BooleanMapping):
             inv[y] = x
         return Permutation(self.n, tuple(inv))
 
-    def then(self, other: "Permutation") -> "Permutation":
-        """Left-to-right composition: (self.then(other))(x) == other(self(x))."""
-        if self.n != other.n:
-            raise ValueError("bit counts differ")
-        return Permutation(self.n, tuple(other.images[v] for v in self.images))
-
     def is_identity(self) -> bool:
         return all(v == x for x, v in enumerate(self.images))
-
-
-def moved_points(p: Permutation) -> set[int]:
-    """Points x with p(x) != x."""
-    return {x for x, y in enumerate(p.images) if x != y}
 
 
 def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
@@ -115,107 +104,56 @@ def is_even(p: Permutation) -> bool:
     return (p.size - n_cycles) % 2 == 0
 
 
-def parity(p: Permutation) -> str:
-    return "even" if is_even(p) else "odd"
+Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Transposition:
-    """Swap of two n-bit points, normalized so that a < b."""
-
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError("transposition needs two distinct points")
-        if self.a > self.b:
-            a, b = self.b, self.a
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
-
-    @property
-    def points(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
-    def apply(self, x: int) -> int:
-        if x == self.a:
-            return self.b
-        if x == self.b:
-            return self.a
-        return x
+def _pair(a: int, b: int) -> Pair:
+    """The transposition swapping a and b, as the pair (min, max)."""
+    return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class TranspositionGroup:
-    """Pairwise-independent transpositions; the unit block of basic synthesis."""
-
-    members: tuple[Transposition, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
-        pts: list[int] = []
-        for t in self.members:
-            pts.extend(t.points)
-        if len(set(pts)) != len(pts):
-            raise ValueError("transpositions in a group must be pairwise independent")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def points(self) -> list[int]:
-        pts: list[int] = []
-        for t in self.members:
-            pts.extend(t.points)
-        return pts
-
-
-def transpositions_product(ts: Iterable[Transposition], n: int) -> Permutation:
-    """Left-to-right product of transpositions as a Permutation."""
+def transpositions_product(ts: Iterable[Pair], n: int) -> Permutation:
+    """Left-to-right product of transpositions (a, b) as a Permutation."""
     images = list(range(1 << n))
-    for t in ts:
-        images = [t.apply(v) for v in images]
+    for a, b in ts:
+        images = [b if v == a else a if v == b else v for v in images]
     return Permutation(n, tuple(images))
 
 
 def split_dependent_pair(
-    t1: Transposition, t2: Transposition, n: int
-) -> tuple[TranspositionGroup, TranspositionGroup]:
+    t1: Pair, t2: Pair, n: int
+) -> tuple[tuple[Pair, Pair], tuple[Pair, Pair]]:
     """Rewrite a product of two transpositions sharing one point as two
     independent pairs, using a fresh transposition (r, s) on the two smallest
     free points: t1 * t2 == (t1 * (r,s)) * ((r,s) * t2)."""
-    shared = set(t1.points) & set(t2.points)
-    if len(shared) != 1:
+    if len(set(t1) & set(t2)) != 1:
         raise ParameterError("transpositions must share exactly one point")
-    used = set(t1.points) | set(t2.points)
+    used = set(t1) | set(t2)
     free = [x for x in range(1 << n) if x not in used]
     if len(free) < 2:
         raise CapacityError(
             f"no room for a fresh transposition on {1 << n} points"
         )
-    fresh = Transposition(free[0], free[1])
-    return (
-        TranspositionGroup((t1, fresh)),
-        TranspositionGroup((fresh, t2)),
-    )
+    fresh = (free[0], free[1])
+    return (t1, fresh), (fresh, t2)
 
 
-def _take_from_cycle(cycle: list[int], count: int) -> tuple[list[Transposition], list[int]]:
+def _take_from_cycle(cycle: list[int], count: int) -> tuple[list[Pair], list[int]]:
     """Extract `count` pairwise-independent transpositions from the front of a
     cycle, 1 <= count <= len(cycle) // 2.
 
     (c0, c1, ..., c_{l-1}) splits as (c0,c1)(c2,c3)...(c_{2j-2},c_{2j-1})
     followed by the shorter cycle (c0, c2, ..., c_{2j-2}, c_{2j}, ..., c_{l-1}).
     """
-    taken = [Transposition(cycle[2 * t], cycle[2 * t + 1]) for t in range(count)]
+    taken = [_pair(cycle[2 * t], cycle[2 * t + 1]) for t in range(count)]
     tail = [cycle[2 * t] for t in range(count)] + cycle[2 * count:]
     return taken, tail
 
 
-def transposition_stream(p: Permutation, K: int) -> list[TranspositionGroup]:
+def transposition_stream(p: Permutation, K: int) -> list[tuple[Pair, ...]]:
     """Decompose p into groups of K independent transpositions followed by
-    independent pairs, preserving the left-to-right product.
+    independent pairs, preserving the left-to-right product.  A group is a
+    tuple of transpositions (a, b) with a < b and no point shared.
 
     Groups are filled greedily, one pass over the outstanding cycles per
     group.  The residual that cannot fill a pair is either a lone
@@ -224,12 +162,12 @@ def transposition_stream(p: Permutation, K: int) -> list[TranspositionGroup]:
     """
     if K < 2:
         raise ParameterError("group size K must be at least 2")
-    groups: list[TranspositionGroup] = []
+    groups: list[tuple[Pair, ...]] = []
     work = [list(c) for c in cycle_decomposition(p)]
 
     for size in (K, 2):
         while sum(len(c) // 2 for c in work) >= size:
-            batch: list[Transposition] = []
+            batch: list[Pair] = []
             next_work: list[list[int]] = []
             for idx, cycle in enumerate(work):
                 need = size - len(batch)
@@ -242,25 +180,26 @@ def transposition_stream(p: Permutation, K: int) -> list[TranspositionGroup]:
                 if len(tail) >= 2:
                     next_work.append(tail)
             work = next_work
-            groups.append(TranspositionGroup(tuple(batch)))
+            groups.append(tuple(batch))
 
     if work:
         if len(work) != 1 or len(work[0]) not in (2, 3):
             raise ContractError(f"residual cycles {work}: expected one of length 2 or 3")
         cycle = work[0]
         if len(cycle) == 2:
-            groups.append(TranspositionGroup((Transposition(cycle[0], cycle[1]),)))
+            groups.append((_pair(cycle[0], cycle[1]),))
         else:
-            t1 = Transposition(cycle[0], cycle[1])
-            t2 = Transposition(cycle[0], cycle[2])
+            t1 = _pair(cycle[0], cycle[1])
+            t2 = _pair(cycle[0], cycle[2])
             groups.extend(split_dependent_pair(t1, t2, p.n))
     return groups
 
 
-def plain_transpositions(p: Permutation) -> list[Transposition]:
+def plain_transpositions(p: Permutation) -> list[Pair]:
     """Left-to-right transposition decomposition without independence:
-    each cycle (c0, ..., c_{l-1}) becomes (c0,c1)(c0,c2)...(c0,c_{l-1})."""
-    out: list[Transposition] = []
+    each cycle (c0, ..., c_{l-1}) becomes (c0,c1)(c0,c2)...(c0,c_{l-1}),
+    c0 being the cycle's minimum."""
+    out: list[Pair] = []
     for cycle in cycle_decomposition(p):
-        out.extend(Transposition(cycle[0], cycle[i]) for i in range(1, len(cycle)))
+        out.extend((cycle[0], cycle[i]) for i in range(1, len(cycle)))
     return out

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import PHI_REGISTRY, PSI_REGISTRY
-from .circuit import Circuit, Gate, basis_gadget, cnot, ccnot
-from .errors import CapacityError, ContractError, ParameterError
+from .bounds import PHI_REGISTRY
+from .circuit import Circuit, Gate, ccnot, cnot, not_gate
+from .errors import CapacityError, ParameterError
 from .perm import BooleanMapping
 
 DEFAULT_LINE_CAP = 1 << 20
@@ -40,14 +40,16 @@ class LineAllocator:
 
 @dataclass(frozen=True)
 class StageReport:
-    """Per-stage gate and ancilla accounting plus the chosen parameters."""
+    """Per-stage gate and ancilla accounting plus the chosen parameters.
+    psi_waived is set when the growth condition 2^k / s >= log2 n fails;
+    the circuit is built either way."""
 
     k: int
     s: int
     p: int
     gate_counts: tuple[int, int, int, int, int]
     ancilla_counts: tuple[int, int, int, int, int]
-    psi_waived: bool | None = None
+    psi_waived: bool
 
     @property
     def total_gates(self) -> int:
@@ -87,7 +89,7 @@ def conjunction_bank(
     negated: dict[int, int] = {}
     for line in var_lines:
         fresh = alloc.take()
-        gates.extend(basis_gadget("negation", (line,), fresh))
+        gates += [not_gate(fresh), cnot(line, fresh)]
         negated[line] = fresh
 
     def build(lines: tuple[int, ...]) -> dict[int, int]:
@@ -148,26 +150,17 @@ def xor_bank(
     return gates, build(tuple(group_lines))
 
 
-def choose_params(
-    n: int, phi_id: str = "lupanov", psi_id: str = "log2"
-) -> tuple[int, int, int]:
-    """Parameters k = ceil(n / phi(n)) clamped so that s = n - 2k >= 1, and
-    p = ceil(2^k / s).  The growth constraint 2^k / s >= psi(n) is checked by
-    the caller and waived when unsatisfiable at small n."""
+def choose_params(n: int) -> tuple[int, int, int]:
+    """Parameters k = ceil(n / phi(n)) with phi(n) = n / (log2 n + 1), clamped
+    so that s = n - 2k >= 1, and p = ceil(2^k / s)."""
     if n < 4:
         raise ParameterError(f"parameter selection needs n >= 4, got n={n}")
-    if psi_id not in PSI_REGISTRY:
-        raise ParameterError(f"unknown psi {psi_id!r}")
-    phi = PHI_REGISTRY[phi_id](n)
+    phi = PHI_REGISTRY["lupanov"](n)
     k = math.ceil(n / phi)
     k = max(1, min(k, (n - 1) // 2))
     s = n - 2 * k
     p = math.ceil((1 << k) / s)
     return k, s, p
-
-
-def psi_satisfied(n: int, k: int, s: int, psi_id: str) -> bool:
-    return (1 << k) / s >= PSI_REGISTRY[psi_id](n)
 
 
 def _coordinate_support(f: BooleanMapping, k: int, i: int, j: int) -> int:
@@ -180,13 +173,7 @@ def _coordinate_support(f: BooleanMapping, k: int, i: int, j: int) -> int:
     return support
 
 
-def synth_mapping(
-    f: BooleanMapping,
-    k: int,
-    s: int,
-    line_cap: int = DEFAULT_LINE_CAP,
-    psi_id: str | None = None,
-) -> tuple[Circuit, StageReport]:
+def synth_mapping(f: BooleanMapping, k: int, s: int) -> tuple[Circuit, StageReport]:
     """Synthesize a circuit realizing the arbitrary mapping f with ancillas.
 
     Stage budgets: L4 <= p n 2^(n-k) and L5 <= n 2^(n-k) with q5 = n output
@@ -198,7 +185,7 @@ def synth_mapping(
     if s != n - 2 * k:
         raise ParameterError(f"need s = n - 2k = {n - 2 * k}, got s={s}")
     p = math.ceil((1 << k) / s)
-    alloc = LineAllocator(n, cap=line_cap)
+    alloc = LineAllocator(n)
     gates: list[Gate] = []
     marks = [(0, n)]  # (gates, next free line) at each stage boundary
 
@@ -259,22 +246,12 @@ def synth_mapping(
             gates.append(ccnot(second_bank[i], line, out_lines[j]))
     close_stage()
 
-    waived = None
-    if psi_id is not None:
-        waived = not psi_satisfied(n, k, s, psi_id)
     report = StageReport(
         k=k,
         s=s,
         p=p,
         gate_counts=tuple(b[0] - a[0] for a, b in zip(marks, marks[1:])),
         ancilla_counts=tuple(b[1] - a[1] for a, b in zip(marks, marks[1:])),
-        psi_waived=waived,
+        psi_waived=(1 << k) / s < math.log2(n),
     )
-    circuit = Circuit(alloc.next_free, n, tuple(gates), out_lines)
-    if (report.total_gates, report.total_ancillas) != (len(circuit), circuit.q):
-        raise ContractError(
-            f"stages account for {report.total_gates} gates and "
-            f"{report.total_ancillas} ancillas, the circuit has {len(circuit)} "
-            f"and {circuit.q}"
-        )
-    return circuit, report
+    return Circuit(alloc.next_free, n, tuple(gates), out_lines), report

@@ -7,9 +7,10 @@ from rcsynth import (
     CapacityError,
     Circuit,
     Gate,
+    LineAllocator,
     Permutation,
-    basis_gadget,
     cnot,
+    conjunction_bank,
     count_gates,
     invert,
     is_even,
@@ -18,6 +19,7 @@ from rcsynth import (
     simulate,
     ccnot,
     truth_table_masks,
+    xor_bank,
 )
 from conftest import naive_mapping, random_circuit
 
@@ -214,6 +216,8 @@ class TestCountGates:
 
 
 class TestBasisGadget:
+    """The {not, xor, and} gadgets the banks build on fresh zero lines."""
+
     def value_on_fresh(self, gates, sources_bits, m, fresh):
         bits = list(sources_bits) + [0] * (m - len(sources_bits))
         for gate in gates:
@@ -222,33 +226,30 @@ class TestBasisGadget:
         return bits, bits[fresh]
 
     def test_negation(self):
-        gates = basis_gadget("negation", (0,), 1)
-        assert len(gates) == 2
+        gates, bank = conjunction_bank((0,), LineAllocator(1))
+        assert gates == [not_gate(1), cnot(0, 1)] and bank[0] == 1
         for a in (0, 1):
             bits, value = self.value_on_fresh(gates, [a], 2, 1)
             assert value == 1 - a
             assert bits[0] == a
 
     def test_xor(self):
-        gates = basis_gadget("xor", (0, 1), 2)
-        assert len(gates) == 2
+        alloc = LineAllocator(2)
+        gates, bank = xor_bank((0, 1), alloc, alloc.take())
+        assert gates == [cnot(0, 3), cnot(1, 3)] and bank[3] == 3
         for a in (0, 1):
             for b in (0, 1):
-                bits, value = self.value_on_fresh(gates, [a, b], 3, 2)
+                bits, value = self.value_on_fresh(gates, [a, b], 4, 3)
                 assert value == a ^ b
                 assert bits[:2] == [a, b]
 
     def test_conjunction(self):
-        gates = basis_gadget("conjunction", (0, 1), 2)
-        assert len(gates) == 1
+        gates, bank = conjunction_bank((0, 1), LineAllocator(2))
+        assert gates[-1] == ccnot(0, 1, bank[3])
         for a in (0, 1):
             for b in (0, 1):
-                _, value = self.value_on_fresh(gates, [a, b], 3, 2)
+                _, value = self.value_on_fresh(gates, [a, b], 8, bank[3])
                 assert value == a & b
-
-    def test_fresh_must_differ(self):
-        with pytest.raises(ValueError):
-            basis_gadget("negation", (0,), 0)
 
 
 class TestCircuitValidation:

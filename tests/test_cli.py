@@ -34,6 +34,13 @@ class TestBounds:
             main(["bounds"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("fmt", [(), ("--csv",)])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, fmt):
+        out = tmp_path / "missing" / "b.txt"
+        code, _, err = run(capsys, "bounds", "--n", "4", *fmt, "-o", str(out))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out}")
+
     def test_n_beyond_float_range_exits_3(self, capsys):
         code, out, err = run(capsys, "bounds", "--n", "1100")
         assert code == 3
@@ -59,6 +66,21 @@ class TestRand:
         code, _, _ = run(capsys, "rand", "map", "--n", "3", "--seed", "0", "-o", str(path))
         assert code == 0
         assert path.read_text().startswith("# rcsynth rand map")
+
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "p.perm"
+        code, _, err = run(capsys, "rand", "perm", "--n", "3", "-o", str(out))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out}")
+
+    @pytest.mark.parametrize("kind, n", [("perm", "0"), ("map", "-1"), ("even-perm", "5")])
+    def test_n_outside_one_to_cap_exits_3(self, capsys, monkeypatch, kind, n):
+        monkeypatch.setenv("RCSYNTH_CAP", "4")
+        code, out, err = run(capsys, "rand", kind, "--n", n)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: need 1 <= n <= 4 (RCSYNTH_CAP), got n={n}\n"
 
 
 class TestSynthAndVerify:
@@ -144,6 +166,22 @@ class TestSynthAndVerify:
         code, _, err = run(capsys, "synth", "basic", str(perm))
         assert code == 2
         assert err == "error: RCSYNTH_CAP must be an integer, got 'abc'\n"
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        perm = tmp_path / "p.perm"
+        run(capsys, "rand", "even-perm", "--n", "4", "-o", str(perm))
+        out = tmp_path / "missing" / "p.circ"
+        code, _, err = run(capsys, "synth", "basic", str(perm), "-o", str(out))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out}")
+
+    @pytest.mark.parametrize("flag", ["--phi", "--phi-lupanov", "--psi"])
+    def test_phi_and_psi_are_not_synth_options(self, capsys, flag):
+        # --k and --s set any (k, s) these flags could select.
+        with pytest.raises(SystemExit) as info:
+            main(["synth", "basic", "p.perm", flag, "log2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_ancilla_budget_flag(self, tmp_path, capsys):
         code, perm, circ, out = self.synth(

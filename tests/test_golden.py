@@ -37,6 +37,18 @@ def test_basic(n, digest, gates):
     assert fingerprint(circuit) == (digest, gates)
 
 
+@pytest.mark.parametrize(
+    "n, k, digest, gates",
+    [
+        (6, 8, "b0f2d64e67822040d2af8e71c30ced6d944c225eae9e86c3a5cba390ac5a4901", 906),
+        (7, 16, "a9482fc72f2ef3fc76787b0d413bb1b38772191d01b96cae797c947b914fea02", 2508),
+    ],
+)
+def test_basic_forced_block_size(n, k, digest, gates):
+    circuit, _ = synth_even_permutation(random_even_permutation(n, Random(n)), k=k)
+    assert fingerprint(circuit) == (digest, gates)
+
+
 def test_basic_with_ancillas():
     # An odd permutation on 6 lines, realized through n - 3 clean helpers.
     circuit, _ = synth_even_permutation(random_permutation(6, Random(6)), ancilla_budget=3)
@@ -55,4 +67,14 @@ def test_lupanov():
     assert fingerprint(circuit) == (
         "e4b6e87026bd79c90e90b775df0cc9edb010ce32f76414fdaed1c4d377aab610",
         235,
+    )
+
+
+def test_lupanov_forced_params():
+    rng = Random(8)
+    f = BooleanMapping(8, tuple(rng.randrange(256) for _ in range(256)))
+    circuit, _ = synth_mapping(f, 1, 6)
+    assert fingerprint(circuit) == (
+        "7c6b168f98150dafeb8ed7438d961eccc771b2d99194b1ea1eaf20990d4730ad",
+        959,
     )

@@ -7,26 +7,24 @@ from rcsynth import (
     CapacityError,
     ParameterError,
     Permutation,
-    Transposition,
-    TranspositionGroup,
     cycle_decomposition,
     is_even,
-    moved_points,
-    parity,
     split_dependent_pair,
+    synth_block,
     transposition_stream,
     transpositions_product,
 )
+from rcsynth.perm import plain_transpositions
 from conftest import random_even_permutation, random_permutation
 
 
 class TestParity:
     def test_identity_is_even(self):
-        assert parity(Permutation.identity(3)) == "even"
+        assert is_even(Permutation.identity(3))
 
     def test_single_transposition_is_odd(self):
         p = Permutation.from_cycles(2, [(0, 1)])
-        assert parity(p) == "odd"
+        assert not is_even(p)
 
     def test_two_disjoint_transpositions_are_even(self):
         p = Permutation.from_cycles(2, [(0, 1), (2, 3)])
@@ -41,17 +39,21 @@ class TestParity:
 
 
 class TestMovedPoints:
+    """plain_transpositions touches exactly the points p moves."""
+
     def test_identity_moves_nothing(self):
-        assert moved_points(Permutation.identity(2)) == set()
+        assert plain_transpositions(Permutation.identity(2)) == []
 
     def test_transposition_moves_two(self):
         p = Permutation.from_cycles(2, [(0, 1)])
-        assert moved_points(p) == {0, 1}
+        assert plain_transpositions(p) == [(0, 1)]
 
     def test_bounded_by_domain(self, rng):
         for _ in range(10):
             p = random_permutation(4, rng)
-            assert len(moved_points(p)) <= 16
+            touched = {x for t in plain_transpositions(p) for x in t}
+            assert touched == {x for x in range(16) if p(x) != x}
+            assert transpositions_product(plain_transpositions(p), 4) == p
 
 
 class TestCycles:
@@ -80,44 +82,49 @@ class TestCycles:
 
 
 class TestTranspositionGroup:
-    def test_normalization(self):
-        assert Transposition(3, 1).points == (1, 3)
+    """A group is a tuple of pairs (a, b), a < b, sharing no point; the block
+    that realizes it rejects any other."""
+
+    def test_normalization(self, rng):
+        for _ in range(20):
+            p = random_permutation(5, rng)
+            for K in (2, 4):
+                for group in transposition_stream(p, K):
+                    assert all(a < b for a, b in group)
 
     def test_degenerate_transposition_rejected(self):
-        with pytest.raises(ValueError):
-            Transposition(2, 2)
+        with pytest.raises(ParameterError, match="distinct"):
+            synth_block(((2, 2), (0, 1)), 3)
 
     def test_dependent_members_rejected(self):
-        with pytest.raises(ValueError):
-            TranspositionGroup((Transposition(0, 1), Transposition(1, 2)))
+        with pytest.raises(ParameterError, match="distinct"):
+            synth_block(((0, 1), (1, 2)), 3)
 
 
 class TestSplitDependentPair:
     def test_spec_points(self):
-        first, second = split_dependent_pair(
-            Transposition(0, 1), Transposition(0, 2), 3
-        )
-        assert [t.points for t in first.members] == [(0, 1), (3, 4)]
-        assert [t.points for t in second.members] == [(3, 4), (0, 2)]
+        first, second = split_dependent_pair((0, 1), (0, 2), 3)
+        assert first == ((0, 1), (3, 4))
+        assert second == ((3, 4), (0, 2))
 
     def test_product_is_preserved(self):
-        t1, t2 = Transposition(0, 1), Transposition(0, 2)
+        t1, t2 = (0, 1), (0, 2)
         first, second = split_dependent_pair(t1, t2, 3)
         direct = transpositions_product([t1, t2], 3)
-        rewritten = transpositions_product(list(first.members) + list(second.members), 3)
+        rewritten = transpositions_product(first + second, 3)
         assert direct == rewritten
 
     def test_four_transpositions_total(self):
-        first, second = split_dependent_pair(Transposition(1, 5), Transposition(5, 6), 3)
+        first, second = split_dependent_pair((1, 5), (5, 6), 3)
         assert len(first) + len(second) == 4
 
     def test_requires_shared_point(self):
         with pytest.raises(ParameterError):
-            split_dependent_pair(Transposition(0, 1), Transposition(2, 3), 3)
+            split_dependent_pair((0, 1), (2, 3), 3)
 
     def test_requires_room(self):
         with pytest.raises(CapacityError):
-            split_dependent_pair(Transposition(0, 1), Transposition(0, 2), 2)
+            split_dependent_pair((0, 1), (0, 2), 2)
 
 
 class TestTranspositionStream:
@@ -127,8 +134,8 @@ class TestTranspositionStream:
     def test_five_cycle_with_pairs(self):
         p = Permutation.from_cycles(3, [(0, 1, 2, 3, 4)])
         groups = transposition_stream(p, 2)
-        assert [t.points for t in groups[0].members] == [(0, 1), (2, 3)]
-        flat = [t for g in groups for t in g.members]
+        assert groups[0] == ((0, 1), (2, 3))
+        flat = [t for g in groups for t in g]
         assert transpositions_product(flat, 3) == p
 
     def test_group_size_validation(self):
@@ -141,14 +148,14 @@ class TestTranspositionStream:
             p = random_even_permutation(6, rng)
             for K in (2, 4):
                 groups = transposition_stream(p, K)
-                flat = [t for g in groups for t in g.members]
+                flat = [t for g in groups for t in g]
                 assert transpositions_product(flat, 6) == p, (trial, K)
 
     def test_recomposition_at_table_limit(self):
         rng = Random(55)
         p = random_even_permutation(10, rng)
         for K in (2, 4, 8):
-            flat = [t for g in transposition_stream(p, K) for t in g.members]
+            flat = [t for g in transposition_stream(p, K) for t in g]
             assert transpositions_product(flat, 10) == p
 
     def test_group_structure(self, rng):
@@ -172,11 +179,11 @@ class TestTranspositionStream:
         for _ in range(20):
             p = random_even_permutation(5, rng)
             for group in transposition_stream(p, 3):
-                points = group.points
-                assert len(set(points)) == 2 * len(group)
+                points = {x for t in group for x in t}
+                assert len(points) == 2 * len(group)
 
     def test_odd_permutation_streams_with_singleton(self):
         p = Permutation.from_cycles(3, [(0, 1)])
         groups = transposition_stream(p, 2)
         assert [len(g) for g in groups] == [1]
-        assert groups[0].members[0].points == (0, 1)
+        assert groups[0] == ((0, 1),)

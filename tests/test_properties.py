@@ -1,11 +1,23 @@
-"""Property tests: the circuit parser on fuzzed input, and the
-serialize/parse round trip on generated circuits."""
+"""Property tests: the circuit parser on fuzzed input, the serialize/parse
+round trip on generated circuits, and basic synthesis against the oracle."""
 import re
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rcsynth import Circuit, FormatError, Gate, parse_circuit, serialize_circuit
+from rcsynth import (
+    Circuit,
+    FormatError,
+    Gate,
+    ParameterError,
+    Permutation,
+    invert,
+    is_even,
+    parse_circuit,
+    serialize_circuit,
+    synth_even_permutation,
+)
+from conftest import naive_mapping, sweep_tables
 
 HEADER = "lines 4\ninputs 3\noutputs 0 1 2\n"
 
@@ -64,3 +76,33 @@ def circuits(draw):
 @given(circuits())
 def test_serialize_parse_round_trip(circuit):
     assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+
+@st.composite
+def basic_targets(draw):
+    """(permutation, k, ancilla budget) with n = 1..7 and k a power of two;
+    odd permutations only where the lines or the helpers admit them."""
+    n = draw(st.integers(1, 7))
+    budget = draw(st.sampled_from(sorted({0, max(n - 3, 0)})))
+    images = list(draw(st.permutations(range(1 << n))))
+    p = Permutation(n, tuple(images))
+    if n >= 4 and budget == 0 and not is_even(p):
+        images[0], images[1] = images[1], images[0]
+        p = Permutation(n, tuple(images))
+    k = 1 << draw(st.integers(1, max(n - 1, 1)))  # log2 k < n
+    return p, k, budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(basic_targets())
+def test_basic_synthesis_matches_oracle_and_inverts(target):
+    p, k, budget = target
+    try:
+        circuit, _ = synth_even_permutation(p, k=k, ancilla_budget=budget)
+    except ParameterError:
+        assume(False)
+    assert naive_mapping(circuit) == list(p.images)
+    # c followed by invert(c) fixes every state of all m lines.
+    m = circuit.m
+    round_trip = circuit.gates + invert(circuit).gates
+    assert sweep_tables(m, m, round_trip) == sweep_tables(m, m, [])

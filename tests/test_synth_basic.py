@@ -5,16 +5,13 @@ from random import Random
 import pytest
 
 from rcsynth import (
-    BlockMatrix,
     Circuit,
     ContractError,
     ParameterError,
     ParityError,
     Permutation,
-    Transposition,
-    TranspositionGroup,
     block_upper,
-    choose_block_size,
+    cnot,
     count_gates,
     pair_block_upper,
     realized_mapping,
@@ -31,57 +28,62 @@ from conftest import random_even_permutation, random_permutation
 
 def random_group(n, K, rng):
     points = rng.sample(range(1 << n), 2 * K)
-    members = tuple(
-        Transposition(points[2 * i], points[2 * i + 1]) for i in range(K)
-    )
-    return TranspositionGroup(members)
+    return tuple(tuple(sorted(points[2 * i : 2 * i + 2])) for i in range(K))
 
 
 def block_realizes_group(group, n, ancilla_lines=()):
     gates = synth_block(group, n, ancilla_lines)
     m = n + len(ancilla_lines)
     circuit = Circuit(m, n, tuple(gates), tuple(range(n)))
-    want = transpositions_product(group.members, n)
+    want = transpositions_product(group, n)
     return realized_mapping(circuit).images == want.images, gates
 
 
 class TestChooseBlockSize:
-    def test_small_n_clamps_to_four(self):
-        assert choose_block_size(8) == 4
+    """The default block size is k = 4 from three lines on, k = 2 below."""
 
-    def test_large_n(self):
-        assert choose_block_size(1024) == 4
+    def test_small_n_clamps_to_four(self):
+        rng = Random(3)
+        for n in range(3, 9):
+            p = random_even_permutation(n, rng)
+            default, _ = synth_even_permutation(p)
+            forced, _ = synth_even_permutation(p, k=4)
+            assert default == forced, n
 
     def test_postconditions_over_sweep(self):
-        for n in (4, 5, 8, 16, 64, 256, 4096):
-            for phi_id in ("one", "two", "log2", "sqrt", "loglog", "lupanov"):
-                k = choose_block_size(n, phi_id)
-                assert k & (k - 1) == 0 and k >= 4
-                assert k.bit_length() - 1 < n
-                assert k <= (1 << n) // 2
-
-    def test_needs_n_at_least_four(self):
-        with pytest.raises(ParameterError):
-            choose_block_size(3)
+        # The default is admissible on every line count, with and without
+        # the n - 3 clean helpers.
+        for n in range(2, 11):
+            for budget in {0, max(n - 3, 0)}:
+                p = Permutation.identity(n)
+                circuit, _ = synth_even_permutation(p, ancilla_budget=budget)
+                assert len(circuit) == 0
 
 
 class TestBlockMatrix:
+    """The block's moved points, as rows of bits, must be 2^j distinct n-bit
+    points with j < n."""
+
     def test_row_count_must_be_power_of_two(self):
-        with pytest.raises(ParameterError):
-            BlockMatrix(4, [0, 1, 2])
+        with pytest.raises(ParameterError, match="power of two"):
+            synth_block(((0, 1), (2, 3), (4, 5)), 4)
 
     def test_rows_must_be_distinct(self):
-        with pytest.raises(ParameterError):
-            BlockMatrix(4, [0, 1, 1, 2])
+        with pytest.raises(ParameterError, match="distinct"):
+            synth_block(((0, 1), (1, 2)), 4)
 
     def test_width_constraint(self):
-        with pytest.raises(ParameterError):
-            BlockMatrix(1, [0, 1])
+        with pytest.raises(ParameterError, match="below n=1"):
+            synth_block(((0, 1),), 1)
+
+    def test_rows_must_be_n_bit_points(self):
+        with pytest.raises(ParameterError, match="n-bit"):
+            synth_block(((0, 16), (1, 2)), 4)
 
 
 class TestSynthBlock:
     def test_pair_block_n4(self):
-        group = TranspositionGroup((Transposition(0, 1), Transposition(2, 3)))
+        group = ((0, 1), (2, 3))
         ok, gates = block_realizes_group(group, 4)
         assert ok
         assert len(gates) <= block_upper(4, 4)
@@ -92,7 +94,7 @@ class TestSynthBlock:
             for _ in range(8):
                 group = random_group(n, K, rng)
                 ok, gates = block_realizes_group(group, n)
-                assert ok, (n, K, [t.points for t in group.members])
+                assert ok, (n, K, group)
                 assert len(gates) <= block_upper(n, 2 * K)
                 assert all(len(g.controls) <= 2 for g in gates)
 
@@ -113,7 +115,7 @@ class TestSynthBlock:
         # With k = 4 every conjugator is a basis gate and is emitted as is:
         # the block reads conjugators, expanded core, conjugators reversed.
         group = random_group(6, 2, rng)
-        conjugators, _, _ = _canonicalize(group.points, 6)
+        conjugators, _ = _canonicalize([x for t in group for x in t], 6)
         gates = synth_block(group, 6)
         j = len(conjugators)
         assert j > 0
@@ -127,6 +129,13 @@ class TestSynthBlock:
         monkeypatch.setattr(synth_basic, "block_upper", lambda n, k: 0)
         with pytest.raises(ContractError, match="budget"):
             synth_block(random_group(5, 2, rng), 5)
+
+    def test_canonical_form_postcondition_raises(self, monkeypatch):
+        # CNOTs with control and target swapped leave the rows short of the
+        # canonical form; the typed check, unlike an assert, survives -O.
+        monkeypatch.setattr(synth_basic, "cnot", lambda c, t: cnot(t, c))
+        with pytest.raises(ContractError, match=r"rows \[12, 15, 9, 10\]"):
+            synth_block(((0, 3), (5, 6)), 4)
 
     def test_eight_point_block(self, rng):
         # k = 8 exercises generalized conjugators through borrowed expansion.

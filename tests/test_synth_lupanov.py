@@ -103,7 +103,7 @@ class TestXorBank:
 
 class TestChooseParams:
     def test_n12_example(self):
-        k, s, p = choose_params(12, phi_id="lupanov")
+        k, s, p = choose_params(12)
         assert (k, s, p) == (5, 2, 16)
 
     def test_s_is_n_minus_2k(self):
@@ -174,11 +174,9 @@ class TestSynthMapping:
 
     def test_psi_waiver_reported(self):
         f = BooleanMapping(4, tuple(range(16)))
-        _, report = synth_mapping(f, 1, 2, psi_id="log2")
+        _, report = synth_mapping(f, 1, 2)
         # 2^1 / 2 = 1 < log2(4): unsatisfiable at this scale, waived.
         assert report.psi_waived is True
-        _, report = synth_mapping(f, 1, 2, psi_id="one")
-        assert report.psi_waived is False
 
 
 class TestStageBoundaries:
