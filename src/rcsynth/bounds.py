@@ -22,6 +22,8 @@ PHI_REGISTRY: dict[str, Callable[[int], float]] = {
 }
 
 EXACT_GLUHOV_LIMIT = 20
+# Block sizes whose block_upper a BoundReport carries.
+BLOCK_UPPER_KS = (4, 8, 16)
 # Bounds are float-valued; 3n 2^(n+4) in no_ancilla_upper is the first to
 # leave the float range, near n = 1009, so n stops at 1000.
 MAX_BOUND_N = 1000
@@ -111,7 +113,7 @@ def block_upper(n: int, k: int) -> float:
 
 def pair_block_upper(n: int) -> float:
     """Budget of a two-transposition block (k = 4): 12n + 364."""
-    return 12 * n + 364
+    return block_upper(n, 4)
 
 
 @dataclass(frozen=True)
@@ -131,9 +133,7 @@ class BoundReport:
     reference_constants: dict[str, int] = field(default_factory=dict)
 
 
-def build_report(
-    n: int, q: int, phi_id: str = "one", block_sizes: tuple[int, ...] = (4, 8, 16)
-) -> BoundReport:
+def build_report(n: int, q: int, phi_id: str = "one") -> BoundReport:
     gluhov = gluhov_bound(n)
     simple = simple_lower(n) if n >= 4 else None
     upper = eps = None
@@ -146,7 +146,7 @@ def build_report(
         except ParameterError as exc:
             note = str(exc)
     blocks = {}
-    for k in block_sizes:
+    for k in BLOCK_UPPER_KS:
         try:
             blocks[k] = block_upper(n, k)
         except ParameterError:

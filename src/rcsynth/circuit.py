@@ -21,18 +21,12 @@ from .perm import BooleanMapping
 
 DEFAULT_EXHAUSTIVE_CAP = 24
 CAP_ENV_VAR = "RCSYNTH_CAP"
-
-KIND_NOT = "NOT"
-KIND_CNOT = "CNOT"
-KIND_2CNOT = "2-CNOT"
-KIND_GENERALIZED = "generalized"
-_KIND_BY_ARITY = (KIND_NOT, KIND_CNOT, KIND_2CNOT)
+# Most lines a circuit may have; no synthesizer builds more.
+MAX_LINES = 1 << 20
 
 
-def resolve_cap(cap: int | None = None) -> int:
-    """Exhaustive-sweep cap: explicit argument, else RCSYNTH_CAP, else 24."""
-    if cap is not None:
-        return cap
+def resolve_cap() -> int:
+    """Exhaustive-sweep cap: RCSYNTH_CAP, else 24."""
     env = os.environ.get(CAP_ENV_VAR)
     if env is None:
         return DEFAULT_EXHAUSTIVE_CAP
@@ -46,7 +40,7 @@ class Gate(tuple):
     """One reversible element: flip `target` iff all `controls` are 1.
 
     No controls is a NOT, one a CNOT, two a 2-CNOT.  Three or more controls
-    make a generalized gate, legal in memory but outside the emitted basis.
+    make a generalized gate, legal in memory but not in a circuit file.
     A gate is the pair (controls, target) with the controls in ascending
     order; which lines it may use is checked by the `Circuit` that holds it.
     """
@@ -66,11 +60,6 @@ class Gate(tuple):
     @property
     def target(self) -> int:
         return self[1]
-
-    @property
-    def kind(self) -> str:
-        k = len(self[0])
-        return _KIND_BY_ARITY[k] if k < 3 else KIND_GENERALIZED
 
     def apply_to_bits(self, bits: int) -> int:
         controls, target = self
@@ -124,6 +113,8 @@ class Circuit:
         object.__setattr__(self, "outputs", tuple(self.outputs))
         if self.n < 1 or self.m < self.n:
             raise ValueError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
+        if self.m > MAX_LINES:
+            raise ValueError(f"{self.m} lines exceed the limit of {MAX_LINES}")
         if len(self.outputs) != self.n or len(set(self.outputs)) != self.n:
             raise ValueError(f"outputs must name {self.n} distinct lines")
         for line in self.outputs:
@@ -151,10 +142,6 @@ class GateCountReport:
     generalized: int
     total: int
     ancillas: int
-
-    def __post_init__(self) -> None:
-        if self.nots + self.cnots + self.toffolis + self.generalized != self.total:
-            raise ValueError("total does not match the per-kind counts")
 
 
 def count_gates(circuit: Circuit) -> GateCountReport:
@@ -202,13 +189,13 @@ def truth_table_masks(n: int) -> list[int]:
     return masks
 
 
-def _sweep(circuit: Circuit, enumerated: int) -> list[int]:
-    """Truth table per line after running the circuit on all 2^enumerated
-    assignments of the first `enumerated` lines (remaining lines start 0)."""
-    size = 1 << enumerated
+def _sweep(circuit: Circuit) -> list[int]:
+    """Truth table per line after running the circuit on all 2^n inputs
+    (ancillas start 0)."""
+    size = 1 << circuit.n
     full = (1 << size) - 1
     tables = [0] * circuit.m
-    for line, mask in enumerate(truth_table_masks(enumerated)):
+    for line, mask in enumerate(truth_table_masks(circuit.n)):
         tables[line] = mask
     for controls, target in circuit.gates:
         fired = full
@@ -218,15 +205,15 @@ def _sweep(circuit: Circuit, enumerated: int) -> list[int]:
     return tables
 
 
-def realized_mapping(circuit: Circuit, cap: int | None = None) -> BooleanMapping:
+def realized_mapping(circuit: Circuit) -> BooleanMapping:
     """The mapping the circuit realizes: simulate(w) gathered over all
     w < 2^n.  Capped on n, the size of the table being materialized."""
-    cap = resolve_cap(cap)
+    cap = resolve_cap()
     if circuit.n > cap:
         raise CapacityError(
             f"realized_mapping over 2^{circuit.n} inputs exceeds cap {cap}"
         )
-    tables = _sweep(circuit, circuit.n)
+    tables = _sweep(circuit)
     out_tables = [tables[line] for line in circuit.outputs]
     images = []
     for w in range(1 << circuit.n):

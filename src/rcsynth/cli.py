@@ -65,8 +65,8 @@ def _write_or_print(text: str, path: str | None, report_lines: list[str]) -> Non
             print(line)
 
 
-def _check_against_table(circuit: Circuit, table: BooleanMapping, cap: int | None) -> int:
-    realized = realized_mapping(circuit, cap)
+def _check_against_table(circuit: Circuit, table: BooleanMapping) -> int:
+    realized = realized_mapping(circuit)
     for w in range(1 << circuit.n):
         if realized.images[w] != table.images[w]:
             print(
@@ -84,11 +84,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.csv:
         buf = stringio.StringIO()
         writer = csv.writer(buf)
-        block_ks = (4, 8, 16)
         writer.writerow(
             ["n", "q", "gate_set_size", "shannon_lower", "gluhov_bound",
              "simple_lower", "no_ancilla_upper", "no_ancilla_epsilon"]
-            + [f"block_upper_k{k}" for k in block_ks]
+            + [f"block_upper_k{k}" for k in bounds_mod.BLOCK_UPPER_KS]
             + ["ref_7n2^n", "ref_6n2^n"]
         )
         for rep in reports:
@@ -105,7 +104,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 ]
                 + [
                     _fmt(rep.block_upper[k]) if k in rep.block_upper else ""
-                    for k in block_ks
+                    for k in bounds_mod.BLOCK_UPPER_KS
                 ]
                 + [rep.reference_constants["7n2^n"], rep.reference_constants["6n2^n"]]
             )
@@ -175,7 +174,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         ]
     verified_note = []
     if not args.no_verify:
-        code = _check_against_table(circuit, target, args.cap)
+        code = _check_against_table(circuit, target)
         if code != EXIT_OK:
             return code
         verified_note = [f"verified against {args.input} on all {1 << circuit.n} inputs"]
@@ -187,7 +186,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    circuit = parse_circuit(_read(args.circuit), allow_generalized=args.allow_generalized)
+    circuit = parse_circuit(_read(args.circuit))
     table = parse_spec_table(_read(args.spec))
     if circuit.n != table.n:
         print(
@@ -195,14 +194,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_INVALID
-    code = _check_against_table(circuit, table, args.cap)
+    code = _check_against_table(circuit, table)
     if code == EXIT_OK:
         print(f"match on all {1 << circuit.n} inputs")
     return code
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    circuit = parse_circuit(_read(args.circuit), allow_generalized=args.allow_generalized)
+    circuit = parse_circuit(_read(args.circuit))
     try:
         word = int(args.input, 0)
     except ValueError:
@@ -242,7 +241,7 @@ def cmd_rand(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    circuit = parse_circuit(_read(args.circuit), allow_generalized=args.allow_generalized)
+    circuit = parse_circuit(_read(args.circuit))
     report = count_gates(circuit)
     print(f"lines {circuit.m}")
     print(f"inputs {circuit.n}")
@@ -288,20 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--ancillas", type=int, default=None, help="ancilla budget for basic mode (0 or n-3)"
     )
     p_synth.add_argument("--no-verify", action="store_true")
-    p_synth.add_argument("--cap", type=int, default=None)
     p_synth.set_defaults(func=cmd_synth)
 
     p_verify = sub.add_parser("verify", help="check a circuit against a table file")
     p_verify.add_argument("circuit")
     p_verify.add_argument("spec")
-    p_verify.add_argument("--cap", type=int, default=None)
-    p_verify.add_argument("--allow-generalized", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="run a circuit on one input word")
     p_sim.add_argument("circuit")
     p_sim.add_argument("input", help="input word, decimal or 0b/0x literal")
-    p_sim.add_argument("--allow-generalized", action="store_true")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rand = sub.add_parser("rand", help="generate a random instance file")
@@ -313,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="gate counts and bound context")
     p_stats.add_argument("circuit")
-    p_stats.add_argument("--allow-generalized", action="store_true")
     p_stats.set_defaults(func=cmd_stats)
 
     return parser

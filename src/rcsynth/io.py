@@ -8,7 +8,8 @@ Circuit file (UTF-8, `#` starts a comment, blank lines ignored):
     n <t>                    NOT
     c <c> <t>                CNOT
     t <c1> <c2> <t>          2-CNOT
-    x <c1> ... <ck> <t>      generalized, only with allow_generalized
+
+Gates with three or more controls exist only in memory; files hold the basis.
 
 Permutation file: ``perm <n>`` then 2^n integers forming a bijection on
 [0, 2^n).  Mapping file: ``map <n>`` then 2^n integers in [0, 2^n).
@@ -23,6 +24,7 @@ from .perm import BooleanMapping, Permutation
 
 # Letter of the basis gate with i controls is GATE_LETTERS[i].
 GATE_LETTERS = ("n", "c", "t")
+_ARITY = {letter: i + 1 for i, letter in enumerate(GATE_LETTERS)}
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -47,7 +49,7 @@ def _header_int(lines: list[tuple[int, str]], index: int, keyword: str) -> int:
         raise FormatError(f"line {lineno}: `{keyword}` value is not an integer") from None
 
 
-def parse_circuit(text: str, allow_generalized: bool = False) -> Circuit:
+def parse_circuit(text: str) -> Circuit:
     lines = _content_lines(text)
     m = _header_int(lines, 0, "lines")
     n = _header_int(lines, 1, "inputs")
@@ -65,25 +67,15 @@ def parse_circuit(text: str, allow_generalized: bool = False) -> Circuit:
     gates = []
     for lineno, line in lines[3:]:
         letter, *args = line.split()
+        arity = _ARITY.get(letter)
+        if arity is None:
+            raise FormatError(f"line {lineno}: unknown gate kind {letter!r}")
+        if len(args) != arity:
+            raise FormatError(f"line {lineno}: `{letter}` takes {arity} arguments")
         try:
             values = [int(tok) for tok in args]
         except ValueError:
             raise FormatError(f"line {lineno}: gate arguments must be integers") from None
-        if letter in GATE_LETTERS:
-            arity = GATE_LETTERS.index(letter) + 1
-            if len(values) != arity:
-                raise FormatError(f"line {lineno}: `{letter}` takes {arity} arguments")
-        elif letter == "x":
-            if len(values) < 4:
-                raise FormatError(
-                    f"line {lineno}: `x` needs at least 3 controls and a target"
-                )
-            if not allow_generalized:
-                raise FormatError(
-                    f"line {lineno}: generalized gates need allow_generalized"
-                )
-        else:
-            raise FormatError(f"line {lineno}: unknown gate kind {letter!r}")
         gates.append(Gate(values[:-1], values[-1]))
 
     try:
@@ -96,24 +88,16 @@ def parse_circuit(text: str, allow_generalized: bool = False) -> Circuit:
         raise FormatError(f"line {lines[3 + index][0]}: {reason}") from None
 
 
-def serialize_circuit(
-    circuit: Circuit,
-    allow_generalized: bool = False,
-    header_comments: Iterable[str] = (),
-) -> str:
+def serialize_circuit(circuit: Circuit, header_comments: Iterable[str] = ()) -> str:
     out = [f"# {comment}" for comment in header_comments]
     out.append(f"lines {circuit.m}")
     out.append(f"inputs {circuit.n}")
     out.append("outputs " + " ".join(str(i) for i in circuit.outputs))
     for controls, target in circuit.gates:
         k = len(controls)
-        if k > 2 and not allow_generalized:
-            raise FormatError(
-                f"gate with {k} controls is outside the basis; "
-                "pass allow_generalized to serialize it"
-            )
-        letter = GATE_LETTERS[k] if k < 3 else "x"
-        out.append(" ".join([letter, *map(str, controls), str(target)]))
+        if k > 2:
+            raise FormatError(f"gate with {k} controls is outside the basis")
+        out.append(" ".join([GATE_LETTERS[k], *map(str, controls), str(target)]))
     return "\n".join(out) + "\n"
 
 

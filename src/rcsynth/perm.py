@@ -89,19 +89,8 @@ def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
 
 
 def is_even(p: Permutation) -> bool:
-    """Parity via cycle count: even iff 2^n minus the number of cycles
-    (fixed points included) is even."""
-    seen = [False] * p.size
-    n_cycles = 0
-    for start in range(p.size):
-        if seen[start]:
-            continue
-        n_cycles += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p.images[x]
-    return (p.size - n_cycles) % 2 == 0
+    """Even iff the cycles split into an even number of transpositions."""
+    return sum(len(c) - 1 for c in cycle_decomposition(p)) % 2 == 0
 
 
 Pair = tuple[int, int]

@@ -12,17 +12,15 @@ import math
 from dataclasses import dataclass
 
 from .bounds import PHI_REGISTRY
-from .circuit import Circuit, Gate, ccnot, cnot, not_gate
+from .circuit import MAX_LINES, Circuit, Gate, ccnot, cnot, not_gate
 from .errors import CapacityError, ParameterError
 from .perm import BooleanMapping
-
-DEFAULT_LINE_CAP = 1 << 20
 
 
 class LineAllocator:
     """Hands out fresh ancilla line indices; lines are never reused."""
 
-    def __init__(self, first_free: int, cap: int = DEFAULT_LINE_CAP):
+    def __init__(self, first_free: int, cap: int = MAX_LINES):
         self._next = first_free
         self._cap = cap
 
@@ -54,10 +52,6 @@ class StageReport:
     @property
     def total_gates(self) -> int:
         return sum(self.gate_counts)
-
-    @property
-    def total_ancillas(self) -> int:
-        return sum(self.ancilla_counts)
 
 
 def conjunction_gate_count(v: int) -> int:
@@ -153,11 +147,14 @@ def xor_bank(
 def choose_params(n: int) -> tuple[int, int, int]:
     """Parameters k = ceil(n / phi(n)) with phi(n) = n / (log2 n + 1), clamped
     so that s = n - 2k >= 1, and p = ceil(2^k / s)."""
-    if n < 4:
-        raise ParameterError(f"parameter selection needs n >= 4, got n={n}")
+    if n < 3:
+        raise ParameterError(
+            f"lupanov mode needs n >= 3, got n={n}: n = 1 and n = 2 admit no k "
+            "with 1 <= k < n/2"
+        )
     phi = PHI_REGISTRY["lupanov"](n)
     k = math.ceil(n / phi)
-    k = max(1, min(k, (n - 1) // 2))
+    k = min(k, (n - 1) // 2)
     s = n - 2 * k
     p = math.ceil((1 << k) / s)
     return k, s, p

@@ -1,8 +1,10 @@
 """Command-line behavior: exit codes, file handling, determinism."""
+import argparse
+
 import pytest
 
 from rcsynth import is_even, parse_circuit, parse_permutation, serialize_permutation
-from rcsynth.cli import main
+from rcsynth.cli import build_parser, main
 from rcsynth.perm import Permutation
 
 
@@ -159,6 +161,22 @@ class TestSynthAndVerify:
         code, _, err = run(capsys, "synth", "lupanov", str(f), "--k", "2", "--s", "2")
         assert code == 3
 
+    @pytest.mark.parametrize("n,expected", [(3, 0), (2, 3)])
+    def test_lupanov_default_params_from_three_lines(self, tmp_path, capsys, n, expected):
+        f = tmp_path / "f.map"
+        run(capsys, "rand", "map", "--n", str(n), "--seed", "1", "-o", str(f))
+        code, _, err = run(capsys, "synth", "lupanov", str(f), "-o", str(tmp_path / "f.circ"))
+        assert code == expected, err
+
+    def test_line_count_over_limit_exits_2(self, tmp_path, capsys):
+        circ = tmp_path / "wide.circ"
+        circ.write_text("lines 1048577\ninputs 1\noutputs 0\n")
+        spec = tmp_path / "id.map"
+        spec.write_text("map 1\n0 1\n")
+        code, _, err = run(capsys, "verify", str(circ), str(spec))
+        assert code == 2
+        assert "exceed the limit" in err
+
     def test_non_integer_cap_env_exits_2(self, tmp_path, capsys, monkeypatch):
         perm = tmp_path / "p.perm"
         run(capsys, "rand", "even-perm", "--n", "4", "-o", str(perm))
@@ -253,3 +271,29 @@ class TestStats:
         assert code == 0
         assert "lines 1\n" in out and "gates 1\n" in out
         assert "shannon_lower n/a (requires n >= 2)" in out
+
+
+class TestOptionInventory:
+    # Every option of every subcommand; a new knob needs a deliberate edit here.
+    EXPECTED = {
+        "bounds": ["--n", "--q", "--phi", "--csv", "-o"],
+        "synth": ["mode", "input", "-o", "--k", "--s", "--ancillas", "--no-verify"],
+        "verify": ["circuit", "spec"],
+        "simulate": ["circuit", "input"],
+        "rand": ["kind", "--n", "--seed", "-o"],
+        "stats": ["circuit"],
+    }
+
+    def test_subcommand_options(self):
+        (sub,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        found = {
+            name: [
+                a.option_strings[0] if a.option_strings else a.dest
+                for a in p._actions
+                if not isinstance(a, argparse._HelpAction)
+            ]
+            for name, p in sub.choices.items()
+        }
+        assert found == self.EXPECTED

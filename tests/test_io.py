@@ -49,12 +49,10 @@ class TestParseCircuit:
         with pytest.raises(FormatError):
             parse_circuit("lines 2\ninputs 2\n")
 
-    def test_generalized_needs_flag(self):
-        text = "lines 4\ninputs 4\noutputs 0 1 2 3\nx 0 1 2 3\n"
-        with pytest.raises(FormatError):
+    def test_x_line_is_unknown_gate_kind(self):
+        text = "lines 4\ninputs 4\noutputs 0 1 2 3\nc 0 1\nx 0 1 2 3\n"
+        with pytest.raises(FormatError, match="^line 5: unknown gate kind 'x'$"):
             parse_circuit(text)
-        c = parse_circuit(text, allow_generalized=True)
-        assert c.gates == (Gate((0, 1, 2), 3),)
 
     def test_unknown_gate_kind_rejected(self):
         with pytest.raises(FormatError):
@@ -73,12 +71,10 @@ class TestSerializeCircuit:
             c = random_circuit(m, rng.randrange(0, 15), rng, n=n)
             assert parse_circuit(serialize_circuit(c)) == c
 
-    def test_generalized_rejected_without_flag(self):
+    def test_generalized_gate_rejected(self):
         c = Circuit(4, 4, (Gate((0, 1, 2), 3),), (0, 1, 2, 3))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="outside the basis"):
             serialize_circuit(c)
-        text = serialize_circuit(c, allow_generalized=True)
-        assert parse_circuit(text, allow_generalized=True) == c
 
     def test_header_comments_emitted(self):
         c = Circuit(2, 2, (), (0, 1))

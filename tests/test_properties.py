@@ -33,11 +33,11 @@ gate_lines = st.builds(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(gate_lines, max_size=8), st.booleans())
-def test_fuzzed_gate_lines_raise_only_format_errors(lines, allow_generalized):
+@given(st.lists(gate_lines, max_size=8))
+def test_fuzzed_gate_lines_raise_only_format_errors(lines):
     text = HEADER + "\n".join(lines) + "\n"
     try:
-        circuit = parse_circuit(text, allow_generalized=allow_generalized)
+        circuit = parse_circuit(text)
     except FormatError as exc:
         # A bad gate line is named by its line number in the file.
         assert re.match(r"line \d+: ", str(exc)), str(exc)
@@ -46,10 +46,10 @@ def test_fuzzed_gate_lines_raise_only_format_errors(lines, allow_generalized):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.text(max_size=80), st.booleans())
-def test_fuzzed_text_raises_only_format_errors(text, allow_generalized):
+@given(st.text(max_size=80))
+def test_fuzzed_text_raises_only_format_errors(text):
     try:
-        parse_circuit(text, allow_generalized=allow_generalized)
+        parse_circuit(text)
     except FormatError:
         pass
 

@@ -115,8 +115,10 @@ class TestChooseParams:
             assert p == -((1 << k) // -s)
 
     def test_small_n_rejected(self):
-        with pytest.raises(ParameterError):
-            choose_params(3)
+        assert choose_params(3) == (1, 1, 2)
+        for n in (1, 2):
+            with pytest.raises(ParameterError):
+                choose_params(n)
 
 
 class TestSynthMapping:
@@ -156,7 +158,7 @@ class TestSynthMapping:
         f = BooleanMapping(6, tuple(rng.randrange(64) for _ in range(64)))
         circuit, report = synth_mapping(f, 2, 2)
         assert report.total_gates == len(circuit.gates)
-        assert report.total_ancillas == circuit.q
+        assert sum(report.ancilla_counts) == circuit.q
 
     def test_parameter_validation(self):
         f = BooleanMapping(4, tuple(range(16)))
