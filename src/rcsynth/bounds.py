@@ -17,11 +17,10 @@ PHI_REGISTRY: dict[str, Callable[[int], float]] = {
     "log2": lambda n: math.log2(n),
     "loglog": lambda n: math.log2(math.log2(n)),
     "sqrt": lambda n: math.sqrt(n),
-    # n / (log2 n + 1): keeps k = ceil(n / phi(n)) near log2 n + 1.
+    # n / (log2 n + 1): n / phi(n) is the lupanov bank width before rounding.
     "lupanov": lambda n: n / (math.log2(n) + 1.0),
 }
 
-EXACT_GLUHOV_LIMIT = 20
 # Block sizes whose block_upper a BoundReport carries.
 BLOCK_UPPER_KS = (4, 8, 16)
 # Bounds are float-valued; 3n 2^(n+4) in no_ancilla_upper is the first to
@@ -50,25 +49,12 @@ def gate_set_size(n: int) -> int:
     return (n**3 - n**2 + 2 * n) // 2
 
 
-def _log2_big(value: int) -> float:
-    """log2 of a positive integer too large for float conversion."""
-    bits = value.bit_length()
-    if bits <= 53:
-        return math.log2(value)
-    return (bits - 53) + math.log2(value >> (bits - 53))
-
-
 def gluhov_bound(n: int) -> int:
     """Generator-length heuristic ceil(log_r |A(Z_2^n)|) with r the gate set
-    size; exact factorials up to n=20, log-gamma beyond."""
+    size and |A(Z_2^n)| = (2^n)! / 2, taken through log-gamma."""
     _check_n(n, 2)
-    r = gate_set_size(n)
-    if n <= EXACT_GLUHOV_LIMIT:
-        group_order = math.factorial(1 << n) // 2
-        log2_group = _log2_big(group_order)
-    else:
-        log2_group = (math.lgamma((1 << n) + 1) - math.log(2)) / math.log(2)
-    return math.ceil(log2_group / math.log2(r))
+    log2_group = (math.lgamma((1 << n) + 1) - math.log(2)) / math.log(2)
+    return math.ceil(log2_group / math.log2(gate_set_size(n)))
 
 
 def simple_lower(n: int) -> float:

@@ -134,26 +134,21 @@ class Circuit:
 
 @dataclass(frozen=True)
 class GateCountReport:
-    """Gate counts by kind plus ancilla usage."""
+    """Gate counts by kind; the total is len(circuit)."""
 
     nots: int
     cnots: int
     toffolis: int
     generalized: int
-    total: int
-    ancillas: int
 
 
 def count_gates(circuit: Circuit) -> GateCountReport:
     by_arity = Counter(len(controls) for controls, _ in circuit.gates)
-    total = len(circuit.gates)
     return GateCountReport(
         nots=by_arity[0],
         cnots=by_arity[1],
         toffolis=by_arity[2],
-        generalized=total - by_arity[0] - by_arity[1] - by_arity[2],
-        total=total,
-        ancillas=circuit.q,
+        generalized=len(circuit) - by_arity[0] - by_arity[1] - by_arity[2],
     )
 
 

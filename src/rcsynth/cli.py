@@ -133,10 +133,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             lines.append(f"reference 7n2^n {ref['7n2^n']}  6n2^n {ref['6n2^n']}")
             lines.append("")
         text = "\n".join(lines)
-    if args.output:
-        _write(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _write_or_print(text, args.output, [])
     return EXIT_OK
 
 
@@ -147,22 +144,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
         ancillas = args.ancillas if args.ancillas is not None else 0
         circuit, report = synth_even_permutation(target, k=args.k, ancilla_budget=ancillas)
         report_lines = [
-            f"synthesized basic circuit: lines {circuit.m}, gates {report.total}",
+            f"synthesized basic circuit: lines {circuit.m}, gates {len(circuit)}",
             f"gate counts: NOT {report.nots}, CNOT {report.cnots}, "
             f"2-CNOT {report.toffolis}, generalized {report.generalized}",
-            f"ancillas {report.ancillas}",
+            f"ancillas {circuit.q}",
         ]
     else:
+        if args.ancillas is not None:
+            raise ParameterError("--ancillas applies to basic mode only")
         target = parse_spec_table(text)
-        if args.k is not None or args.s is not None:
-            if args.k is None or args.s is None:
-                raise ParameterError("lupanov mode needs both --k and --s or neither")
-            k, s = args.k, args.s
-        else:
-            k, s, _ = choose_params(target.n)
-        circuit, stage = synth_mapping(target, k, s)
+        k = args.k if args.k is not None else choose_params(target.n)
+        circuit, stage = synth_mapping(target, k)
         report_lines = [
-            f"synthesized lupanov circuit: lines {circuit.m}, gates {stage.total_gates}",
+            f"synthesized lupanov circuit: lines {circuit.m}, gates {len(circuit)}",
             f"parameters: k {stage.k}, s {stage.s}, p {stage.p}"
             + (", psi constraint waived" if stage.psi_waived else ""),
             "stage gates " + " ".join(
@@ -233,10 +227,7 @@ def cmd_rand(args: argparse.Namespace) -> int:
             images[0], images[1] = images[1], images[0]
             p = Permutation(args.n, tuple(images))
         text = serialize_permutation(p, header)
-    if args.output:
-        _write(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _write_or_print(text, args.output, [])
     return EXIT_OK
 
 
@@ -246,18 +237,20 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"lines {circuit.m}")
     print(f"inputs {circuit.n}")
     print(f"ancillas {circuit.q}")
-    print(f"gates {report.total}")
+    print(f"gates {len(circuit)}")
     print(f"NOT {report.nots}")
     print(f"CNOT {report.cnots}")
     print(f"2-CNOT {report.toffolis}")
     print(f"generalized {report.generalized}")
-    if circuit.n >= 2:
-        print(f"shannon_lower {_fmt(bounds_mod.shannon_lower(circuit.n, circuit.q))}")
-    else:
+    if circuit.n < 2:
         print("shannon_lower n/a (requires n >= 2)")
-    if circuit.n >= 4:
-        print(f"simple_lower {_fmt(bounds_mod.simple_lower(circuit.n))}")
-        print(f"pair_block_upper {_fmt(bounds_mod.pair_block_upper(circuit.n))}")
+    elif circuit.n > bounds_mod.MAX_BOUND_N:
+        print(f"shannon_lower n/a (requires n <= {bounds_mod.MAX_BOUND_N})")
+    else:
+        print(f"shannon_lower {_fmt(bounds_mod.shannon_lower(circuit.n, circuit.q))}")
+        if circuit.n >= 4:
+            print(f"simple_lower {_fmt(bounds_mod.simple_lower(circuit.n))}")
+            print(f"pair_block_upper {_fmt(bounds_mod.pair_block_upper(circuit.n))}")
     return EXIT_OK
 
 
@@ -282,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("input", help="permutation file (basic) or mapping file")
     p_synth.add_argument("-o", "--output", default=None)
     p_synth.add_argument("--k", type=int, default=None, help="block size or bank width")
-    p_synth.add_argument("--s", type=int, default=None, help="group size (lupanov)")
     p_synth.add_argument(
         "--ancillas", type=int, default=None, help="ancilla budget for basic mode (0 or n-3)"
     )

@@ -104,8 +104,6 @@ def serialize_circuit(circuit: Circuit, header_comments: Iterable[str] = ()) -> 
 def _parse_table(text: str, keyword: str) -> tuple[int, list[int]]:
     lines = _content_lines(text)
     n = _header_int(lines, 0, keyword)
-    if n < 1:
-        raise FormatError(f"`{keyword}` bit count must be at least 1")
     values: list[int] = []
     for lineno, line in lines[1:]:
         for tok in line.split():
@@ -113,8 +111,6 @@ def _parse_table(text: str, keyword: str) -> tuple[int, list[int]]:
                 values.append(int(tok))
             except ValueError:
                 raise FormatError(f"line {lineno}: {tok!r} is not an integer") from None
-    if len(values) != 1 << n:
-        raise FormatError(f"expected {1 << n} table entries, got {len(values)}")
     return n, values
 
 

@@ -23,13 +23,14 @@ class BooleanMapping:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("bit count must be at least 1")
-        size = 1 << self.n
         object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != size:
-            raise ValueError(f"expected {size} images, got {len(self.images)}")
+        count = len(self.images)
+        # Compare widths before shifting: a huge n must not build 2^n.
+        if count.bit_length() != self.n + 1 or count != 1 << self.n:
+            raise ValueError(f"expected 2^{self.n} images, got {count}")
         for v in self.images:
-            if not 0 <= v < size:
-                raise ValueError(f"image {v} out of range [0, {size})")
+            if not 0 <= v < count:
+                raise ValueError(f"image {v} out of range [0, {count})")
 
     @property
     def size(self) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import PHI_REGISTRY
 from .circuit import MAX_LINES, Circuit, Gate, ccnot, cnot, not_gate
 from .errors import CapacityError, ParameterError
 from .perm import BooleanMapping
@@ -20,13 +19,12 @@ from .perm import BooleanMapping
 class LineAllocator:
     """Hands out fresh ancilla line indices; lines are never reused."""
 
-    def __init__(self, first_free: int, cap: int = MAX_LINES):
+    def __init__(self, first_free: int):
         self._next = first_free
-        self._cap = cap
 
     def take(self) -> int:
-        if self._next >= self._cap:
-            raise CapacityError(f"line allocator exhausted at {self._cap} lines")
+        if self._next >= MAX_LINES:
+            raise CapacityError(f"line allocator exhausted at {MAX_LINES} lines")
         line = self._next
         self._next += 1
         return line
@@ -48,10 +46,6 @@ class StageReport:
     gate_counts: tuple[int, int, int, int, int]
     ancilla_counts: tuple[int, int, int, int, int]
     psi_waived: bool
-
-    @property
-    def total_gates(self) -> int:
-        return sum(self.gate_counts)
 
 
 def conjunction_gate_count(v: int) -> int:
@@ -144,20 +138,15 @@ def xor_bank(
     return gates, build(tuple(group_lines))
 
 
-def choose_params(n: int) -> tuple[int, int, int]:
-    """Parameters k = ceil(n / phi(n)) with phi(n) = n / (log2 n + 1), clamped
-    so that s = n - 2k >= 1, and p = ceil(2^k / s)."""
+def choose_params(n: int) -> int:
+    """Bank width k = ceil(log2 n) + 1, which is ceil(n / phi(n)) with
+    phi(n) = n / (log2 n + 1), clamped so that s = n - 2k >= 1."""
     if n < 3:
         raise ParameterError(
             f"lupanov mode needs n >= 3, got n={n}: n = 1 and n = 2 admit no k "
             "with 1 <= k < n/2"
         )
-    phi = PHI_REGISTRY["lupanov"](n)
-    k = math.ceil(n / phi)
-    k = min(k, (n - 1) // 2)
-    s = n - 2 * k
-    p = math.ceil((1 << k) / s)
-    return k, s, p
+    return min((n - 1).bit_length() + 1, (n - 1) // 2)
 
 
 def _coordinate_support(f: BooleanMapping, k: int, i: int, j: int) -> int:
@@ -170,8 +159,10 @@ def _coordinate_support(f: BooleanMapping, k: int, i: int, j: int) -> int:
     return support
 
 
-def synth_mapping(f: BooleanMapping, k: int, s: int) -> tuple[Circuit, StageReport]:
-    """Synthesize a circuit realizing the arbitrary mapping f with ancillas.
+def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
+    """Synthesize a circuit realizing the arbitrary mapping f with ancillas,
+    from banks over k and n - k variables and p = ceil(2^k / s) groups of at
+    most s = n - 2k first-bank lines.
 
     Stage budgets: L4 <= p n 2^(n-k) and L5 <= n 2^(n-k) with q5 = n output
     lines; all gates have at most two controls by construction.
@@ -179,8 +170,7 @@ def synth_mapping(f: BooleanMapping, k: int, s: int) -> tuple[Circuit, StageRepo
     n = f.n
     if not 1 <= k < n / 2:
         raise ParameterError(f"need 1 <= k < n/2, got k={k}, n={n}")
-    if s != n - 2 * k:
-        raise ParameterError(f"need s = n - 2k = {n - 2 * k}, got s={s}")
+    s = n - 2 * k
     p = math.ceil((1 << k) / s)
     alloc = LineAllocator(n)
     gates: list[Gate] = []

@@ -150,19 +150,12 @@ def test_criterion_5_conjunction_bank():
 
 
 def test_criterion_6_lupanov_mode():
-    configs = [
-        (n, k, s)
-        for n in (4, 6)
-        for (k, s) in ((1, 2), (2, 2), (2, 4))
-        if s == n - 2 * k and 1 <= k < n / 2
-    ]
-    assert configs == [(4, 1, 2), (6, 2, 2)]
     runs = 0
-    for n, k, s in configs:
+    for n, k in ((4, 1), (6, 2)):
         rng = Random(5000 + n)
         for _ in range(50):
             f = BooleanMapping(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
-            circuit, report = synth_mapping(f, k, s)
+            circuit, report = synth_mapping(f, k)
             assert realized_mapping(circuit).images == f.images
             assert report.gate_counts[3] <= report.p * n * (1 << (n - k))
             assert report.gate_counts[4] <= n * (1 << (n - k))
@@ -232,8 +225,8 @@ def test_criterion_9_growth_trend():
         totals = []
         for _ in range(30):
             p = random_even_permutation(n, rng)
-            _, report = synth_even_permutation(p, k=4)
-            totals.append(report.total)
+            circuit, _ = synth_even_permutation(p, k=4)
+            totals.append(len(circuit))
         means[n] = sum(totals) / len(totals)
     factors = {
         (a, b): math.sqrt(means[b] / means[a]) for a, b in ((6, 8), (8, 10))

@@ -14,7 +14,7 @@ from rcsynth import (
     simple_lower,
     no_ancilla_upper,
 )
-from rcsynth.bounds import PHI_REGISTRY, _log2_big, epsilon
+from rcsynth.bounds import PHI_REGISTRY, epsilon
 
 
 def enumerate_gates(n):
@@ -62,7 +62,7 @@ class TestGluhovBound:
         assert gluhov_bound(2) == 2
 
     def test_exact_integer_oracle(self):
-        for n in (2, 3, 4, 5, 6):
+        for n in range(2, 15):
             r = gate_set_size(n)
             group = math.factorial(1 << n) // 2
             length = 0
@@ -72,27 +72,13 @@ class TestGluhovBound:
                 length += 1
             assert gluhov_bound(n) == length
 
-    def test_exact_and_loggamma_agree_on_overlap(self):
-        from rcsynth import bounds
-
-        for n in range(2, 15):
-            exact = gluhov_bound(n)
-            old = bounds.EXACT_GLUHOV_LIMIT
-            try:
-                bounds.EXACT_GLUHOV_LIMIT = 0
-                approx = gluhov_bound(n)
-            finally:
-                bounds.EXACT_GLUHOV_LIMIT = old
-            assert exact == approx, n
+    def test_frozen_exact_values_n17_to_20(self):
+        # ceil(log_r ((2^n)! / 2)) in exact integer arithmetic.
+        assert [gluhov_bound(n) for n in range(17, 21)] == [182302, 379516, 788500, 1635278]
 
     def test_monotone(self):
         values = [gluhov_bound(n) for n in range(2, 12)]
         assert all(a < b for a, b in zip(values, values[1:]))
-
-    def test_log2_big(self):
-        assert _log2_big(1 << 200) == pytest.approx(200.0)
-        value = math.factorial(300)
-        assert _log2_big(value) == pytest.approx(math.lgamma(301) / math.log(2), rel=1e-12)
 
 
 class TestSimpleLower:

@@ -158,8 +158,38 @@ class TestSynthAndVerify:
     def test_bad_lupanov_params_exit_3(self, tmp_path, capsys):
         f = tmp_path / "f.map"
         run(capsys, "rand", "map", "--n", "4", "-o", str(f))
-        code, _, err = run(capsys, "synth", "lupanov", str(f), "--k", "2", "--s", "2")
+        code, _, err = run(capsys, "synth", "lupanov", str(f), "--k", "2")
         assert code == 3
+
+    def test_lupanov_k_alone_derives_s_and_p(self, tmp_path, capsys):
+        f = tmp_path / "f.map"
+        run(capsys, "rand", "map", "--n", "5", "--seed", "1", "-o", str(f))
+        out_path = str(tmp_path / "f.circ")
+        code, out, _ = run(capsys, "synth", "lupanov", str(f), "--k", "1", "-o", out_path)
+        assert code == 0
+        assert "parameters: k 1, s 3, p 1" in out
+
+    def test_lupanov_rejects_ancillas(self, tmp_path, capsys):
+        f = tmp_path / "f.map"
+        run(capsys, "rand", "map", "--n", "5", "-o", str(f))
+        code, _, err = run(capsys, "synth", "lupanov", str(f), "--ancillas", "2")
+        assert code == 3
+        assert err == "error: --ancillas applies to basic mode only\n"
+
+    @pytest.mark.parametrize("header", ["perm 20000", "map 100000000000"])
+    @pytest.mark.parametrize("command", ["verify", "synth"])
+    def test_huge_table_header_exits_2(self, tmp_path, capsys, header, command):
+        spec = tmp_path / "big.tbl"
+        spec.write_text(f"{header}\n0 1\n")
+        circ = tmp_path / "one.circ"
+        circ.write_text("lines 1\ninputs 1\noutputs 0\n")
+        if command == "verify":
+            argv = ["verify", str(circ), str(spec)]
+        else:
+            argv = ["synth", "lupanov" if header.startswith("map") else "basic", str(spec)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: expected 2^") and err.count("\n") == 1
 
     @pytest.mark.parametrize("n,expected", [(3, 0), (2, 3)])
     def test_lupanov_default_params_from_three_lines(self, tmp_path, capsys, n, expected):
@@ -193,9 +223,9 @@ class TestSynthAndVerify:
         assert code == 2
         assert err.startswith(f"error: cannot write {out}")
 
-    @pytest.mark.parametrize("flag", ["--phi", "--phi-lupanov", "--psi"])
+    @pytest.mark.parametrize("flag", ["--phi", "--phi-lupanov", "--psi", "--s"])
     def test_phi_and_psi_are_not_synth_options(self, capsys, flag):
-        # --k and --s set any (k, s) these flags could select.
+        # --k sets any bank width these flags could select; s = n - 2k follows.
         with pytest.raises(SystemExit) as info:
             main(["synth", "basic", "p.perm", flag, "log2"])
         assert info.value.code == 2
@@ -272,12 +302,21 @@ class TestStats:
         assert "lines 1\n" in out and "gates 1\n" in out
         assert "shannon_lower n/a (requires n >= 2)" in out
 
+    def test_more_inputs_than_bounds_take(self, tmp_path, capsys):
+        circ = tmp_path / "c.circ"
+        outputs = " ".join(str(i) for i in range(1001))
+        circ.write_text(f"lines 1001\ninputs 1001\noutputs {outputs}\n")
+        code, out, _ = run(capsys, "stats", str(circ))
+        assert code == 0
+        assert "shannon_lower n/a (requires n <= 1000)\n" in out
+        assert "simple_lower" not in out and "pair_block_upper" not in out
+
 
 class TestOptionInventory:
     # Every option of every subcommand; a new knob needs a deliberate edit here.
     EXPECTED = {
         "bounds": ["--n", "--q", "--phi", "--csv", "-o"],
-        "synth": ["mode", "input", "-o", "--k", "--s", "--ancillas", "--no-verify"],
+        "synth": ["mode", "input", "-o", "--k", "--ancillas", "--no-verify"],
         "verify": ["circuit", "spec"],
         "simulate": ["circuit", "input"],
         "rand": ["kind", "--n", "--seed", "-o"],

@@ -61,9 +61,9 @@ def test_basic_with_ancillas():
 def test_lupanov():
     rng = Random(6)
     f = BooleanMapping(6, tuple(rng.randrange(64) for _ in range(64)))
-    k, s, _ = choose_params(6)
-    assert (k, s) == (2, 2)
-    circuit, _ = synth_mapping(f, k, s)
+    k = choose_params(6)
+    assert k == 2
+    circuit, _ = synth_mapping(f, k)
     assert fingerprint(circuit) == (
         "e4b6e87026bd79c90e90b775df0cc9edb010ce32f76414fdaed1c4d377aab610",
         235,
@@ -73,7 +73,7 @@ def test_lupanov():
 def test_lupanov_forced_params():
     rng = Random(8)
     f = BooleanMapping(8, tuple(rng.randrange(256) for _ in range(256)))
-    circuit, _ = synth_mapping(f, 1, 6)
+    circuit, _ = synth_mapping(f, 1)
     assert fingerprint(circuit) == (
         "7c6b168f98150dafeb8ed7438d961eccc771b2d99194b1ea1eaf20990d4730ad",
         959,

@@ -103,6 +103,11 @@ class TestTables:
         with pytest.raises(FormatError):
             parse_permutation("perm 2\n0 1 2\n")
 
+    def test_huge_bit_count_rejected_before_shifting(self):
+        # The decimal form of 2^20000 alone exceeds Python's int-to-str limit.
+        with pytest.raises(ValueError, match=r"expected 2\^20000 images, got 2"):
+            BooleanMapping(20000, (0, 1))
+
     def test_value_out_of_range_rejected(self):
         with pytest.raises(FormatError):
             parse_mapping("map 1\n0 2\n")

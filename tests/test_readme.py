@@ -1,6 +1,10 @@
-"""The README's "Library use" example, run as written."""
+"""The README's "Library use" example, run as written, and the options its
+"Command line" section names."""
+import argparse
 import re
 from pathlib import Path
+
+from rcsynth.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -10,3 +14,16 @@ def test_library_use_snippet_runs():
     section = text.split("## Library use", 1)[1]
     snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(snippet, str(README), "exec"), {})
+
+
+def test_command_line_options_exist():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    (sub,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    known = {
+        opt for p in sub.choices.values() for a in p._actions for opt in a.option_strings
+    }
+    assert named and named <= known, sorted(named - known)

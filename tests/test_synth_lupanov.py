@@ -1,4 +1,5 @@
 """Conjunction banks, XOR banks and the staged mapping synthesis."""
+import math
 from random import Random
 
 import pytest
@@ -16,6 +17,8 @@ from rcsynth import (
     synth_mapping,
     xor_bank,
 )
+from rcsynth.bounds import PHI_REGISTRY
+from rcsynth.circuit import MAX_LINES
 from conftest import sweep_tables
 
 
@@ -62,7 +65,7 @@ class TestConjunctionBank:
         assert alloc.next_free - 2 == 6  # 2 negations + 4 products
 
     def test_allocator_cap(self):
-        alloc = LineAllocator(4, cap=6)
+        alloc = LineAllocator(MAX_LINES - 6)
         with pytest.raises(CapacityError):
             conjunction_bank((0, 1, 2, 3), alloc)
 
@@ -103,19 +106,24 @@ class TestXorBank:
 
 class TestChooseParams:
     def test_n12_example(self):
-        k, s, p = choose_params(12)
-        assert (k, s, p) == (5, 2, 16)
+        assert choose_params(12) == 5
 
     def test_s_is_n_minus_2k(self):
-        for n in range(4, 20):
-            k, s, p = choose_params(n)
-            assert s == n - 2 * k
-            assert 1 <= s < n
+        for n in range(3, 11):
+            k = choose_params(n)
             assert 1 <= k < n / 2
-            assert p == -((1 << k) // -s)
+            _, report = synth_mapping(BooleanMapping(n, (0,) * (1 << n)), k)
+            assert (report.k, report.s) == (k, n - 2 * k)
+            assert report.p == -((1 << k) // -report.s)
+
+    def test_matches_phi_formula(self):
+        # k = ceil(n / phi(n)) with the lupanov phi, clamped to s = n - 2k >= 1.
+        phi = PHI_REGISTRY["lupanov"]
+        for n in range(3, 1 << 12):
+            assert choose_params(n) == min(math.ceil(n / phi(n)), (n - 1) // 2), n
 
     def test_small_n_rejected(self):
-        assert choose_params(3) == (1, 1, 2)
+        assert choose_params(3) == 1
         for n in (1, 2):
             with pytest.raises(ParameterError):
                 choose_params(n)
@@ -124,21 +132,21 @@ class TestChooseParams:
 class TestSynthMapping:
     def test_constant_zero(self):
         f = BooleanMapping(4, (0,) * 16)
-        circuit, report = synth_mapping(f, 1, 2)
+        circuit, report = synth_mapping(f, 1)
         assert realized_mapping(circuit).images == (0,) * 16
         assert report.gate_counts[3] == 0  # no coordinate gates
         assert report.gate_counts[4] == 0  # no output gates
 
     def test_identity_n4(self):
         f = BooleanMapping(4, tuple(range(16)))
-        circuit, report = synth_mapping(f, 1, 2)
+        circuit, report = synth_mapping(f, 1)
         assert realized_mapping(circuit).images == tuple(range(16))
         assert report.p == 1
 
     def test_forced_k2_on_n8_has_single_group(self):
         rng = Random(5)
         f = BooleanMapping(8, tuple(rng.randrange(256) for _ in range(256)))
-        circuit, report = synth_mapping(f, 2, 4)
+        circuit, report = synth_mapping(f, 2)
         assert (report.k, report.s, report.p) == (2, 4, 1)
         assert realized_mapping(circuit).images == f.images
 
@@ -147,8 +155,9 @@ class TestSynthMapping:
         rng = Random(1000 + n)
         for trial in range(15):
             f = BooleanMapping(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
-            circuit, report = synth_mapping(f, k, s)
+            circuit, report = synth_mapping(f, k)
             assert realized_mapping(circuit).images == f.images, trial
+            assert report.s == s
             assert report.gate_counts[3] <= report.p * n * (1 << (n - k))
             assert report.gate_counts[4] <= n * (1 << (n - k))
             assert report.ancilla_counts[4] == n
@@ -156,27 +165,25 @@ class TestSynthMapping:
 
     def test_stage_accounting_matches_circuit(self, rng):
         f = BooleanMapping(6, tuple(rng.randrange(64) for _ in range(64)))
-        circuit, report = synth_mapping(f, 2, 2)
-        assert report.total_gates == len(circuit.gates)
+        circuit, report = synth_mapping(f, 2)
+        assert sum(report.gate_counts) == len(circuit)
         assert sum(report.ancilla_counts) == circuit.q
 
     def test_parameter_validation(self):
         f = BooleanMapping(4, tuple(range(16)))
         with pytest.raises(ParameterError):
-            synth_mapping(f, 2, 0)  # k >= n/2
-        with pytest.raises(ParameterError):
-            synth_mapping(f, 1, 3)  # s != n - 2k
+            synth_mapping(f, 2)  # k >= n/2
 
     def test_permutations_are_mappings_too(self, rng):
         images = list(range(16))
         rng.shuffle(images)
         f = BooleanMapping(4, tuple(images))
-        circuit, _ = synth_mapping(f, 1, 2)
+        circuit, _ = synth_mapping(f, 1)
         assert realized_mapping(circuit).images == tuple(images)
 
     def test_psi_waiver_reported(self):
         f = BooleanMapping(4, tuple(range(16)))
-        _, report = synth_mapping(f, 1, 2)
+        _, report = synth_mapping(f, 1)
         # 2^1 / 2 = 1 < log2(4): unsatisfiable at this scale, waived.
         assert report.psi_waived is True
 
@@ -185,10 +192,10 @@ class TestStageBoundaries:
     def test_coordinate_lines_match_ring_sums(self, rng):
         # Every coordinate function f_{i,j}, lifted over all n-bit inputs,
         # is the truth table of some line before stage S5 starts.
-        n, k, s = 6, 2, 2
+        n, k = 6, 2
         f = BooleanMapping(n, tuple(rng.randrange(64) for _ in range(64)))
-        circuit, report = synth_mapping(f, k, s)
-        before_s5 = circuit.gates[: report.total_gates - report.gate_counts[4]]
+        circuit, report = synth_mapping(f, k)
+        before_s5 = circuit.gates[: len(circuit) - report.gate_counts[4]]
         tables = set(sweep_tables(circuit.m, n, before_s5))
         for i in range(1 << (n - k)):
             for j in range(n):
@@ -201,7 +208,7 @@ class TestStageBoundaries:
 
     def test_controls_are_written_before_read(self, rng):
         f = BooleanMapping(4, tuple(rng.randrange(16) for _ in range(16)))
-        circuit, _ = synth_mapping(f, 1, 2)
+        circuit, _ = synth_mapping(f, 1)
         written = set(range(circuit.n))
         for gate in circuit.gates:
             for c in gate.controls:
@@ -210,7 +217,7 @@ class TestStageBoundaries:
 
     def test_outputs_never_retargeted_after_final_write(self, rng):
         f = BooleanMapping(4, tuple(rng.randrange(16) for _ in range(16)))
-        circuit, report = synth_mapping(f, 1, 2)
-        stage5_start = report.total_gates - report.gate_counts[4]
+        circuit, report = synth_mapping(f, 1)
+        stage5_start = len(circuit) - report.gate_counts[4]
         for gate in circuit.gates[:stage5_start]:
             assert gate.target not in circuit.outputs
