@@ -40,9 +40,10 @@ class Gate(tuple):
     """One reversible element: flip `target` iff all `controls` are 1.
 
     No controls is a NOT, one a CNOT, two a 2-CNOT.  Three or more controls
-    make a generalized gate, legal in memory but not in a circuit file.
-    A gate is the pair (controls, target) with the controls in ascending
-    order; which lines it may use is checked by the `Circuit` that holds it.
+    make a generalized gate, legal only as an in-memory intermediate inside
+    `synth_block`; a `Circuit` holds basis gates only.  A gate is the pair
+    (controls, target) with the controls in ascending order; which lines it
+    may use is checked by the `Circuit` that holds it.
     """
 
     __slots__ = ()
@@ -82,10 +83,13 @@ def ccnot(c1: int, c2: int, target: int) -> Gate:
 
 
 def find_gate_fault(gates: Iterable[Gate], m: int) -> tuple[int, str] | None:
-    """Index and reason of the first gate that is not a valid gate on m lines:
-    a line index outside [0, m), a repeated control, or a target that is
-    also a control.  None when every gate is valid."""
+    """Index and reason of the first gate that is not a valid basis gate on
+    m lines: more than two controls, a line index outside [0, m), a repeated
+    control, or a target that is also a control.  None when every gate is
+    valid."""
     for i, (controls, target) in enumerate(gates):
+        if len(controls) > 2:
+            return i, f"gate with {len(controls)} controls is outside the basis"
         if not 0 <= target < m:
             return i, f"target {target} out of range [0, {m})"
         if controls:
@@ -93,7 +97,7 @@ def find_gate_fault(gates: Iterable[Gate], m: int) -> tuple[int, str] | None:
                 return i, f"controls {controls} out of range [0, {m})"
             if target in controls:
                 return i, f"target {target} is also a control"
-            if len(controls) > 1 and len(set(controls)) != len(controls):
+            if len(controls) == 2 and controls[0] == controls[1]:
                 return i, f"duplicate control lines in {controls}"
     return None
 
@@ -139,17 +143,11 @@ class GateCountReport:
     nots: int
     cnots: int
     toffolis: int
-    generalized: int
 
 
 def count_gates(circuit: Circuit) -> GateCountReport:
     by_arity = Counter(len(controls) for controls, _ in circuit.gates)
-    return GateCountReport(
-        nots=by_arity[0],
-        cnots=by_arity[1],
-        toffolis=by_arity[2],
-        generalized=len(circuit) - by_arity[0] - by_arity[1] - by_arity[2],
-    )
+    return GateCountReport(nots=by_arity[0], cnots=by_arity[1], toffolis=by_arity[2])
 
 
 def simulate(circuit: Circuit, input_word: int) -> tuple[int, int]:
@@ -217,10 +215,4 @@ def realized_mapping(circuit: Circuit) -> BooleanMapping:
             value |= ((table >> w) & 1) << j
         images.append(value)
     return BooleanMapping(circuit.n, tuple(images))
-
-
-def invert(circuit: Circuit) -> Circuit:
-    """Reverse the gate order.  Every basis gate is an involution, so the
-    result realizes the inverse permutation."""
-    return Circuit(circuit.m, circuit.n, tuple(reversed(circuit.gates)), circuit.outputs)
 

@@ -145,8 +145,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         circuit, report = synth_even_permutation(target, k=args.k, ancilla_budget=ancillas)
         report_lines = [
             f"synthesized basic circuit: lines {circuit.m}, gates {len(circuit)}",
-            f"gate counts: NOT {report.nots}, CNOT {report.cnots}, "
-            f"2-CNOT {report.toffolis}, generalized {report.generalized}",
+            f"gate counts: NOT {report.nots}, CNOT {report.cnots}, 2-CNOT {report.toffolis}",
             f"ancillas {circuit.q}",
         ]
     else:
@@ -241,7 +240,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"NOT {report.nots}")
     print(f"CNOT {report.cnots}")
     print(f"2-CNOT {report.toffolis}")
-    print(f"generalized {report.generalized}")
     if circuit.n < 2:
         print("shannon_lower n/a (requires n >= 2)")
     elif circuit.n > bounds_mod.MAX_BOUND_N:

@@ -21,4 +21,4 @@ class ParityError(ValueError):
 
 
 class ParameterError(ValueError):
-    """A parameter (k, s, K, n, phi, ancilla budget) is out of range."""
+    """A parameter (k, K, n, phi, ancilla budget) is out of range."""

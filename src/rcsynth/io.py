@@ -9,7 +9,7 @@ Circuit file (UTF-8, `#` starts a comment, blank lines ignored):
     c <c> <t>                CNOT
     t <c1> <c2> <t>          2-CNOT
 
-Gates with three or more controls exist only in memory; files hold the basis.
+A `Circuit` holds basis gates only, so every circuit serializes.
 
 Permutation file: ``perm <n>`` then 2^n integers forming a bijection on
 [0, 2^n).  Mapping file: ``map <n>`` then 2^n integers in [0, 2^n).
@@ -94,10 +94,7 @@ def serialize_circuit(circuit: Circuit, header_comments: Iterable[str] = ()) -> 
     out.append(f"inputs {circuit.n}")
     out.append("outputs " + " ".join(str(i) for i in circuit.outputs))
     for controls, target in circuit.gates:
-        k = len(controls)
-        if k > 2:
-            raise FormatError(f"gate with {k} controls is outside the basis")
-        out.append(" ".join([GATE_LETTERS[k], *map(str, controls), str(target)]))
+        out.append(" ".join([GATE_LETTERS[len(controls)], *map(str, controls), str(target)]))
     return "\n".join(out) + "\n"
 
 

@@ -61,12 +61,6 @@ class Permutation(BooleanMapping):
                 images[point] = cycle[(i + 1) % len(cycle)]
         return cls(n, tuple(images))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Permutation(self.n, tuple(inv))
-
     def is_identity(self) -> bool:
         return all(v == x for x, v in enumerate(self.images))
 

@@ -172,6 +172,9 @@ def synth_even_permutation(
             f"odd permutations on n={n} >= 4 lines need ancillas"
         )
 
+    if k is not None:
+        _validate_block_size(k, n, ancilla_budget)  # rejects every k on one line
+
     m = n + ancilla_budget
     ancilla_lines = tuple(range(n, m))
     outputs = tuple(range(n))
@@ -183,9 +186,9 @@ def synth_even_permutation(
         return circuit, count_gates(circuit)
 
     if k is None:
-        # The paper's phi-driven k clamps to 4 for every n <= 1999 (any phi).
+        # The paper's phi-driven k clamps to 4 for every n <= 1999 (any phi);
+        # the default passes _validate_block_size on every n >= 2.
         k = 4 if n >= 3 else 2
-    _validate_block_size(k, n, ancilla_budget)
 
     if k == 2:
         groups = [(t,) for t in plain_transpositions(p)]

@@ -1,10 +1,10 @@
 """Ancilla-rich synthesis of arbitrary mappings f: Z_2^n -> Z_2^n.
 
-The circuit is built from five stages: a conjunction bank over the first k
+The circuit is built from four stages: a conjunction bank over the first k
 input lines (S1), one over the remaining n - k lines (S2), subset-XOR banks
-over groups of at most s first-bank lines (S3), one line per coordinate
-function assembled from group lines (S4), and the n output lines combining
-the second bank with the coordinate lines (S5).
+over groups of at most s first-bank lines (S3), and the n output lines (S4),
+each the XOR of 2-CNOTs of a second-bank line with a group line.  The
+ancilla count depends only on n and k.
 """
 from __future__ import annotations
 
@@ -43,8 +43,8 @@ class StageReport:
     k: int
     s: int
     p: int
-    gate_counts: tuple[int, int, int, int, int]
-    ancilla_counts: tuple[int, int, int, int, int]
+    gate_counts: tuple[int, int, int, int]
+    ancilla_counts: tuple[int, int, int, int]
     psi_waived: bool
 
 
@@ -98,41 +98,35 @@ def conjunction_bank(
 
 
 def xor_bank(
-    group_lines: tuple[int, ...], alloc: LineAllocator, zero_line: int
+    group_lines: tuple[int, ...], alloc: LineAllocator
 ) -> tuple[list[Gate], dict[int, int]]:
-    """Expose the XOR of every subset of the group lines (bit i of the subset
-    mask selects group_lines[i]); the empty subset maps to the shared zero
-    line and singletons map to the group lines themselves.
+    """Expose the XOR of every nonempty subset of the group lines (bit i of
+    the subset mask selects group_lines[i]); singletons map to the group
+    lines themselves.
 
-    Same halving recursion as the conjunction bank with each combine done by
-    two CNOTs into a fresh line; combines where one half is empty reuse the
-    other half's line, keeping the total under 2^(s+1).
+    Same halving recursion as the conjunction bank with each combine of two
+    nonempty halves done by two CNOTs into a fresh line, so s lines take
+    2^s - 1 - s fresh lines and twice as many gates.
     """
     if len(group_lines) < 1:
         raise ParameterError("xor bank needs at least one line")
-    if len(set(group_lines)) != len(group_lines) or zero_line in group_lines:
-        raise ParameterError("group lines must be distinct and exclude the zero line")
+    if len(set(group_lines)) != len(group_lines):
+        raise ParameterError("group lines must be distinct")
     gates: list[Gate] = []
 
     def build(lines: tuple[int, ...]) -> dict[int, int]:
         if len(lines) == 1:
-            return {0: zero_line, 1: lines[0]}
+            return {1: lines[0]}
         mid = (len(lines) + 1) // 2
         low = build(lines[:mid])
         high = build(lines[mid:])
-        bank: dict[int, int] = {}
-        for m_high in range(1 << (len(lines) - mid)):
-            for m_low in range(1 << mid):
-                mask = m_low | (m_high << mid)
-                if m_low == 0:
-                    bank[mask] = high[m_high]
-                elif m_high == 0:
-                    bank[mask] = low[m_low]
-                else:
-                    fresh = alloc.take()
-                    gates.append(cnot(low[m_low], fresh))
-                    gates.append(cnot(high[m_high], fresh))
-                    bank[mask] = fresh
+        bank = dict(low)
+        for m_high, high_line in high.items():
+            bank[m_high << mid] = high_line
+            for m_low, low_line in low.items():
+                fresh = alloc.take()
+                gates.extend((cnot(low_line, fresh), cnot(high_line, fresh)))
+                bank[m_low | (m_high << mid)] = fresh
         return bank
 
     return gates, build(tuple(group_lines))
@@ -164,14 +158,14 @@ def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
     from banks over k and n - k variables and p = ceil(2^k / s) groups of at
     most s = n - 2k first-bank lines.
 
-    Stage budgets: L4 <= p n 2^(n-k) and L5 <= n 2^(n-k) with q5 = n output
-    lines; all gates have at most two controls by construction.
+    Output stage budget: L4 <= p n 2^(n-k), one 2-CNOT per nonzero group
+    restriction of each coordinate function, with q4 = n output lines; all
+    gates have at most two controls by construction.
     """
     n = f.n
     if not 1 <= k < n / 2:
         raise ParameterError(f"need 1 <= k < n/2, got k={k}, n={n}")
     s = n - 2 * k
-    p = math.ceil((1 << k) / s)
     alloc = LineAllocator(n)
     gates: list[Gate] = []
     marks = [(0, n)]  # (gates, next free line) at each stage boundary
@@ -190,53 +184,30 @@ def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
     close_stage()
 
     # S3: subset-XOR bank per group of at most s first-bank lines.
-    zero_line = alloc.take()
-    group_banks: list[dict[int, int]] = []
-    group_ranges: list[tuple[int, int]] = []
-    for t in range(p):
-        start = t * s
-        stop = min(start + s, 1 << k)
-        lines = tuple(first_bank[sigma] for sigma in range(start, stop))
-        bank_gates, bank = xor_bank(lines, alloc, zero_line)
+    groups: list[tuple[int, int, dict[int, int]]] = []  # (start, width, bank)
+    for start in range(0, 1 << k, s):
+        lines = tuple(first_bank[sigma] for sigma in range(start, min(start + s, 1 << k)))
+        bank_gates, bank = xor_bank(lines, alloc)
         gates.extend(bank_gates)
-        group_banks.append(bank)
-        group_ranges.append((start, stop))
+        groups.append((start, len(lines), bank))
     close_stage()
 
-    # S4: one line per coordinate function, XOR of its group restrictions.
-    coordinate_lines: dict[tuple[int, int], int] = {}
-    for i in range(1 << (n - k)):
-        for j in range(n):
-            support = _coordinate_support(f, k, i, j)
-            picked = []
-            for t, (start, stop) in enumerate(group_ranges):
-                mask = (support >> start) & ((1 << (stop - start)) - 1)
-                if mask:
-                    picked.append(group_banks[t][mask])
-            if not picked:
-                coordinate_lines[(i, j)] = zero_line
-            elif len(picked) == 1:
-                coordinate_lines[(i, j)] = picked[0]
-            else:
-                fresh = alloc.take()
-                gates.extend(cnot(line, fresh) for line in picked)
-                coordinate_lines[(i, j)] = fresh
-    close_stage()
-
-    # S5: combine second-bank minterms with coordinate lines onto outputs.
+    # S4: m_i & f_ij is the XOR over groups t of m_i & (f_ij restricted to
+    # group t), so each nonzero restriction is one 2-CNOT onto output j.
     out_lines = tuple(alloc.take() for _ in range(n))
     for j in range(n):
         for i in range(1 << (n - k)):
-            line = coordinate_lines[(i, j)]
-            if line == zero_line:
-                continue
-            gates.append(ccnot(second_bank[i], line, out_lines[j]))
+            support = _coordinate_support(f, k, i, j)
+            for start, width, bank in groups:
+                mask = (support >> start) & ((1 << width) - 1)
+                if mask:
+                    gates.append(ccnot(second_bank[i], bank[mask], out_lines[j]))
     close_stage()
 
     report = StageReport(
         k=k,
         s=s,
-        p=p,
+        p=len(groups),  # ceil(2^k / s)
         gate_counts=tuple(b[0] - a[0] for a, b in zip(marks, marks[1:])),
         ancilla_counts=tuple(b[1] - a[1] for a, b in zip(marks, marks[1:])),
         psi_waived=(1 << k) / s < math.log2(n),

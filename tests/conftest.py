@@ -48,7 +48,7 @@ def random_permutation(n: int, rng: Random) -> Permutation:
 
 
 def random_even_permutation(n: int, rng: Random) -> Permutation:
-    from rcsynth import is_even
+    from rcsynth.perm import is_even
 
     p = random_permutation(n, rng)
     if not is_even(p):

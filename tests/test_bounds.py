@@ -3,18 +3,19 @@ import math
 
 import pytest
 
-from rcsynth import (
-    ParameterError,
+from rcsynth import ParameterError
+from rcsynth.bounds import (
+    PHI_REGISTRY,
     block_upper,
     build_report,
+    epsilon,
     gate_set_size,
     gluhov_bound,
+    no_ancilla_upper,
     pair_block_upper,
     shannon_lower,
     simple_lower,
-    no_ancilla_upper,
 )
-from rcsynth.bounds import PHI_REGISTRY, epsilon
 
 
 def enumerate_gates(n):

@@ -3,9 +3,9 @@ import argparse
 
 import pytest
 
-from rcsynth import is_even, parse_circuit, parse_permutation, serialize_permutation
+from rcsynth import Permutation, parse_circuit, parse_permutation, serialize_permutation
 from rcsynth.cli import build_parser, main
-from rcsynth.perm import Permutation
+from rcsynth.perm import is_even
 
 
 def run(capsys, *argv):
@@ -168,6 +168,17 @@ class TestSynthAndVerify:
         code, out, _ = run(capsys, "synth", "lupanov", str(f), "--k", "1", "-o", out_path)
         assert code == 0
         assert "parameters: k 1, s 3, p 1" in out
+
+    @pytest.mark.parametrize("k", ["2", "3"])
+    def test_basic_k_on_one_line_exits_3(self, tmp_path, capsys, k):
+        # One line admits no block size; --k is rejected, not ignored.
+        perm = tmp_path / "p.perm"
+        run(capsys, "rand", "perm", "--n", "1", "--seed", "1", "-o", str(perm))
+        code, out, err = run(capsys, "synth", "basic", str(perm), "--k", k)
+        assert code == 3
+        assert out == "" and err.startswith("error: block size k=")
+        code, _, _ = run(capsys, "synth", "basic", str(perm), "-o", str(tmp_path / "p.circ"))
+        assert code == 0
 
     def test_lupanov_rejects_ancillas(self, tmp_path, capsys):
         f = tmp_path / "f.map"

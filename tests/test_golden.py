@@ -11,11 +11,11 @@ import pytest
 
 from rcsynth import (
     BooleanMapping,
-    choose_params,
     serialize_circuit,
     synth_even_permutation,
     synth_mapping,
 )
+from rcsynth.synth_lupanov import choose_params
 from conftest import random_even_permutation, random_permutation
 
 
@@ -65,8 +65,8 @@ def test_lupanov():
     assert k == 2
     circuit, _ = synth_mapping(f, k)
     assert fingerprint(circuit) == (
-        "e4b6e87026bd79c90e90b775df0cc9edb010ce32f76414fdaed1c4d377aab610",
-        235,
+        "a2d6241d4c1b17c605dca6e9c737c8f66a8105abbf467b8640352cc399b9d391",
+        185,
     )
 
 
@@ -75,6 +75,6 @@ def test_lupanov_forced_params():
     f = BooleanMapping(8, tuple(rng.randrange(256) for _ in range(256)))
     circuit, _ = synth_mapping(f, 1)
     assert fingerprint(circuit) == (
-        "7c6b168f98150dafeb8ed7438d961eccc771b2d99194b1ea1eaf20990d4730ad",
+        "4923544bb62a37e1b5cd63d053a34b9c0f81fbd09e35e43ed22b8d98e8b88b7d",
         959,
     )

@@ -72,9 +72,9 @@ class TestSerializeCircuit:
             assert parse_circuit(serialize_circuit(c)) == c
 
     def test_generalized_gate_rejected(self):
-        c = Circuit(4, 4, (Gate((0, 1, 2), 3),), (0, 1, 2, 3))
-        with pytest.raises(FormatError, match="outside the basis"):
-            serialize_circuit(c)
+        # A circuit cannot hold a gate that has no file form.
+        with pytest.raises(ValueError, match="outside the basis"):
+            Circuit(4, 4, (Gate((0, 1, 2), 3),), (0, 1, 2, 3))
 
     def test_header_comments_emitted(self):
         c = Circuit(2, 2, (), (0, 1))

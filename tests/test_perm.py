@@ -3,18 +3,16 @@ from random import Random
 
 import pytest
 
-from rcsynth import (
-    CapacityError,
-    ParameterError,
-    Permutation,
+from rcsynth import CapacityError, ParameterError, Permutation
+from rcsynth.perm import (
     cycle_decomposition,
     is_even,
+    plain_transpositions,
     split_dependent_pair,
-    synth_block,
     transposition_stream,
     transpositions_product,
 )
-from rcsynth.perm import plain_transpositions
+from rcsynth.synth_basic import synth_block
 from conftest import random_even_permutation, random_permutation
 
 

@@ -1,22 +1,24 @@
 """Property tests: the circuit parser on fuzzed input, the serialize/parse
-round trip on generated circuits, and basic synthesis against the oracle."""
+round trip on generated circuits, and basic and lupanov synthesis against
+the oracle."""
 import re
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rcsynth import (
+    BooleanMapping,
     Circuit,
     FormatError,
     Gate,
     ParameterError,
     Permutation,
-    invert,
-    is_even,
     parse_circuit,
     serialize_circuit,
     synth_even_permutation,
+    synth_mapping,
 )
+from rcsynth.perm import is_even
 from conftest import naive_mapping, sweep_tables
 
 HEADER = "lines 4\ninputs 3\noutputs 0 1 2\n"
@@ -102,7 +104,30 @@ def test_basic_synthesis_matches_oracle_and_inverts(target):
     except ParameterError:
         assume(False)
     assert naive_mapping(circuit) == list(p.images)
-    # c followed by invert(c) fixes every state of all m lines.
+    # c followed by its reversed gates fixes every state of all m lines.
     m = circuit.m
-    round_trip = circuit.gates + invert(circuit).gates
+    round_trip = circuit.gates + tuple(reversed(circuit.gates))
     assert sweep_tables(m, m, round_trip) == sweep_tables(m, m, [])
+
+
+@st.composite
+def lupanov_targets(draw):
+    """(mapping, k) with n = 3..8 and any bank width 1 <= k < n/2."""
+    n = draw(st.integers(3, 8))
+    k = draw(st.integers(1, (n - 1) // 2))
+    images = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1 << n, max_size=1 << n))
+    return BooleanMapping(n, tuple(images)), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(lupanov_targets())
+def test_lupanov_synthesis_matches_oracle_on_fixed_lines(target):
+    f, k = target
+    circuit, report = synth_mapping(f, k)
+    assert naive_mapping(circuit) == list(f.images)
+    # The lines depend only on (n, k), and every ancilla but the outputs is
+    # written by some gate.
+    zero, _ = synth_mapping(BooleanMapping(f.n, (0,) * (1 << f.n)), k)
+    assert circuit.m == zero.m
+    written = {gate.target for gate in circuit.gates}
+    assert set(range(f.n, circuit.m)) - set(circuit.outputs) <= written

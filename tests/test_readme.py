@@ -1,9 +1,11 @@
-"""The README's "Library use" example, run as written, and the options its
-"Command line" section names."""
+"""The README's "Library use" example, run as written, the options its
+"Command line" section names, and the package's public names."""
 import argparse
 import re
 from pathlib import Path
+from types import ModuleType
 
+import rcsynth
 from rcsynth.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -27,3 +29,21 @@ def test_command_line_options_exist():
         opt for p in sub.choices.values() for a in p._actions for opt in a.option_strings
     }
     assert named and named <= known, sorted(named - known)
+
+
+def test_public_names():
+    # "Library use" names, the types they return or raise, and the file-format
+    # functions; everything else is imported from its module.
+    public = {
+        name
+        for name, value in vars(rcsynth).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert public == {
+        "BooleanMapping", "Permutation", "realized_mapping",
+        "synth_even_permutation", "synth_mapping",
+        "Circuit", "Gate", "GateCountReport", "StageReport",
+        "CapacityError", "ContractError", "FormatError", "ParameterError", "ParityError",
+        "parse_circuit", "parse_mapping", "parse_permutation", "parse_spec_table",
+        "serialize_circuit", "serialize_mapping", "serialize_permutation",
+    }

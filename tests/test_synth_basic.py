@@ -10,19 +10,14 @@ from rcsynth import (
     ParameterError,
     ParityError,
     Permutation,
-    block_upper,
-    cnot,
-    count_gates,
-    pair_block_upper,
     realized_mapping,
-    simulate,
-    synth_block,
     synth_even_permutation,
-    transposition_stream,
-    transpositions_product,
 )
+from rcsynth.bounds import block_upper, pair_block_upper
+from rcsynth.circuit import cnot, simulate
+from rcsynth.perm import transposition_stream, transpositions_product
 from rcsynth import synth_basic
-from rcsynth.synth_basic import _canonicalize
+from rcsynth.synth_basic import _canonicalize, synth_block
 from conftest import random_even_permutation, random_permutation
 
 
@@ -149,7 +144,7 @@ class TestSynthEvenPermutation:
     def test_identity_yields_empty_circuit(self):
         circuit, report = synth_even_permutation(Permutation.identity(4))
         assert len(circuit.gates) == 0
-        assert (report.nots, report.cnots, report.toffolis, report.generalized) == (0, 0, 0, 0)
+        assert (report.nots, report.cnots, report.toffolis) == (0, 0, 0)
 
     def test_double_transposition_n4(self):
         p = Permutation.from_cycles(4, [(0, 1), (2, 3)])
@@ -163,13 +158,13 @@ class TestSynthEvenPermutation:
             p = random_even_permutation(6, rng)
             circuit, report = synth_even_permutation(p, k=4)
             assert realized_mapping(circuit).images == p.images, trial
-            assert report.generalized == 0
+            assert report.nots + report.cnots + report.toffolis == len(circuit)
             assert len(circuit) <= budget
 
     def test_all_gates_in_basis(self, rng):
         p = random_even_permutation(5, rng)
         circuit, report = synth_even_permutation(p, k=4)
-        assert report.generalized == 0
+        assert report.nots + report.cnots + report.toffolis == len(circuit)
         assert all(len(g.controls) <= 2 for g in circuit.gates)
 
     def test_odd_rejected_without_ancillas(self):
@@ -221,6 +216,9 @@ class TestSynthEvenPermutation:
             p = Permutation(1, images)
             circuit, _ = synth_even_permutation(p)
             assert realized_mapping(circuit).images == images
+            for k in (2, 3):
+                with pytest.raises(ParameterError):
+                    synth_even_permutation(p, k=k)
 
 
 class TestBlockBudgets:

@@ -7,18 +7,19 @@ import pytest
 from rcsynth import (
     BooleanMapping,
     CapacityError,
-    Circuit,
-    LineAllocator,
     ParameterError,
-    choose_params,
-    conjunction_bank,
-    conjunction_gate_count,
     realized_mapping,
     synth_mapping,
-    xor_bank,
 )
 from rcsynth.bounds import PHI_REGISTRY
 from rcsynth.circuit import MAX_LINES
+from rcsynth.synth_lupanov import (
+    LineAllocator,
+    choose_params,
+    conjunction_bank,
+    conjunction_gate_count,
+    xor_bank,
+)
 from conftest import sweep_tables
 
 
@@ -73,18 +74,18 @@ class TestConjunctionBank:
 class TestXorBank:
     def test_single_line_needs_no_gates(self):
         alloc = LineAllocator(2)
-        zero = alloc.take()
-        gates, bank = xor_bank((0,), alloc, zero)
+        gates, bank = xor_bank((0,), alloc)
         assert gates == []
-        assert bank == {0: zero, 1: 0}
+        assert bank == {1: 0}
+        assert alloc.next_free == 2
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_subset_lines_exhaustive(self, s):
         alloc = LineAllocator(s)
-        zero = alloc.take()
-        gates, bank = xor_bank(tuple(range(s)), alloc, zero)
-        assert len(bank) == 1 << s
-        assert len(gates) <= 1 << (s + 1)
+        gates, bank = xor_bank(tuple(range(s)), alloc)
+        assert sorted(bank) == list(range(1, 1 << s))  # every nonempty subset
+        assert alloc.next_free - s == (1 << s) - 1 - s
+        assert len(gates) == 2 * ((1 << s) - 1 - s)
         tables = sweep_tables(alloc.next_free, s, gates)
         masks = sweep_tables(s, s, [])
         for subset, line in bank.items():
@@ -97,9 +98,7 @@ class TestXorBank:
     def test_frozen_counts(self):
         counts = {}
         for s in (2, 4):
-            alloc = LineAllocator(s)
-            zero = alloc.take()
-            gates, _ = xor_bank(tuple(range(s)), alloc, zero)
+            gates, _ = xor_bank(tuple(range(s)), LineAllocator(s))
             counts[s] = len(gates)
         assert counts == {2: 2, 4: 22}
 
@@ -134,8 +133,8 @@ class TestSynthMapping:
         f = BooleanMapping(4, (0,) * 16)
         circuit, report = synth_mapping(f, 1)
         assert realized_mapping(circuit).images == (0,) * 16
-        assert report.gate_counts[3] == 0  # no coordinate gates
-        assert report.gate_counts[4] == 0  # no output gates
+        assert report.gate_counts[3] == 0  # no output gates
+        assert len(report.gate_counts) == len(report.ancilla_counts) == 4
 
     def test_identity_n4(self):
         f = BooleanMapping(4, tuple(range(16)))
@@ -159,8 +158,7 @@ class TestSynthMapping:
             assert realized_mapping(circuit).images == f.images, trial
             assert report.s == s
             assert report.gate_counts[3] <= report.p * n * (1 << (n - k))
-            assert report.gate_counts[4] <= n * (1 << (n - k))
-            assert report.ancilla_counts[4] == n
+            assert report.ancilla_counts[3] == n
             assert all(len(g.controls) <= 2 for g in circuit.gates)
 
     def test_stage_accounting_matches_circuit(self, rng):
@@ -190,21 +188,30 @@ class TestSynthMapping:
 
 class TestStageBoundaries:
     def test_coordinate_lines_match_ring_sums(self, rng):
-        # Every coordinate function f_{i,j}, lifted over all n-bit inputs,
-        # is the truth table of some line before stage S5 starts.
+        # Every nonzero restriction of a coordinate function f_{i,j} to a
+        # group of s first-bank minterms, lifted over all n-bit inputs, is the
+        # truth table of its XOR-bank line before the output stage starts.
         n, k = 6, 2
         f = BooleanMapping(n, tuple(rng.randrange(64) for _ in range(64)))
         circuit, report = synth_mapping(f, k)
-        before_s5 = circuit.gates[: len(circuit) - report.gate_counts[4]]
-        tables = set(sweep_tables(circuit.m, n, before_s5))
+        assert report.p == 2
+        before_s4 = circuit.gates[: len(circuit) - report.gate_counts[3]]
+        tables = set(sweep_tables(circuit.m, n, before_s4))
+        checked = 0
         for i in range(1 << (n - k)):
             for j in range(n):
-                expected = 0
-                for w in range(1 << n):
-                    sigma = w & ((1 << k) - 1)
-                    if (f.images[sigma | (i << k)] >> j) & 1:
-                        expected |= 1 << w
-                assert expected in tables, (i, j)
+                for start in range(0, 1 << k, report.s):
+                    expected = 0
+                    for w in range(1 << n):
+                        sigma = w & ((1 << k) - 1)
+                        if start <= sigma < start + report.s and (
+                            f.images[sigma | (i << k)] >> j
+                        ) & 1:
+                            expected |= 1 << w
+                    if expected:
+                        assert expected in tables, (i, j, start)
+                        checked += 1
+        assert checked == report.gate_counts[3]  # one output gate per restriction
 
     def test_controls_are_written_before_read(self, rng):
         f = BooleanMapping(4, tuple(rng.randrange(16) for _ in range(16)))
@@ -218,6 +225,6 @@ class TestStageBoundaries:
     def test_outputs_never_retargeted_after_final_write(self, rng):
         f = BooleanMapping(4, tuple(rng.randrange(16) for _ in range(16)))
         circuit, report = synth_mapping(f, 1)
-        stage5_start = len(circuit) - report.gate_counts[4]
-        for gate in circuit.gates[:stage5_start]:
+        stage4_start = len(circuit) - report.gate_counts[3]
+        for gate in circuit.gates[:stage4_start]:
             assert gate.target not in circuit.outputs

@@ -1,14 +1,8 @@
 """Generalized-gate replacement: borrowed, clean and garbage regimes."""
 import pytest
 
-from rcsynth import (
-    CapacityError,
-    Gate,
-    ParameterError,
-    decompose_borrowed,
-    decompose_clean,
-    decompose_garbage,
-)
+from rcsynth import CapacityError, Gate, ParameterError
+from rcsynth.toffoli import decompose_borrowed, decompose_clean, decompose_garbage
 
 
 def run(gates, bits):
