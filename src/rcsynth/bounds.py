@@ -6,7 +6,6 @@ named registry so that reports are reproducible from a CLI identifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ParameterError
@@ -21,16 +20,16 @@ PHI_REGISTRY: dict[str, Callable[[int], float]] = {
     "lupanov": lambda n: n / (math.log2(n) + 1.0),
 }
 
-# Block sizes whose block_upper a BoundReport carries.
-BLOCK_UPPER_KS = (4, 8, 16)
 # Bounds are float-valued; 3n 2^(n+4) in no_ancilla_upper is the first to
 # leave the float range, near n = 1009, so n stops at 1000.
 MAX_BOUND_N = 1000
 
 
 def _check_n(n: int, low: int) -> None:
-    if not low <= n <= MAX_BOUND_N:
-        raise ParameterError(f"need {low} <= n <= {MAX_BOUND_N}, got n={n}")
+    if n < low:
+        raise ParameterError(f"requires n >= {low}")
+    if n > MAX_BOUND_N:
+        raise ParameterError(f"requires n <= {MAX_BOUND_N}")
 
 
 def shannon_lower(n: int, q: int) -> float:
@@ -102,54 +101,37 @@ def pair_block_upper(n: int) -> float:
     return block_upper(n, 4)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Every bound formula evaluated at one (n, q) point."""
-
-    n: int
-    q: int
-    gate_set_size: int
-    shannon_lower: float
-    gluhov_bound: int | None
-    simple_lower: float | None
-    no_ancilla_upper: float | None
-    no_ancilla_epsilon: float | None
-    no_ancilla_note: str | None
-    block_upper: dict[int, float] = field(default_factory=dict)
-    reference_constants: dict[str, int] = field(default_factory=dict)
+Row = tuple[str, float | None, str]
 
 
-def build_report(n: int, q: int, phi_id: str = "one") -> BoundReport:
-    gluhov = gluhov_bound(n)
-    simple = simple_lower(n) if n >= 4 else None
-    upper = eps = None
-    note = None
-    if n < 4:
-        note = "requires n >= 4"
-    else:
-        try:
-            upper, eps = no_ancilla_upper(n, phi_id)
-        except ParameterError as exc:
-            note = str(exc)
-    blocks = {}
-    for k in BLOCK_UPPER_KS:
-        try:
-            blocks[k] = block_upper(n, k)
-        except ParameterError:
-            continue
-    return BoundReport(
-        n=n,
-        q=q,
-        gate_set_size=gate_set_size(n),
-        shannon_lower=shannon_lower(n, q),
-        gluhov_bound=gluhov,
-        simple_lower=simple,
-        no_ancilla_upper=upper,
-        no_ancilla_epsilon=eps,
-        no_ancilla_note=note,
-        block_upper=blocks,
-        reference_constants={
-            "7n2^n": 7 * n * (1 << n),
-            "6n2^n": 6 * n * (1 << n),
-        },
-    )
+def _row(name: str, formula: Callable, *args, note: str = "") -> Row:
+    try:
+        return name, formula(*args), note
+    except ParameterError as exc:
+        return name, None, str(exc)
+
+
+def bound_table(n: int, q: int, phi_id: str = "one") -> list[Row]:
+    """Every bound formula evaluated once at (n, q), as (name, value, note)
+    rows in the column order of `bounds --csv`.  A formula that refuses n gives value None with
+    its reason as the note; an (n, q) that `shannon_lower` refuses raises."""
+    shannon = shannon_lower(n, q)
+    try:
+        upper, eps = no_ancilla_upper(n, phi_id)
+        upper_note, eps_note = f"phi={phi_id}", ""
+    except ParameterError as exc:
+        upper = eps = None
+        upper_note = eps_note = str(exc)
+    return [
+        ("n", n, ""),
+        ("q", q, ""),
+        ("gate_set_size", gate_set_size(n), ""),
+        ("shannon_lower", shannon, ""),
+        _row("gluhov_bound", gluhov_bound, n, note="heuristic"),
+        _row("simple_lower", simple_lower, n),
+        ("no_ancilla_upper", upper, upper_note),
+        ("no_ancilla_epsilon", eps, eps_note),
+        *(_row(f"block_upper_k{k}", block_upper, n, k) for k in (4, 8, 16)),
+        ("ref_7n2^n", 7 * n * (1 << n), ""),
+        ("ref_6n2^n", 6 * n * (1 << n), ""),
+    ]

@@ -207,12 +207,9 @@ def realized_mapping(circuit: Circuit) -> BooleanMapping:
             f"realized_mapping over 2^{circuit.n} inputs exceeds cap {cap}"
         )
     tables = _sweep(circuit)
-    out_tables = [tables[line] for line in circuit.outputs]
-    images = []
-    for w in range(1 << circuit.n):
-        value = 0
-        for j, table in enumerate(out_tables):
-            value |= ((table >> w) & 1) << j
-        images.append(value)
-    return BooleanMapping(circuit.n, tuple(images))
-
+    # Bit w of column j is bit j of image w: write each output table as a
+    # bit string, input 0 first, and read the images off the zipped columns.
+    size = 1 << circuit.n
+    columns = [format(tables[line], f"0{size}b")[::-1] for line in reversed(circuit.outputs)]
+    images = tuple(int("".join(bits), 2) for bits in zip(*columns))
+    return BooleanMapping(circuit.n, images)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io as stringio
+import os
 import sys
 from pathlib import Path
 from random import Random
@@ -43,6 +44,10 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 def _write(path: str, text: str) -> None:
@@ -66,73 +71,35 @@ def _write_or_print(text: str, path: str | None, report_lines: list[str]) -> Non
 
 
 def _check_against_table(circuit: Circuit, table: BooleanMapping) -> int:
-    realized = realized_mapping(circuit)
-    for w in range(1 << circuit.n):
-        if realized.images[w] != table.images[w]:
-            print(
-                f"mismatch at input {w}: circuit gives {realized.images[w]}, "
-                f"expected {table.images[w]}",
-                file=sys.stderr,
-            )
-            return EXIT_MISMATCH
-    return EXIT_OK
+    realized = realized_mapping(circuit).images
+    if realized == table.images:
+        return EXIT_OK
+    w = next(w for w, image in enumerate(realized) if image != table.images[w])
+    print(
+        f"mismatch at input {w}: circuit gives {realized[w]}, expected {table.images[w]}",
+        file=sys.stderr,
+    )
+    return EXIT_MISMATCH
+
+
+def _bound_line(name: str, value: float | None, note: str) -> str:
+    line = f"{name} {'n/a' if value is None else _fmt(value)}"
+    return f"{line} ({note})" if note else line
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    pairs = [(n, q) for n in args.n for q in args.q]
-    reports = [bounds_mod.build_report(n, q, args.phi) for n, q in pairs]
+    tables = [bounds_mod.bound_table(n, q, args.phi) for n in args.n for q in args.q]
     if args.csv:
         buf = stringio.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(
-            ["n", "q", "gate_set_size", "shannon_lower", "gluhov_bound",
-             "simple_lower", "no_ancilla_upper", "no_ancilla_epsilon"]
-            + [f"block_upper_k{k}" for k in bounds_mod.BLOCK_UPPER_KS]
-            + ["ref_7n2^n", "ref_6n2^n"]
-        )
-        for rep in reports:
-            writer.writerow(
-                [
-                    rep.n,
-                    rep.q,
-                    rep.gate_set_size,
-                    _fmt(rep.shannon_lower),
-                    rep.gluhov_bound,
-                    _fmt(rep.simple_lower) if rep.simple_lower is not None else "",
-                    _fmt(rep.no_ancilla_upper) if rep.no_ancilla_upper is not None else "",
-                    _fmt(rep.no_ancilla_epsilon) if rep.no_ancilla_epsilon is not None else "",
-                ]
-                + [
-                    _fmt(rep.block_upper[k]) if k in rep.block_upper else ""
-                    for k in bounds_mod.BLOCK_UPPER_KS
-                ]
-                + [rep.reference_constants["7n2^n"], rep.reference_constants["6n2^n"]]
-            )
+        writer.writerow(name for name, _, _ in tables[0])
+        for table in tables:
+            writer.writerow("" if value is None else _fmt(value) for _, value, _ in table)
         text = buf.getvalue()
     else:
-        lines = []
-        for rep in reports:
-            lines.append(f"n {rep.n}  q {rep.q}")
-            lines.append(f"gate_set_size {rep.gate_set_size}")
-            lines.append(f"shannon_lower {_fmt(rep.shannon_lower)}")
-            lines.append(f"gluhov_bound {rep.gluhov_bound} (heuristic)")
-            if rep.simple_lower is not None:
-                lines.append(f"simple_lower {_fmt(rep.simple_lower)}")
-            else:
-                lines.append("simple_lower n/a (requires n >= 4)")
-            if rep.no_ancilla_upper is not None:
-                lines.append(
-                    f"no_ancilla_upper {_fmt(rep.no_ancilla_upper)} "
-                    f"(phi={args.phi}, epsilon={_fmt(rep.no_ancilla_epsilon)})"
-                )
-            else:
-                lines.append(f"no_ancilla_upper n/a ({rep.no_ancilla_note})")
-            for k, value in sorted(rep.block_upper.items()):
-                lines.append(f"block_upper[k={k}] {_fmt(value)}")
-            ref = rep.reference_constants
-            lines.append(f"reference 7n2^n {ref['7n2^n']}  6n2^n {ref['6n2^n']}")
-            lines.append("")
-        text = "\n".join(lines)
+        text = "\n".join(
+            "".join(_bound_line(*row) + "\n" for row in table) for table in tables
+        )
     _write_or_print(text, args.output, [])
     return EXIT_OK
 
@@ -240,15 +207,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"NOT {report.nots}")
     print(f"CNOT {report.cnots}")
     print(f"2-CNOT {report.toffolis}")
-    if circuit.n < 2:
-        print("shannon_lower n/a (requires n >= 2)")
-    elif circuit.n > bounds_mod.MAX_BOUND_N:
-        print(f"shannon_lower n/a (requires n <= {bounds_mod.MAX_BOUND_N})")
-    else:
-        print(f"shannon_lower {_fmt(bounds_mod.shannon_lower(circuit.n, circuit.q))}")
-        if circuit.n >= 4:
-            print(f"simple_lower {_fmt(bounds_mod.simple_lower(circuit.n))}")
-            print(f"pair_block_upper {_fmt(bounds_mod.pair_block_upper(circuit.n))}")
+    try:
+        table = bounds_mod.bound_table(circuit.n, circuit.q)
+    except ParameterError as exc:
+        table = [("shannon_lower", None, str(exc))]
+    for row in table:
+        if row[0] in ("shannon_lower", "simple_lower", "block_upper_k4"):
+            print(_bound_line(*row))
     return EXIT_OK
 
 
@@ -307,7 +272,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point the descriptor at devnull so the
+        # interpreter's final flush of what is still buffered stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INVALID
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -98,8 +98,20 @@ def serialize_circuit(circuit: Circuit, header_comments: Iterable[str] = ()) -> 
     return "\n".join(out) + "\n"
 
 
-def _parse_table(text: str, keyword: str) -> tuple[int, list[int]]:
+# Table type of each file keyword.
+_TABLE_TYPES = {"perm": Permutation, "map": BooleanMapping}
+
+
+def _parse_table(text: str, keyword: str | None = None) -> BooleanMapping:
+    """Table of a `keyword` file; keyword None takes the file's own, which
+    must be `perm` or `map`."""
     lines = _content_lines(text)
+    if keyword is None:
+        if not lines:
+            raise FormatError("empty file")
+        keyword = lines[0][1].split()[0]
+        if keyword not in _TABLE_TYPES:
+            raise FormatError(f"expected a `perm` or `map` file, found {keyword!r}")
     n = _header_int(lines, 0, keyword)
     values: list[int] = []
     for lineno, line in lines[1:]:
@@ -108,36 +120,23 @@ def _parse_table(text: str, keyword: str) -> tuple[int, list[int]]:
                 values.append(int(tok))
             except ValueError:
                 raise FormatError(f"line {lineno}: {tok!r} is not an integer") from None
-    return n, values
+    try:
+        return _TABLE_TYPES[keyword](n, tuple(values))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def parse_permutation(text: str) -> Permutation:
-    n, values = _parse_table(text, "perm")
-    try:
-        return Permutation(n, tuple(values))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return _parse_table(text, "perm")
 
 
 def parse_mapping(text: str) -> BooleanMapping:
-    n, values = _parse_table(text, "map")
-    try:
-        return BooleanMapping(n, tuple(values))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return _parse_table(text, "map")
 
 
 def parse_spec_table(text: str) -> BooleanMapping:
     """Accept either a permutation or a mapping file, for verification."""
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty file")
-    keyword = lines[0][1].split()[0]
-    if keyword == "perm":
-        return parse_permutation(text)
-    if keyword == "map":
-        return parse_mapping(text)
-    raise FormatError(f"expected a `perm` or `map` file, found {keyword!r}")
+    return _parse_table(text)
 
 
 def _serialize_table(

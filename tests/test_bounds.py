@@ -7,7 +7,7 @@ from rcsynth import ParameterError
 from rcsynth.bounds import (
     PHI_REGISTRY,
     block_upper,
-    build_report,
+    bound_table,
     epsilon,
     gate_set_size,
     gluhov_bound,
@@ -148,22 +148,34 @@ class TestBlockUpper:
 
 class TestBuildReport:
     def test_fields_present_for_n8(self):
-        report = build_report(8, 0, "one")
-        assert report.gate_set_size == gate_set_size(8)
-        assert report.shannon_lower == pytest.approx(168.0)
-        assert report.no_ancilla_upper is not None
-        assert 4 in report.block_upper
-        assert report.reference_constants["6n2^n"] == 6 * 8 * 256
+        table = bound_table(8, 0, "one")
+        values = {name: value for name, value, _ in table}
+        assert values["gate_set_size"] == gate_set_size(8)
+        assert values["shannon_lower"] == pytest.approx(168.0)
+        assert values["no_ancilla_upper"] is not None
+        assert values["block_upper_k4"] == block_upper(8, 4)
+        assert values["ref_6n2^n"] == 6 * 8 * 256
+        assert [name for name, _, _ in table] == [
+            "n", "q", "gate_set_size", "shannon_lower", "gluhov_bound", "simple_lower",
+            "no_ancilla_upper", "no_ancilla_epsilon", "block_upper_k4", "block_upper_k8",
+            "block_upper_k16", "ref_7n2^n", "ref_6n2^n",
+        ]
 
     def test_small_n_flags_no_ancilla_upper(self):
-        report = build_report(3, 0)
-        assert report.no_ancilla_upper is None
-        assert report.no_ancilla_note == "requires n >= 4"
-        assert report.simple_lower is None
+        rows = {name: (value, note) for name, value, note in bound_table(3, 0)}
+        assert rows["no_ancilla_upper"] == (None, "requires n >= 4")
+        assert rows["simple_lower"] == (None, "requires n >= 4")
+        assert rows["block_upper_k8"][0] is None
+        assert rows["gluhov_bound"][1] == "heuristic"
 
     def test_nonnegative_for_reasonable_points(self):
         for n in (4, 6, 8, 12):
-            report = build_report(n, 0, "one")
-            assert report.shannon_lower >= 0
-            assert report.gate_set_size > 0
-            assert report.gluhov_bound > 0
+            values = {name: value for name, value, _ in bound_table(n, 0, "one")}
+            assert values["shannon_lower"] >= 0
+            assert values["gate_set_size"] > 0
+            assert values["gluhov_bound"] > 0
+
+    @pytest.mark.parametrize("n, q", [(1, 0), (1001, 0), (4, -1)])
+    def test_outside_shannon_domain_raises(self, n, q):
+        with pytest.raises(ParameterError):
+            bound_table(n, q)

@@ -1,5 +1,9 @@
 """Command-line behavior: exit codes, file handling, determinism."""
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,19 @@ class TestBounds:
         assert code == 0
         assert "no_ancilla_upper n/a (requires n >= 4)" in out
 
+    def test_text_rows_use_csv_names(self, capsys):
+        _, csv_out, _ = run(capsys, "bounds", "--n", "3", "8", "--csv")
+        header = csv_out.splitlines()[0].split(",")
+        code, out, _ = run(capsys, "bounds", "--n", "3", "8")
+        assert code == 0
+        blocks = out.split("\n\n")
+        assert len(blocks) == 2
+        for block in blocks:
+            assert [line.split()[0] for line in block.splitlines()] == header
+        assert "gluhov_bound 215 (heuristic)" in blocks[1]
+        assert "no_ancilla_upper 191158.29355 (phi=one)" in blocks[1]
+        assert "block_upper_k8 n/a (k=8 needs log2 k < n=3)" in blocks[0]
+
     def test_csv_row_count(self, capsys):
         code, out, _ = run(capsys, "bounds", "--n", "4", "8", "--q", "0", "1", "--csv")
         assert code == 0
@@ -47,6 +64,31 @@ class TestBounds:
         code, out, err = run(capsys, "bounds", "--n", "1100")
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_n_below_shannon_domain_exits_3(self, capsys):
+        code, out, err = run(capsys, "bounds", "--n", "4", "1")
+        assert code == 3
+        assert out == "" and err == "error: requires n >= 2\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [["bounds", "--n", "4"], ["rand", "even-perm", "--n", "16"]])
+def test_closed_stdout_exits_2(argv, unbuffered):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rcsynth.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr and b"Exception" not in proc.stderr
 
 
 class TestRand:
@@ -135,6 +177,23 @@ class TestSynthAndVerify:
         code, _, err = run(capsys, "verify", str(circ), str(perm))
         assert code == 1
         assert "mismatch at input" in err
+
+    @pytest.mark.parametrize(
+        "gates, code, message",
+        [("", 0, "match on all 131072 inputs\n"),
+         ("c 0 16\n", 1, "mismatch at input 1: circuit gives 65537, expected 1\n")],
+        ids=["match", "mismatch"],
+    )
+    def test_verify_on_17_lines(self, tmp_path, capsys, gates, code, message):
+        # Past n = 16 the image gather must stay O(n 2^n), or verify hangs.
+        circ = tmp_path / "c.circ"
+        outputs = " ".join(str(i) for i in range(17))
+        circ.write_text(f"lines 17\ninputs 17\noutputs {outputs}\n{gates}")
+        perm = tmp_path / "id.perm"
+        perm.write_text(serialize_permutation(Permutation.identity(17)))
+        got, out, err = run(capsys, "verify", str(circ), str(perm))
+        assert got == code
+        assert (out if code == 0 else err) == message
 
     def test_mismatched_n_exits_2(self, tmp_path, capsys):
         code, perm, circ, _ = self.synth(tmp_path, capsys)
@@ -288,6 +347,29 @@ class TestSimulate:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, kind",
+    [("verify", "circuit"), ("verify", "table"), ("stats", "circuit"), ("synth", "table"),
+     ("simulate", "circuit")],
+)
+def test_non_utf8_input_exits_2(tmp_path, capsys, command, kind):
+    circ = tmp_path / "c.circ"
+    circ.write_bytes(b"lines 2\ninputs 2\noutputs 0 1\n")
+    table = tmp_path / "t.perm"
+    table.write_bytes(b"perm 2\n0 1 2 3\n")
+    bad = circ if kind == "circuit" else table
+    bad.write_bytes(bad.read_bytes() + b"# \xff\n")
+    argv = {
+        "verify": ["verify", str(circ), str(table)],
+        "stats": ["stats", str(circ)],
+        "synth": ["synth", "basic", str(table)],
+        "simulate": ["simulate", str(circ), "0"],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: cannot read {bad}: not UTF-8") and err.count("\n") == 1
+
+
 class TestStats:
     def test_empty_circuit_zero_counts(self, tmp_path, capsys):
         circ = tmp_path / "c.circ"
@@ -321,6 +403,24 @@ class TestStats:
         assert code == 0
         assert "shannon_lower n/a (requires n <= 1000)\n" in out
         assert "simple_lower" not in out and "pair_block_upper" not in out
+
+    @pytest.mark.parametrize(
+        "n, rows",
+        [
+            (2, ["shannon_lower -0.666667", "simple_lower n/a (requires n >= 4)",
+                 "block_upper_k4 n/a (k=4 needs log2 k < n=2)"]),
+            (3, ["shannon_lower 0.682479", "simple_lower n/a (requires n >= 4)",
+                 "block_upper_k4 400"]),
+            (4, ["shannon_lower 4.0", "simple_lower 10.666667", "block_upper_k4 412"]),
+        ],
+    )
+    def test_bound_rows(self, tmp_path, capsys, n, rows):
+        circ = tmp_path / "c.circ"
+        outputs = " ".join(str(i) for i in range(n))
+        circ.write_text(f"lines {n}\ninputs {n}\noutputs {outputs}\n")
+        code, out, _ = run(capsys, "stats", str(circ))
+        assert code == 0
+        assert out.splitlines()[-3:] == rows
 
 
 class TestOptionInventory:

@@ -1,4 +1,5 @@
-"""Serialized circuits of fixed instances, pinned by SHA-256 and gate count.
+"""Serialized circuits of fixed instances, pinned by SHA-256 and gate count,
+and the `bounds --csv` table, pinned by SHA-256.
 
 Any change to synthesis or serialization that alters one output byte fails
 here.  A change meant to alter output updates these values and reports the
@@ -15,6 +16,7 @@ from rcsynth import (
     synth_even_permutation,
     synth_mapping,
 )
+from rcsynth.cli import main
 from rcsynth.synth_lupanov import choose_params
 from conftest import random_even_permutation, random_permutation
 
@@ -78,3 +80,22 @@ def test_lupanov_forced_params():
         "4923544bb62a37e1b5cd63d053a34b9c0f81fbd09e35e43ed22b8d98e8b88b7d",
         959,
     )
+
+
+@pytest.mark.parametrize(
+    "phi, digest",
+    [
+        ("one", "a5d0036c8d24e8b3aadbda02d9d4dc1d4506408164244ce0bf0a0545bc1e7e77"),
+        ("two", "2e929c60114bd32b1af1ead9251c4da309ee7dfce54daf016c6f68962c7f2d56"),
+        ("log2", "d7bdf3705e9201c1b19c7b93adfd0dee9b71d6ec2b0139038637e000e2a1fd5e"),
+        ("loglog", "41f4db2df983801192a27f62d8e04cddece269f5ad24550686cde15beee7a470"),
+        ("sqrt", "058fa881188a20a6f22915dc5c57fd34af97e8352a2d9422d1137f0c2955e942"),
+        ("lupanov", "df39fe3de821475aa8197e8ca392164a92bef87ba36957409e15648787de257e"),
+    ],
+)
+def test_bounds_csv(capsys, phi, digest):
+    ns = [str(n) for n in range(2, 22)]
+    assert main(["bounds", "--csv", "--n", *ns, "--q", "0", "3", "--phi", phi]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 41
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

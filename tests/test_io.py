@@ -1,4 +1,6 @@
 """File format parsing and serialization round trips."""
+import re
+
 import pytest
 
 from rcsynth import (
@@ -15,6 +17,7 @@ from rcsynth import (
     serialize_mapping,
     serialize_permutation,
 )
+import rcsynth.io as rio
 from conftest import random_circuit
 
 
@@ -118,3 +121,25 @@ class TestTables:
         assert isinstance(table, BooleanMapping)
         with pytest.raises(FormatError):
             parse_spec_table("lines 2\ninputs 2\noutputs 0 1\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# only a comment\n", "empty file"),
+            ("lines 2\n", "expected a `perm` or `map` file, found 'lines'"),
+            ("perm 1 2\n1 0\n", "line 1: expected `perm <value>`, got 'perm 1 2'"),
+            ("map x\n1 0\n", "line 1: `map` value is not an integer"),
+            ("map 1\n1 y\n", "line 2: 'y' is not an integer"),
+            ("perm 1\n0 0\n", "not a bijection"),
+        ],
+    )
+    def test_spec_table_messages(self, text, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_spec_table(text)
+
+    def test_spec_table_reads_text_once(self, monkeypatch):
+        calls = []
+        original = rio._content_lines
+        monkeypatch.setattr(rio, "_content_lines", lambda text: calls.append(text) or original(text))
+        assert parse_spec_table("map 1\n1 1\n").images == (1, 1)
+        assert len(calls) == 1
