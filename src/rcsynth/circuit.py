@@ -7,14 +7,18 @@ Conventions used everywhere in the package:
   least significant bit);
 - a circuit has m lines, the first n carry the inputs, the remaining
   q = m - n are ancillas fixed to 0 on entry, and `outputs` names the n
-  lines read back out, in order.
+  lines read back out, in order;
+- a column holds one line over many inputs: bit x of column j is bit j of
+  word x.  `columns_of` and `words_of` convert, and `_sweep` runs the gates
+  over columns; the check after `synth` and `verify` (all 2^n inputs) and
+  `simulate` (one input) run that one sweep.
 """
 from __future__ import annotations
 
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, FormatError
 from .perm import BooleanMapping
@@ -150,24 +154,24 @@ def count_gates(circuit: Circuit) -> GateCountReport:
     return GateCountReport(nots=by_arity[0], cnots=by_arity[1], toffolis=by_arity[2])
 
 
-def simulate(circuit: Circuit, input_word: int) -> tuple[int, int]:
-    """Run one input: place it on lines 0..n-1, zero the ancillas, apply the
-    gates in order, and gather the output lines.  Returns (output, final
-    m-line state)."""
-    if not 0 <= input_word < (1 << circuit.n):
-        raise ValueError(f"input {input_word} does not fit in {circuit.n} bits")
-    bits = input_word
-    for gate in circuit.gates:
-        bits = gate.apply_to_bits(bits)
-    output = 0
-    for j, line in enumerate(circuit.outputs):
-        output |= ((bits >> line) & 1) << j
-    return output, bits
+def columns_of(words: Sequence[int], width: int) -> list[int]:
+    """The width columns of a nonempty word list: bit x of column j is bit j
+    of words[x].  Each word must fit in width bits."""
+    # Last word first, so each column zipped off the bit strings reads from
+    # its most significant bit.
+    rows = [format(word, f"0{width}b") for word in reversed(words)]
+    return [int("".join(bits), 2) for bits in zip(*rows)][::-1]
+
+
+def words_of(columns: Sequence[int], count: int) -> tuple[int, ...]:
+    """Inverse of columns_of: the count words whose bit j is bit x of
+    columns[j].  Transposing a bit matrix twice gives it back."""
+    return tuple(columns_of(columns, count))
 
 
 def truth_table_masks(n: int) -> list[int]:
     """Bit-parallel input columns: mask i has bit w set iff bit i of w is set,
-    for all w in [0, 2^n)."""
+    for all w in [0, 2^n); the closed form of columns_of(range(2^n), n)."""
     size = 1 << n
     masks = []
     for i in range(n):
@@ -182,20 +186,29 @@ def truth_table_masks(n: int) -> list[int]:
     return masks
 
 
-def _sweep(circuit: Circuit) -> list[int]:
-    """Truth table per line after running the circuit on all 2^n inputs
-    (ancillas start 0)."""
-    size = 1 << circuit.n
-    full = (1 << size) - 1
-    tables = [0] * circuit.m
-    for line, mask in enumerate(truth_table_masks(circuit.n)):
-        tables[line] = mask
+def _sweep(circuit: Circuit, input_tables: Sequence[int], full: int) -> list[int]:
+    """Column per line after running the gates: lines 0..n-1 start as
+    input_tables, the ancillas as 0, and full is the all-ones column that a
+    NOT flips."""
+    tables = list(input_tables) + [0] * circuit.q
     for controls, target in circuit.gates:
         fired = full
         for c in controls:
             fired &= tables[c]
         tables[target] ^= fired
     return tables
+
+
+def simulate(circuit: Circuit, input_word: int) -> tuple[int, int]:
+    """Run one input: place it on lines 0..n-1, zero the ancillas, apply the
+    gates in order, and gather the output lines.  Returns (output, final
+    m-line state)."""
+    if not 0 <= input_word < (1 << circuit.n):
+        raise ValueError(f"input {input_word} does not fit in {circuit.n} bits")
+    lines = _sweep(circuit, columns_of([input_word], circuit.n), 1)
+    (output,) = words_of([lines[line] for line in circuit.outputs], 1)
+    (final,) = words_of(lines, 1)
+    return output, final
 
 
 def realized_mapping(circuit: Circuit) -> BooleanMapping:
@@ -206,10 +219,7 @@ def realized_mapping(circuit: Circuit) -> BooleanMapping:
         raise CapacityError(
             f"realized_mapping over 2^{circuit.n} inputs exceeds cap {cap}"
         )
-    tables = _sweep(circuit)
-    # Bit w of column j is bit j of image w: write each output table as a
-    # bit string, input 0 first, and read the images off the zipped columns.
     size = 1 << circuit.n
-    columns = [format(tables[line], f"0{size}b")[::-1] for line in reversed(circuit.outputs)]
-    images = tuple(int("".join(bits), 2) for bits in zip(*columns))
+    tables = _sweep(circuit, truth_table_masks(circuit.n), (1 << size) - 1)
+    images = words_of([tables[line] for line in circuit.outputs], size)
     return BooleanMapping(circuit.n, images)

@@ -275,12 +275,15 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader closed stdout.  Point the descriptor at devnull so the
-        # interpreter's final flush of what is still buffered stays silent.
+    except OSError as exc:
+        # _read and _write wrap file errors, so stdout failed: a closed pipe
+        # (no message) or a full device.  Point the descriptor at devnull so
+        # the interpreter's final flush of what is still buffered stays silent.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

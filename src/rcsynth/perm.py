@@ -36,9 +36,6 @@ class BooleanMapping:
     def size(self) -> int:
         return 1 << self.n
 
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
 
 @dataclass(frozen=True)
 class Permutation(BooleanMapping):

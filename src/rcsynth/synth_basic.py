@@ -8,7 +8,7 @@ core gate realizes the block; concatenated blocks realize the permutation.
 from __future__ import annotations
 
 from .bounds import block_upper
-from .circuit import Circuit, Gate, GateCountReport, cnot, count_gates, not_gate
+from .circuit import Circuit, Gate, GateCountReport, cnot, columns_of, count_gates, not_gate
 from .errors import ContractError, ParameterError, ParityError
 from .perm import Pair, Permutation, is_even, plain_transpositions, transposition_stream
 from .toffoli import decompose_borrowed, decompose_clean
@@ -21,14 +21,6 @@ def _bit_positions(value: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         value ^= low
     return tuple(out)
-
-
-def _column(rows: list[int], j: int) -> int:
-    """Bit j of every row, row i at bit i."""
-    pattern = 0
-    for i, row in enumerate(rows):
-        pattern |= ((row >> j) & 1) << i
-    return pattern
 
 
 def _canonicalize(rows: list[int], n: int) -> tuple[list[Gate], Gate]:
@@ -56,9 +48,10 @@ def _canonicalize(rows: list[int], n: int) -> tuple[list[Gate], Gate]:
         rows = [gate.apply_to_bits(r) for r in rows]
 
     # Zero every column that repeats an earlier one; first occurrences stay.
+    # cnot(kept, j) zeroes column j and leaves the others as they were, so
+    # the columns of the rows as given serve for the whole pass.
     kept: dict[int, int] = {}
-    for j in range(n):
-        pattern = _column(rows, j)
+    for j, pattern in enumerate(columns_of(rows, n)):
         if pattern == 0:
             continue
         if pattern in kept:

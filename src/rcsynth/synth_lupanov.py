@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import MAX_LINES, Circuit, Gate, ccnot, cnot, not_gate
+from .circuit import MAX_LINES, Circuit, Gate, ccnot, cnot, columns_of, not_gate
 from .errors import CapacityError, ParameterError
 from .perm import BooleanMapping
 
@@ -143,16 +143,6 @@ def choose_params(n: int) -> int:
     return min((n - 1).bit_length() + 1, (n - 1) // 2)
 
 
-def _coordinate_support(f: BooleanMapping, k: int, i: int, j: int) -> int:
-    """Mask over sigma in [0, 2^k) with bit sigma set iff output bit j of
-    f(sigma | i << k) is 1."""
-    support = 0
-    for sigma in range(1 << k):
-        if (f.images[sigma | (i << k)] >> j) & 1:
-            support |= 1 << sigma
-    return support
-
-
 def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
     """Synthesize a circuit realizing the arbitrary mapping f with ancillas,
     from banks over k and n - k variables and p = ceil(2^k / s) groups of at
@@ -160,7 +150,9 @@ def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
 
     Output stage budget: L4 <= p n 2^(n-k), one 2-CNOT per nonzero group
     restriction of each coordinate function, with q4 = n output lines; all
-    gates have at most two controls by construction.
+    gates have at most two controls by construction.  The support of f_ij,
+    bit sigma set iff bit j of f(sigma | i << k) is 1, is the 2^k-bit window
+    i of coordinate column j, columns_of(f.images, n)[j].
     """
     n = f.n
     if not 1 <= k < n / 2:
@@ -195,9 +187,11 @@ def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
     # S4: m_i & f_ij is the XOR over groups t of m_i & (f_ij restricted to
     # group t), so each nonzero restriction is one 2-CNOT onto output j.
     out_lines = tuple(alloc.take() for _ in range(n))
+    columns = columns_of(f.images, n)
+    window = (1 << (1 << k)) - 1
     for j in range(n):
         for i in range(1 << (n - k)):
-            support = _coordinate_support(f, k, i, j)
+            support = (columns[j] >> (i << k)) & window
             for start, width, bank in groups:
                 mask = (support >> start) & ((1 << width) - 1)
                 if mask:

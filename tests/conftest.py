@@ -9,17 +9,21 @@ import pytest
 from rcsynth import Circuit, Gate, Permutation
 
 
+def naive_run(circuit: Circuit, w: int) -> tuple[int, int]:
+    """Reference simulation of one input, written directly over bit lists so
+    it shares no code with the package's truth-table sweep.  Returns
+    (output, final m-line state), as simulate does."""
+    bits = [(w >> i) & 1 for i in range(circuit.n)] + [0] * circuit.q
+    for gate in circuit.gates:
+        if all(bits[c] == 1 for c in gate.controls):
+            bits[gate.target] ^= 1
+    output = sum(bits[line] << j for j, line in enumerate(circuit.outputs))
+    return output, sum(bit << line for line, bit in enumerate(bits))
+
+
 def naive_mapping(circuit: Circuit) -> list[int]:
-    """Reference simulation, written directly over bit lists so it shares no
-    code with the package's integer and truth-table paths."""
-    images = []
-    for w in range(1 << circuit.n):
-        bits = [(w >> i) & 1 for i in range(circuit.n)] + [0] * circuit.q
-        for gate in circuit.gates:
-            if all(bits[c] == 1 for c in gate.controls):
-                bits[gate.target] ^= 1
-        images.append(sum(bits[line] << j for j, line in enumerate(circuit.outputs)))
-    return images
+    """Reference image table: the output of naive_run on every input."""
+    return [naive_run(circuit, w)[0] for w in range(1 << circuit.n)]
 
 
 def sweep_tables(m: int, n: int, gates) -> list[int]:

@@ -7,6 +7,7 @@ from rcsynth import CapacityError, Circuit, Gate, Permutation, realized_mapping
 from rcsynth.circuit import (
     ccnot,
     cnot,
+    columns_of,
     count_gates,
     not_gate,
     simulate,
@@ -266,3 +267,6 @@ def test_truth_table_masks():
     for w in range(8):
         for i in range(3):
             assert (masks[i] >> w) & 1 == (w >> i) & 1
+    # The closed form is the general transpose of the inputs in order.
+    for n in range(1, 11):
+        assert columns_of(range(1 << n), n) == truth_table_masks(n)

@@ -71,24 +71,42 @@ class TestBounds:
         assert out == "" and err == "error: requires n >= 2\n"
 
 
-@pytest.mark.parametrize("unbuffered", [True, False])
-@pytest.mark.parametrize("argv", [["bounds", "--n", "4"], ["rand", "even-perm", "--n", "16"]])
-def test_closed_stdout_exits_2(argv, unbuffered):
+STDOUT_ARGVS = [["bounds", "--n", "4"], ["rand", "even-perm", "--n", "16"]]
+
+
+def run_child(argv, stdout, unbuffered=False):
+    """Run the CLI in a fresh interpreter with stdout on the given file."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "rcsynth.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", STDOUT_ARGVS)
+def test_closed_stdout_exits_2(argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "rcsynth.cli", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
-        )
+        proc = run_child(argv, write_end, unbuffered)
     finally:
         os.close(write_end)
     assert proc.returncode == 2
     assert b"Traceback" not in proc.stderr and b"Exception" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", STDOUT_ARGVS)
+def test_full_stdout_exits_2(argv):
+    with open("/dev/full", "wb") as full:
+        proc = run_child(argv, full)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("error: cannot write stdout: ")
+    assert proc.stderr.count(b"\n") == 1 and b"Traceback" not in proc.stderr
 
 
 class TestRand:

@@ -50,7 +50,7 @@ class TestMovedPoints:
         for _ in range(10):
             p = random_permutation(4, rng)
             touched = {x for t in plain_transpositions(p) for x in t}
-            assert touched == {x for x in range(16) if p(x) != x}
+            assert touched == {x for x in range(16) if p.images[x] != x}
             assert transpositions_product(plain_transpositions(p), 4) == p
 
 

@@ -1,6 +1,6 @@
 """Property tests: the circuit parser on fuzzed input, the serialize/parse
-round trip on generated circuits, and basic and lupanov synthesis against
-the oracle."""
+round trip on generated circuits, the word/column transposes, simulation
+against the oracle, and basic and lupanov synthesis against the oracle."""
 import re
 
 from hypothesis import assume, given, settings
@@ -14,12 +14,14 @@ from rcsynth import (
     ParameterError,
     Permutation,
     parse_circuit,
+    realized_mapping,
     serialize_circuit,
     synth_even_permutation,
     synth_mapping,
 )
+from rcsynth.circuit import columns_of, simulate, words_of
 from rcsynth.perm import is_even
-from conftest import naive_mapping, sweep_tables
+from conftest import naive_mapping, naive_run, sweep_tables
 
 HEADER = "lines 4\ninputs 3\noutputs 0 1 2\n"
 
@@ -78,6 +80,33 @@ def circuits(draw):
 @given(circuits())
 def test_serialize_parse_round_trip(circuit):
     assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits())
+def test_simulate_matches_oracle_on_every_input(circuit):
+    for w in range(1 << circuit.n):
+        assert simulate(circuit, w) == naive_run(circuit, w)
+    assert realized_mapping(circuit).images == tuple(naive_mapping(circuit))
+
+
+word_lists = st.integers(1, 12).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=64),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_lists)
+def test_columns_words_round_trip(case):
+    width, words = case
+    columns = columns_of(words, width)
+    assert len(columns) == width
+    for j, column in enumerate(columns):
+        assert all((column >> x) & 1 == (w >> j) & 1 for x, w in enumerate(words))
+    assert words_of(columns, len(words)) == tuple(words)
 
 
 @st.composite
