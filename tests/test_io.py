@@ -65,6 +65,32 @@ class TestParseCircuit:
         with pytest.raises(FormatError):
             parse_circuit("lines 2\ninputs 2\noutputs 0 1\nc 0\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "missing `lines` header line"),
+            ("lines 2\n", "missing `inputs` header line"),
+            ("lines 2\ninputs 2\n", "missing `outputs` header line"),
+            ("inputs 2\nlines 2\n", "line 1: expected `lines <value>`, got 'inputs 2'"),
+            ("lines 2\noutputs 0 1\n", "line 2: expected `inputs <value>`, got 'outputs 0 1'"),
+            ("lines 2\ninputs 2\nc 0 1\n", "line 3: expected `outputs ...`, got 'c 0 1'"),
+            ("lines two\n", "line 1: `lines` value is not an integer"),
+            ("lines 2 3\n", "line 1: expected `lines <value>`, got 'lines 2 3'"),
+            ("lines 2\ninputs 2\noutputs 0 x\n", "line 3: outputs must be integers"),
+            ("lines 2\ninputs 2\noutputs 0 1\nz 0\n", "line 4: unknown gate kind 'z'"),
+            ("lines 2\ninputs 2\noutputs 0 1\nc 0\n", "line 4: `c` takes 2 arguments"),
+            ("lines 2\ninputs 2\noutputs 0 1\nc 0 y\n", "line 4: gate arguments must be integers"),
+            (
+                "# top\nlines 2\n\ninputs 2\noutputs 0 1\n\n# note\nc 0 1\n  \nc 0 2\n",
+                "line 10: target 2 out of range [0, 2)",
+            ),
+            ("lines 2\ninputs 2\noutputs 0 0\nc 0 1\n", "outputs must name 2 distinct lines"),
+        ],
+    )
+    def test_messages(self, text, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_circuit(text)
+
 
 class TestSerializeCircuit:
     def test_round_trip_random_circuits(self, rng):

@@ -1,12 +1,14 @@
-"""The README's "Library use" example, run as written, the options its
-"Command line" section names, and the package's public names."""
+"""The README's "Library use" example and "Command line" examples, run as
+written, the options its "Command line" section names, and the package's
+public names."""
 import argparse
 import re
+import shlex
 from pathlib import Path
 from types import ModuleType
 
 import rcsynth
-from rcsynth.cli import build_parser
+from rcsynth.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,6 +18,17 @@ def test_library_use_snippet_runs():
     section = text.split("## Library use", 1)[1]
     snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(snippet, str(README), "exec"), {})
+
+
+def test_command_line_examples_run(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert commands and all(argv[0] == "rcsynth" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
 
 
 def test_command_line_options_exist():
