@@ -1,6 +1,7 @@
-"""Text file formats for circuits, permutations and mappings.
+r"""Text file formats for circuits, permutations and mappings.
 
-Circuit file (UTF-8, `#` starts a comment, blank lines ignored):
+Lines end at \n, \r\n or \r; a `#` comment runs to the end of its line, and
+blank lines are ignored.  Circuit file (UTF-8):
 
     lines <m>
     inputs <n>
@@ -16,7 +17,10 @@ Permutation file: ``perm <n>`` then 2^n integers forming a bijection on
 """
 from __future__ import annotations
 
-from typing import Iterable
+import re
+from io import StringIO
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 from .circuit import Circuit, Gate, find_gate_fault
 from .errors import FormatError
@@ -27,45 +31,38 @@ GATE_LETTERS = ("n", "c", "t")
 _ARITY = {letter: i + 1 for i, letter in enumerate(GATE_LETTERS)}
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            out.append((lineno, stripped))
-    return out
+def _records(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, content) of each line with text outside its comment."""
+    for lineno, line in enumerate(StringIO(text, newline=None), start=1):
+        content = line.split("#", 1)[0].strip()
+        if content:
+            yield lineno, content
 
 
-def _header_int(lines: list[tuple[int, str]], index: int, keyword: str) -> int:
-    if index >= len(lines):
+def _header(records: Iterator[tuple[int, str]], keyword: str, count: int | None) -> list[int]:
+    """The `count` integers (any number if None) after `keyword` on the next record."""
+    lineno, line = next(records, (0, ""))
+    if not line:
         raise FormatError(f"missing `{keyword}` header line")
-    lineno, line = lines[index]
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != keyword:
-        raise FormatError(f"line {lineno}: expected `{keyword} <value>`, got {line!r}")
+    head, *tokens = line.split()
+    if head != keyword or count not in (None, len(tokens)):
+        shape = "..." if count is None else "<value>"
+        raise FormatError(f"line {lineno}: expected `{keyword} {shape}`, got {line!r}")
     try:
-        return int(parts[1])
+        return [int(tok) for tok in tokens]
     except ValueError:
+        if count is None:
+            raise FormatError(f"line {lineno}: {keyword} must be integers") from None
         raise FormatError(f"line {lineno}: `{keyword}` value is not an integer") from None
 
 
 def parse_circuit(text: str) -> Circuit:
-    lines = _content_lines(text)
-    m = _header_int(lines, 0, "lines")
-    n = _header_int(lines, 1, "inputs")
-    if len(lines) < 3:
-        raise FormatError("missing `outputs` header line")
-    lineno, outline = lines[2]
-    parts = outline.split()
-    if parts[0] != "outputs":
-        raise FormatError(f"line {lineno}: expected `outputs ...`, got {outline!r}")
-    try:
-        outputs = tuple(int(tok) for tok in parts[1:])
-    except ValueError:
-        raise FormatError(f"line {lineno}: outputs must be integers") from None
-
+    records = _records(text)
+    (m,) = _header(records, "lines", 1)
+    (n,) = _header(records, "inputs", 1)
+    outputs = _header(records, "outputs", None)
     gates = []
-    for lineno, line in lines[3:]:
+    for lineno, line in records:
         letter, *args = line.split()
         arity = _ARITY.get(letter)
         if arity is None:
@@ -77,25 +74,28 @@ def parse_circuit(text: str) -> Circuit:
         except ValueError:
             raise FormatError(f"line {lineno}: gate arguments must be integers") from None
         gates.append(Gate(values[:-1], values[-1]))
-
     try:
         return Circuit(m, n, gates, outputs)
     except ValueError as exc:
         fault = find_gate_fault(gates, m)
         if fault is None:
             raise FormatError(str(exc)) from None
-        index, reason = fault
-        raise FormatError(f"line {lines[3 + index][0]}: {reason}") from None
+        lineno, _ = next(islice(_records(text), 3 + fault[0], None))
+        raise FormatError(f"line {lineno}: {fault[1]}") from None
+
+
+def _text(header_comments: Iterable[str], lines: list[str]) -> str:
+    """`lines` under one `# ` line per line of each header comment."""
+    comments = [f"# {line}" for c in header_comments for line in re.split(r"\r\n?|\n", c)]
+    return "\n".join(comments + lines) + "\n"
 
 
 def serialize_circuit(circuit: Circuit, header_comments: Iterable[str] = ()) -> str:
-    out = [f"# {comment}" for comment in header_comments]
-    out.append(f"lines {circuit.m}")
-    out.append(f"inputs {circuit.n}")
+    out = [f"lines {circuit.m}", f"inputs {circuit.n}"]
     out.append("outputs " + " ".join(str(i) for i in circuit.outputs))
     for controls, target in circuit.gates:
         out.append(" ".join([GATE_LETTERS[len(controls)], *map(str, controls), str(target)]))
-    return "\n".join(out) + "\n"
+    return _text(header_comments, out)
 
 
 # Table type of each file keyword.
@@ -105,16 +105,18 @@ _TABLE_TYPES = {"perm": Permutation, "map": BooleanMapping}
 def _parse_table(text: str, keyword: str | None = None) -> BooleanMapping:
     """Table of a `keyword` file; keyword None takes the file's own, which
     must be `perm` or `map`."""
-    lines = _content_lines(text)
+    records = _records(text)
     if keyword is None:
-        if not lines:
+        first = next(records, None)
+        if first is None:
             raise FormatError("empty file")
-        keyword = lines[0][1].split()[0]
+        keyword = first[1].split()[0]
         if keyword not in _TABLE_TYPES:
             raise FormatError(f"expected a `perm` or `map` file, found {keyword!r}")
-    n = _header_int(lines, 0, keyword)
+        records = chain([first], records)
+    (n,) = _header(records, keyword, 1)
     values: list[int] = []
-    for lineno, line in lines[1:]:
+    for lineno, line in records:
         for tok in line.split():
             try:
                 values.append(int(tok))
@@ -140,14 +142,10 @@ def parse_spec_table(text: str) -> BooleanMapping:
 
 
 def _serialize_table(
-    keyword: str, n: int, values: Iterable[int], header_comments: Iterable[str]
+    keyword: str, n: int, values: tuple[int, ...], header_comments: Iterable[str]
 ) -> str:
-    out = [f"# {comment}" for comment in header_comments]
-    out.append(f"{keyword} {n}")
-    values = list(values)
-    for i in range(0, len(values), 16):
-        out.append(" ".join(str(v) for v in values[i : i + 16]))
-    return "\n".join(out) + "\n"
+    rows = (" ".join(map(str, values[i : i + 16])) for i in range(0, len(values), 16))
+    return _text(header_comments, [f"{keyword} {n}", *rows])
 
 
 def serialize_permutation(p: Permutation, header_comments: Iterable[str] = ()) -> str:

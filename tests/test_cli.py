@@ -163,6 +163,14 @@ class TestSynthAndVerify:
         assert code == 0
         assert "match on all 32 inputs" in out
 
+    def test_line_break_in_spec_path(self, tmp_path, capsys):
+        # `synth` writes the spec path into the circuit's header comment.
+        perm = tmp_path / "x\ny.perm"
+        circ = tmp_path / "out.circ"
+        assert run(capsys, "rand", "even-perm", "--n", "3", "-o", str(perm))[0] == 0
+        assert run(capsys, "synth", "basic", str(perm), "-o", str(circ))[0] == 0
+        assert run(capsys, "verify", str(circ), str(perm))[0] == 0
+
     def test_identity_synthesizes_to_empty_circuit(self, tmp_path, capsys):
         perm = tmp_path / "id.perm"
         perm.write_text(serialize_permutation(Permutation.identity(4)))

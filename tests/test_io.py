@@ -111,6 +111,17 @@ class TestSerializeCircuit:
         assert text.startswith("# seed 42\n")
         assert parse_circuit(text) == c
 
+    def test_each_comment_line_is_commented(self):
+        c = Circuit(2, 2, (Gate((0,), 1),), (0, 1))
+        comments = ["", "a\x0cb", "x\ny.perm", "c\r\nd\re"]
+        text = serialize_circuit(c, comments)
+        assert text == (
+            "# \n# a\x0cb\n# x\n# y.perm\n# c\n# d\n# e\nlines 2\ninputs 2\noutputs 0 1\nc 0 1\n"
+        )
+        assert serialize_mapping(BooleanMapping(1, (1, 1)), comments) == (
+            "# \n# a\x0cb\n# x\n# y.perm\n# c\n# d\n# e\nmap 1\n1 1\n"
+        )
+
 
 class TestTables:
     def test_permutation_round_trip(self, rng):
@@ -165,7 +176,28 @@ class TestTables:
 
     def test_spec_table_reads_text_once(self, monkeypatch):
         calls = []
-        original = rio._content_lines
-        monkeypatch.setattr(rio, "_content_lines", lambda text: calls.append(text) or original(text))
+        original = rio._records
+        monkeypatch.setattr(rio, "_records", lambda text: calls.append(text) or original(text))
         assert parse_spec_table("map 1\n1 1\n").images == (1, 1)
         assert len(calls) == 1
+
+
+# Characters that str.splitlines() breaks lines at, but that are not line
+# ends in these files, where lines end at \n, \r\n or \r only.
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=ascii)
+    def test_comment_runs_to_line_end(self, char):
+        head = f"lines 2\ninputs 2\noutputs 0 1\n# a{char}b\n"
+        assert parse_circuit(head + "c 0 1\n").gates == (Gate((0,), 1),)
+        with pytest.raises(FormatError, match=r"^line 5: target 2 out of range"):
+            parse_circuit(head + "c 0 2\n")
+        assert parse_permutation(f"perm 1\n# a{char}b\n1 0\n").images == (1, 0)
+        assert parse_spec_table(f"# a{char}b\nmap 1\n1 1\n").images == (1, 1)
+
+    def test_crlf_and_cr_end_lines(self):
+        with pytest.raises(FormatError, match=r"^line 5: target 2 out of range"):
+            parse_circuit("lines 2\r\ninputs 2\routputs 0 1\r\n# a\rc 0 2\n")
+        assert parse_mapping("map 1\r# a\r\n1 1").images == (1, 1)

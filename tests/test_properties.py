@@ -1,6 +1,7 @@
 """Property tests: the circuit parser on fuzzed input, the serialize/parse
-round trip on generated circuits, the word/column transposes, simulation
-against the oracle, and basic and lupanov synthesis against the oracle."""
+round trip on generated circuits and tables under any header comments, the
+word/column transposes, simulation against the oracle, and basic and lupanov
+synthesis against the oracle."""
 import re
 
 from hypothesis import assume, given, settings
@@ -14,8 +15,13 @@ from rcsynth import (
     ParameterError,
     Permutation,
     parse_circuit,
+    parse_mapping,
+    parse_permutation,
+    parse_spec_table,
     realized_mapping,
     serialize_circuit,
+    serialize_mapping,
+    serialize_permutation,
     synth_even_permutation,
     synth_mapping,
 )
@@ -76,10 +82,33 @@ def circuits(draw):
     return Circuit(m, n, tuple(gates), tuple(outputs))
 
 
+comment_lists = st.lists(st.text(), max_size=4)
+
+
 @settings(max_examples=200, deadline=None)
-@given(circuits())
-def test_serialize_parse_round_trip(circuit):
-    assert parse_circuit(serialize_circuit(circuit)) == circuit
+@given(circuits(), comment_lists)
+def test_serialize_parse_round_trip(circuit, comments):
+    assert parse_circuit(serialize_circuit(circuit, comments)) == circuit
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 4))
+    size = 1 << n
+    if draw(st.booleans()):
+        return Permutation(n, tuple(draw(st.permutations(range(size)))))
+    images = draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+    return BooleanMapping(n, tuple(images))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), comment_lists)
+def test_table_serialize_parse_round_trip(table, comments):
+    if isinstance(table, Permutation):
+        assert parse_permutation(serialize_permutation(table, comments)) == table
+    else:
+        assert parse_mapping(serialize_mapping(table, comments)) == table
+    assert parse_spec_table(serialize_mapping(table, comments)).images == table.images
 
 
 @settings(max_examples=200, deadline=None)
