@@ -1,5 +1,5 @@
 """Serialized circuits of fixed instances, pinned by SHA-256 and gate count,
-and the `bounds --csv` table, pinned by SHA-256.
+the `bounds --csv` table and the transposition grouping, pinned by SHA-256.
 
 Any change to synthesis or serialization that alters one output byte fails
 here.  A change meant to alter output updates these values and reports the
@@ -17,6 +17,7 @@ from rcsynth import (
     synth_mapping,
 )
 from rcsynth.cli import main
+from rcsynth.perm import Permutation, transposition_stream
 from rcsynth.synth_lupanov import choose_params
 from conftest import random_even_permutation, random_permutation
 
@@ -99,3 +100,30 @@ def test_bounds_csv(capsys, phi, digest):
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 41
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _stream_inputs():
+    """Per n = 3..10: a random even permutation, an involution x -> x ^ 1 on
+    a seeded subset of pairs (many 2-cycles) and one cycle through every
+    point in a seeded order."""
+    for n in range(3, 11):
+        rng = Random(n)
+        yield random_even_permutation(n, rng)
+        lows = [x for x in range(0, 1 << n, 2) if rng.random() < 0.75]
+        yield Permutation.from_cycles(n, [(x, x ^ 1) for x in lows])
+        order = list(range(1 << n))
+        rng.shuffle(order)
+        yield Permutation.from_cycles(n, [order])
+
+
+@pytest.mark.parametrize(
+    "K, digest",
+    [
+        (2, "dfec4886a54dc4c7407bcc994f243a445dca240c3e6316a8efc4d6823c01e49c"),
+        (4, "6ae2e4de64634211fd7092d83e8e7e1745d6915c42a6c4885d721f781058b2aa"),
+        (8, "4b7c7e30d92903a0ae8cc2d1003b202178e09f3a3c73b3c901d7994bdb3fa7ff"),
+    ],
+)
+def test_transposition_stream(K, digest):
+    text = "".join(repr(transposition_stream(p, K)) + "\n" for p in _stream_inputs())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
