@@ -63,26 +63,25 @@ def simple_lower(n: int) -> float:
 
 
 def epsilon(n: int, phi_id: str = "one") -> float:
-    """Second-order term 1 / (6 phi(n)) + (8/3) log2 n log2 log2 n / n."""
-    phi = PHI_REGISTRY[phi_id](n)
-    return 1.0 / (6.0 * phi) + (8.0 / 3.0) * math.log2(n) * math.log2(math.log2(n)) / n
-
-
-def no_ancilla_upper(n: int, phi_id: str = "one") -> tuple[float, float]:
-    """No-ancilla upper bound 3n 2^(n+4) (1 + eps(n)) / (log2 n -
-    log2 log2 n - log2 phi(n)); returns (value, eps(n)).
-
-    Requires phi(n) < n / log2 n so the denominator is positive.
-    """
+    """Second-order term 1 / (6 phi(n)) + (8/3) log2 n log2 log2 n / n of
+    the no-ancilla upper bound, on its domain: n >= 4 and
+    phi(n) < n / log2 n."""
     _check_n(n, 4)
     phi = PHI_REGISTRY[phi_id](n)
     if phi >= n / math.log2(n):
         raise ParameterError(
             f"phi {phi_id!r} gives {phi:.3f} >= n/log2(n) = {n / math.log2(n):.3f} at n={n}"
         )
-    denom = math.log2(n) - math.log2(math.log2(n)) - math.log2(phi)
+    return 1.0 / (6.0 * phi) + (8.0 / 3.0) * math.log2(n) * math.log2(math.log2(n)) / n
+
+
+def no_ancilla_upper(n: int, phi_id: str = "one") -> float:
+    """No-ancilla upper bound 3n 2^(n+4) (1 + eps(n)) / (log2 n -
+    log2 log2 n - log2 phi(n)), on the domain of `epsilon`, where the
+    denominator is positive."""
     eps = epsilon(n, phi_id)
-    return 3 * n * (1 << (n + 4)) * (1.0 + eps) / denom, eps
+    denom = math.log2(n) - math.log2(math.log2(n)) - math.log2(PHI_REGISTRY[phi_id](n))
+    return 3 * n * (1 << (n + 4)) * (1.0 + eps) / denom
 
 
 def block_upper(n: int, k: int) -> float:
@@ -116,12 +115,6 @@ def bound_table(n: int, q: int, phi_id: str = "one") -> list[Row]:
     rows in the column order of `bounds --csv`.  A formula that refuses n gives value None with
     its reason as the note; an (n, q) that `shannon_lower` refuses raises."""
     shannon = shannon_lower(n, q)
-    try:
-        upper, eps = no_ancilla_upper(n, phi_id)
-        upper_note, eps_note = f"phi={phi_id}", ""
-    except ParameterError as exc:
-        upper = eps = None
-        upper_note = eps_note = str(exc)
     return [
         ("n", n, ""),
         ("q", q, ""),
@@ -129,8 +122,8 @@ def bound_table(n: int, q: int, phi_id: str = "one") -> list[Row]:
         ("shannon_lower", shannon, ""),
         _row("gluhov_bound", gluhov_bound, n, note="heuristic"),
         _row("simple_lower", simple_lower, n),
-        ("no_ancilla_upper", upper, upper_note),
-        ("no_ancilla_epsilon", eps, eps_note),
+        _row("no_ancilla_upper", no_ancilla_upper, n, phi_id, note=f"phi={phi_id}"),
+        _row("no_ancilla_epsilon", epsilon, n, phi_id),
         *(_row(f"block_upper_k{k}", block_upper, n, k) for k in (4, 8, 16)),
         ("ref_7n2^n", 7 * n * (1 << n), ""),
         ("ref_6n2^n", 6 * n * (1 << n), ""),

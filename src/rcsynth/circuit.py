@@ -211,14 +211,17 @@ def simulate(circuit: Circuit, input_word: int) -> tuple[int, int]:
     return output, final
 
 
+def check_sweep_cap(n: int) -> None:
+    """Raise CapacityError if a sweep over all 2^n inputs exceeds the cap."""
+    cap = resolve_cap()
+    if n > cap:
+        raise CapacityError(f"realized_mapping over 2^{n} inputs exceeds cap {cap}")
+
+
 def realized_mapping(circuit: Circuit) -> BooleanMapping:
     """The mapping the circuit realizes: simulate(w) gathered over all
     w < 2^n.  Capped on n, the size of the table being materialized."""
-    cap = resolve_cap()
-    if circuit.n > cap:
-        raise CapacityError(
-            f"realized_mapping over 2^{circuit.n} inputs exceeds cap {cap}"
-        )
+    check_sweep_cap(circuit.n)
     size = 1 << circuit.n
     tables = _sweep(circuit, truth_table_masks(circuit.n), (1 << size) - 1)
     images = words_of([tables[line] for line in circuit.outputs], size)

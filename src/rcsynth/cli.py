@@ -15,7 +15,9 @@ from pathlib import Path
 from random import Random
 
 from . import bounds as bounds_mod
-from .circuit import Circuit, count_gates, realized_mapping, resolve_cap, simulate
+from .circuit import (
+    Circuit, check_sweep_cap, count_gates, realized_mapping, resolve_cap, simulate
+)
 from .errors import CapacityError, ContractError, FormatError, ParameterError, ParityError
 from .io import (
     parse_circuit,
@@ -106,8 +108,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     text = _read(args.input)
+    if args.mode == "lupanov" and args.ancillas is not None:
+        raise ParameterError("--ancillas applies to basic mode only")
+    target = (parse_permutation if args.mode == "basic" else parse_spec_table)(text)
+    if not args.no_verify:
+        check_sweep_cap(target.n)  # fail before synthesis, not after it
     if args.mode == "basic":
-        target = parse_permutation(text)
         ancillas = args.ancillas if args.ancillas is not None else 0
         circuit, report = synth_even_permutation(target, k=args.k, ancilla_budget=ancillas)
         report_lines = [
@@ -116,9 +122,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"ancillas {circuit.q}",
         ]
     else:
-        if args.ancillas is not None:
-            raise ParameterError("--ancillas applies to basic mode only")
-        target = parse_spec_table(text)
         k = args.k if args.k is not None else choose_params(target.n)
         circuit, stage = synth_mapping(target, k)
         report_lines = [

@@ -119,27 +119,17 @@ def split_dependent_pair(
     return (t1, fresh), (fresh, t2)
 
 
-def _take_from_cycle(cycle: list[int], count: int) -> tuple[list[Pair], list[int]]:
-    """Extract `count` pairwise-independent transpositions from the front of a
-    cycle, 1 <= count <= len(cycle) // 2.
-
-    (c0, c1, ..., c_{l-1}) splits as (c0,c1)(c2,c3)...(c_{2j-2},c_{2j-1})
-    followed by the shorter cycle (c0, c2, ..., c_{2j-2}, c_{2j}, ..., c_{l-1}).
-    """
-    taken = [_pair(cycle[2 * t], cycle[2 * t + 1]) for t in range(count)]
-    tail = [cycle[2 * t] for t in range(count)] + cycle[2 * count:]
-    return taken, tail
-
-
 def transposition_stream(p: Permutation, K: int) -> list[tuple[Pair, ...]]:
     """Decompose p into groups of K independent transpositions followed by
     independent pairs, preserving the left-to-right product.  A group is a
     tuple of transpositions (a, b) with a < b and no point shared.
 
-    Groups are filled greedily, one pass over the outstanding cycles per
-    group.  The residual that cannot fill a pair is either a lone
-    transposition (odd p) or a 3-cycle, which is rewritten through
-    split_dependent_pair.
+    Each group walks the outstanding cycles from the front and takes as many
+    pairs from each as it still needs: j pairs split (c0, c1, ..., c_{l-1})
+    as (c0,c1)(c2,c3)...(c_{2j-2},c_{2j-1}) followed by the shorter cycle
+    (c0, c2, ..., c_{2j-2}, c_{2j}, ..., c_{l-1}).  The residual that cannot
+    fill a pair is either a lone transposition (odd p) or a 3-cycle, which
+    is rewritten through split_dependent_pair.
     """
     if K < 2:
         raise ParameterError("group size K must be at least 2")
@@ -149,18 +139,14 @@ def transposition_stream(p: Permutation, K: int) -> list[tuple[Pair, ...]]:
     for size in (K, 2):
         while sum(len(c) // 2 for c in work) >= size:
             batch: list[Pair] = []
-            next_work: list[list[int]] = []
-            for idx, cycle in enumerate(work):
-                need = size - len(batch)
-                if need == 0:
-                    next_work.extend(work[idx:])
+            for i, cycle in enumerate(work):
+                take = min(len(cycle) // 2, size - len(batch))
+                if take == 0:
                     break
-                take = min(len(cycle) // 2, need)
-                taken, tail = _take_from_cycle(cycle, take)
-                batch.extend(taken)
-                if len(tail) >= 2:
-                    next_work.append(tail)
-            work = next_work
+                batch.extend(_pair(cycle[2 * t], cycle[2 * t + 1]) for t in range(take))
+                work[i] = cycle[: 2 * take : 2] + cycle[2 * take :]
+            # Only the walked cycles, work[: i + 1], can have fallen below 2 points.
+            work[: i + 1] = [c for c in work[: i + 1] if len(c) >= 2]
             groups.append(tuple(batch))
 
     if work:

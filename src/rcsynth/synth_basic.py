@@ -28,16 +28,12 @@ def _canonicalize(rows: list[int], n: int) -> tuple[list[Gate], Gate]:
     log2 k columns with all high columns 1, at which point the block is the
     single gate with controls on lines log2 k .. n-1 and target 0.
 
-    The rows are the block's moved points: a power-of-two count k >= 2 of
-    distinct n-bit points with log2 k < n."""
+    The rows are the block's moved points, pairwise distinct n-bit points;
+    their count k must be one that `block_upper(n, k)` admits."""
     k = len(rows)
-    if k < 2 or k & (k - 1):
-        raise ParameterError(f"row count {k} must be a power of two >= 2")
     if len(set(rows)) != k:
         raise ParameterError("rows must be pairwise distinct")
     lgk = k.bit_length() - 1
-    if lgk >= n:
-        raise ParameterError(f"log2({k}) must be below n={n}")
     if any(not 0 <= r < (1 << n) for r in rows):
         raise ParameterError("rows must be n-bit points")
     conjugators: list[Gate] = []
@@ -97,9 +93,12 @@ def synth_block(
 ) -> list[Gate]:
     """Gates realizing exactly the permutation of one group of independent
     transpositions on 2^n states: expanded conjugators, expanded core gate,
-    conjugators again in reverse.  With ancilla_lines the core gate is
-    expanded through clean helpers instead of borrowed data lines."""
+    the expanded conjugators again in reverse order.  With ancilla_lines the
+    core gate is expanded through clean helpers instead of borrowed data
+    lines.  `block_upper(n, k)` for the k = 2|group| moved points both
+    checks k and caps the gate count."""
     rows = [x for t in group for x in t]
+    budget = block_upper(n, len(rows))
     conjugators, core = _canonicalize(rows, n)
 
     def expand(gate: Gate, clean: bool = False) -> list[Gate]:
@@ -112,25 +111,16 @@ def synth_block(
         free = tuple(line for line in range(n) if line not in used) + ancilla_lines
         return decompose_borrowed(controls, target, free)
 
-    gates: list[Gate] = []
-    for gate in conjugators:
-        gates.extend(expand(gate))
-    gates.extend(expand(core, clean=True))
-    for gate in reversed(conjugators):
-        gates.extend(expand(gate))
-
-    budget = block_upper(n, len(rows))
+    parts = [expand(gate) for gate in conjugators]
+    gates = [g for part in parts + [expand(core, clean=True)] + parts[::-1] for g in part]
     if len(gates) > budget:
         raise ContractError(f"block emitted {len(gates)} gates, budget {budget}")
     return gates
 
 
 def _validate_block_size(k: int, n: int, ancilla_budget: int) -> None:
-    if k < 2 or k & (k - 1):
-        raise ParameterError(f"block size k={k} must be a power of two >= 2")
+    block_upper(n, k)  # raises unless k is a power of two >= 2 with log2 k < n
     lgk = k.bit_length() - 1
-    if lgk >= n:
-        raise ParameterError(f"block size k={k} needs log2 k < n={n}")
     if ancilla_budget == 0:
         # Borrowed expansion needs a line outside the gate: the core gate
         # (n - log2 k controls, target 0) leaves only lines 1..log2 k - 1
@@ -170,26 +160,19 @@ def synth_even_permutation(
 
     m = n + ancilla_budget
     ancilla_lines = tuple(range(n, m))
-    outputs = tuple(range(n))
 
     if n == 1:
         # One line admits only the identity and the NOT.
         gates = [] if p.is_identity() else [not_gate(0)]
-        circuit = Circuit(m, n, tuple(gates), outputs)
-        return circuit, count_gates(circuit)
-
-    if k is None:
-        # The paper's phi-driven k clamps to 4 for every n <= 1999 (any phi);
-        # the default passes _validate_block_size on every n >= 2.
-        k = 4 if n >= 3 else 2
-
-    if k == 2:
-        groups = [(t,) for t in plain_transpositions(p)]
     else:
-        groups = transposition_stream(p, k // 2)
-
-    gates = []
-    for group in groups:
-        gates.extend(synth_block(group, n, ancilla_lines))
-    circuit = Circuit(m, n, tuple(gates), outputs)
+        if k is None:
+            # The paper's phi-driven k clamps to 4 for every n <= 1999 (any
+            # phi); the default passes _validate_block_size on every n >= 2.
+            k = 4 if n >= 3 else 2
+        if k == 2:
+            groups = [(t,) for t in plain_transpositions(p)]
+        else:
+            groups = transposition_stream(p, k // 2)
+        gates = [g for group in groups for g in synth_block(group, n, ancilla_lines)]
+    circuit = Circuit(m, n, tuple(gates), tuple(range(n)))
     return circuit, count_gates(circuit)

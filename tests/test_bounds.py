@@ -93,9 +93,10 @@ class TestSimpleLower:
 
 class TestNoAncillaUpper:
     def test_returns_value_and_epsilon(self):
-        value, eps = no_ancilla_upper(16, "one")
+        value = no_ancilla_upper(16, "one")
+        eps = epsilon(16, "one")
+        assert eps == pytest.approx(1 / 6 + (8 / 3) * 4 * 2 / 16)
         denom = math.log2(16) - math.log2(math.log2(16))
-        assert eps == pytest.approx(epsilon(16, "one"))
         assert value == pytest.approx(3 * 16 * (1 << 20) * (1 + eps) / denom)
 
     def test_invalid_phi_rejected(self):
@@ -111,7 +112,7 @@ class TestNoAncillaUpper:
         for n in range(8, 65):
             for phi_id in PHI_REGISTRY:
                 try:
-                    value, _ = no_ancilla_upper(n, phi_id)
+                    value = no_ancilla_upper(n, phi_id)
                 except ParameterError:
                     continue
                 assert value >= simple_lower(n), (n, phi_id)
@@ -121,7 +122,7 @@ class TestNoAncillaUpper:
         for n in range(8, 65):
             for phi_id in PHI_REGISTRY:
                 try:
-                    value, _ = no_ancilla_upper(n, phi_id)
+                    value = no_ancilla_upper(n, phi_id)
                 except ParameterError:
                     continue
                 if shannon_lower(n, 0) > value:

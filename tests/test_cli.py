@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from rcsynth import Permutation, parse_circuit, parse_permutation, serialize_permutation
+from rcsynth import cli
 from rcsynth.cli import build_parser, main
 from rcsynth.perm import is_even
 
@@ -261,7 +262,7 @@ class TestSynthAndVerify:
         run(capsys, "rand", "perm", "--n", "1", "--seed", "1", "-o", str(perm))
         code, out, err = run(capsys, "synth", "basic", str(perm), "--k", k)
         assert code == 3
-        assert out == "" and err.startswith("error: block size k=")
+        assert out == "" and err.startswith("error: k=")
         code, _, _ = run(capsys, "synth", "basic", str(perm), "-o", str(tmp_path / "p.circ"))
         assert code == 0
 
@@ -310,6 +311,31 @@ class TestSynthAndVerify:
         code, _, err = run(capsys, "synth", "basic", str(perm))
         assert code == 2
         assert err == "error: RCSYNTH_CAP must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "mode, kind, synthesizer",
+        [("basic", "even-perm", "synth_even_permutation"), ("lupanov", "map", "synth_mapping")],
+    )
+    def test_sweep_cap_checked_before_synthesis(
+        self, tmp_path, capsys, monkeypatch, mode, kind, synthesizer
+    ):
+        spec = tmp_path / "f.tab"
+        run(capsys, "rand", kind, "--n", "5", "-o", str(spec))
+        calls = []
+        real = getattr(cli, synthesizer)
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, synthesizer, record)
+        monkeypatch.setenv("RCSYNTH_CAP", "4")
+        code, out, err = run(capsys, "synth", mode, str(spec))
+        assert (code, out, calls) == (3, "", [])
+        assert err == "error: realized_mapping over 2^5 inputs exceeds cap 4\n"
+        # Without the check after synthesis the cap does not apply.
+        code, _, _ = run(capsys, "synth", mode, str(spec), "--no-verify")
+        assert (code, len(calls)) == (0, 1)
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         perm = tmp_path / "p.perm"

@@ -68,7 +68,7 @@ class TestBlockMatrix:
             synth_block(((0, 1), (1, 2)), 4)
 
     def test_width_constraint(self):
-        with pytest.raises(ParameterError, match="below n=1"):
+        with pytest.raises(ParameterError, match="needs log2 k < n=1"):
             synth_block(((0, 1),), 1)
 
     def test_rows_must_be_n_bit_points(self):
