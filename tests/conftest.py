@@ -9,14 +9,21 @@ import pytest
 from rcsynth import Circuit, Gate, Permutation
 
 
+def run_bits(gates, bits: list[int]) -> list[int]:
+    """Run gates with any number of controls over a list of line bits, in
+    place: flip the target bit when every control bit is 1."""
+    for controls, target in gates:
+        if all(bits[c] == 1 for c in controls):
+            bits[target] ^= 1
+    return bits
+
+
 def naive_run(circuit: Circuit, w: int) -> tuple[int, int]:
     """Reference simulation of one input, written directly over bit lists so
     it shares no code with the package's truth-table sweep.  Returns
     (output, final m-line state), as simulate does."""
     bits = [(w >> i) & 1 for i in range(circuit.n)] + [0] * circuit.q
-    for gate in circuit.gates:
-        if all(bits[c] == 1 for c in gate.controls):
-            bits[gate.target] ^= 1
+    run_bits(circuit.gates, bits)
     output = sum(bits[line] << j for j, line in enumerate(circuit.outputs))
     return output, sum(bit << line for line, bit in enumerate(bits))
 
@@ -37,11 +44,11 @@ def sweep_tables(m: int, n: int, gates) -> list[int]:
         for w in range(size):
             column |= ((w >> i) & 1) << w
         tables[i] = column
-    for gate in gates:
+    for controls, target in gates:
         fired = full
-        for c in gate.controls:
+        for c in controls:
             fired &= tables[c]
-        tables[gate.target] ^= fired
+        tables[target] ^= fired
     return tables
 
 

@@ -1,5 +1,6 @@
 """Serialized circuits of fixed instances, pinned by SHA-256 and gate count,
-the `bounds --csv` table and the transposition grouping, pinned by SHA-256.
+the `bounds --csv` table, the transposition grouping and the Toffoli
+decompositions, pinned by SHA-256.
 
 Any change to synthesis or serialization that alters one output byte fails
 here.  A change meant to alter output updates these values and reports the
@@ -19,6 +20,7 @@ from rcsynth import (
 from rcsynth.cli import main
 from rcsynth.perm import Permutation, transposition_stream
 from rcsynth.synth_lupanov import choose_params
+from rcsynth.toffoli import decompose_borrowed, decompose_clean, decompose_garbage
 from conftest import random_even_permutation, random_permutation
 
 
@@ -126,4 +128,35 @@ def _stream_inputs():
 )
 def test_transposition_stream(K, digest):
     text = "".join(repr(transposition_stream(p, K)) + "\n" for p in _stream_inputs())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _toffoli_layouts():
+    """Per k = 3..8 and helper count h = 1..k: k controls, a target and h
+    helpers drawn in seeded order from 2(k + 1 + h) lines, so the layout is
+    shuffled and has gaps."""
+    for k in range(3, 9):
+        for h in range(1, k + 1):
+            lines = Random(100 * k + h).sample(range(2 * (k + 1 + h)), k + 1 + h)
+            yield lines[:k], lines[k], lines[k + 1 :]
+
+
+@pytest.mark.parametrize(
+    "decompose, digest",
+    [
+        (decompose_borrowed, "11b0ad70170a329239e6f6ba87d4f862afcf1b9ceba21248fc961c50280279da"),
+        (decompose_clean, "8510a31b21645f24a7a60fb69f5f4e5ea7b5dbbe590a641162faf94fa35b00d9"),
+        (decompose_garbage, "3749f13d4ffb6de0cb64e13db8d16152297ccc5408bd4209f9e148757fa486d4"),
+    ],
+    ids=["borrowed", "clean", "garbage"],
+)
+def test_toffoli_decompositions(decompose, digest):
+    # borrowed runs on every helper count, which covers both the split
+    # branch (h < k - 2) and the staircase; clean and garbage take exactly
+    # k - 2 helpers.
+    text = "".join(
+        repr([tuple(gate) for gate in decompose(controls, target, helpers)]) + "\n"
+        for controls, target, helpers in _toffoli_layouts()
+        if decompose is decompose_borrowed or len(helpers) == len(controls) - 2
+    )
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -1,7 +1,8 @@
 """Property tests: the circuit parser on fuzzed input, the serialize/parse
 round trip on generated circuits and tables under any header comments, the
-word/column transposes, simulation against the oracle, and basic and lupanov
-synthesis against the oracle."""
+word/column transposes, simulation against the oracle, the borrowed-line
+Toffoli expansion on any line layout, and basic and lupanov synthesis
+against the oracle."""
 import re
 
 from hypothesis import assume, given, settings
@@ -27,7 +28,8 @@ from rcsynth import (
 )
 from rcsynth.circuit import columns_of, simulate, words_of
 from rcsynth.perm import is_even
-from conftest import naive_mapping, naive_run, sweep_tables
+from rcsynth.toffoli import decompose_borrowed
+from conftest import naive_mapping, naive_run, run_bits, sweep_tables
 
 HEADER = "lines 4\ninputs 3\noutputs 0 1 2\n"
 
@@ -136,6 +138,30 @@ def test_columns_words_round_trip(case):
     for j, column in enumerate(columns):
         assert all((column >> x) & 1 == (w >> j) & 1 for x, w in enumerate(words))
     assert words_of(columns, len(words)) == tuple(words)
+
+
+@st.composite
+def borrowed_layouts(draw):
+    """(controls, target, helpers): k = 3..6 controls and 1..k helpers on
+    distinct lines, at most 10 lines in all, in any order."""
+    k = draw(st.integers(3, 6))
+    h = draw(st.integers(1, min(k, 10 - k - 1)))
+    lines = draw(st.permutations(range(10)))[: k + 1 + h]
+    return lines[:k], lines[k], lines[k + 1 :]
+
+
+@settings(max_examples=60, deadline=None)
+@given(borrowed_layouts())
+def test_borrowed_expansion_equals_generalized_gate(layout):
+    # Every state of every line, helpers included, maps as under the one
+    # k-controlled gate.
+    controls, target, helpers = layout
+    gates = decompose_borrowed(controls, target, helpers)
+    assert all(len(c) <= 2 for c, _ in gates)
+    m = max(controls + [target] + helpers) + 1
+    for w in range(1 << m):
+        bits = [(w >> i) & 1 for i in range(m)]
+        assert run_bits(gates, list(bits)) == run_bits([Gate(controls, target)], bits)
 
 
 @st.composite
