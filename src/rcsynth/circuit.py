@@ -47,7 +47,8 @@ class Gate(tuple):
     make a generalized gate, legal only as an in-memory intermediate inside
     `synth_block`; a `Circuit` holds basis gates only.  A gate is the pair
     (controls, target) with the controls in ascending order; which lines it
-    may use is checked by the `Circuit` that holds it.
+    may use is checked by the `Circuit` that holds it.  Its fields are read
+    by unpacking: `controls, target = gate`.
     """
 
     __slots__ = ()
@@ -57,14 +58,6 @@ class Gate(tuple):
 
     def __repr__(self) -> str:
         return f"Gate({self[0]!r}, {self[1]!r})"
-
-    @property
-    def controls(self) -> tuple[int, ...]:
-        return self[0]
-
-    @property
-    def target(self) -> int:
-        return self[1]
 
     def apply_to_bits(self, bits: int) -> int:
         controls, target = self
@@ -202,9 +195,9 @@ def _sweep(circuit: Circuit, input_tables: Sequence[int], full: int) -> list[int
 def simulate(circuit: Circuit, input_word: int) -> tuple[int, int]:
     """Run one input: place it on lines 0..n-1, zero the ancillas, apply the
     gates in order, and gather the output lines.  Returns (output, final
-    m-line state)."""
+    m-line state).  A word outside [0, 2^n) raises FormatError."""
     if not 0 <= input_word < (1 << circuit.n):
-        raise ValueError(f"input {input_word} does not fit in {circuit.n} bits")
+        raise FormatError(f"input {input_word} does not fit in {circuit.n} bits")
     lines = _sweep(circuit, columns_of([input_word], circuit.n), 1)
     (output,) = words_of([lines[line] for line in circuit.outputs], 1)
     (final,) = words_of(lines, 1)

@@ -149,14 +149,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    circuit = parse_circuit(_read(args.circuit))
     table = parse_spec_table(_read(args.spec))
+    check_sweep_cap(table.n)  # fail before parsing the circuit, not after it
+    circuit = parse_circuit(_read(args.circuit))
     if circuit.n != table.n:
-        print(
-            f"bit counts differ: circuit has n={circuit.n}, table has n={table.n}",
-            file=sys.stderr,
+        raise FormatError(
+            f"bit counts differ: circuit has n={circuit.n}, table has n={table.n}"
         )
-        return EXIT_INVALID
     code = _check_against_table(circuit, table)
     if code == EXIT_OK:
         print(f"match on all {1 << circuit.n} inputs")
@@ -169,8 +168,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         word = int(args.input, 0)
     except ValueError:
         raise FormatError(f"cannot parse input literal {args.input!r}") from None
-    if not 0 <= word < (1 << circuit.n):
-        raise FormatError(f"input {args.input} does not fit in {circuit.n} bits")
     output, final = simulate(circuit, word)
     print(f"input  0b{word:0{circuit.n}b} ({word})")
     print(f"output 0b{output:0{circuit.n}b} ({output})")

@@ -93,14 +93,6 @@ def _pair(a: int, b: int) -> Pair:
     return (a, b) if a < b else (b, a)
 
 
-def transpositions_product(ts: Iterable[Pair], n: int) -> Permutation:
-    """Left-to-right product of transpositions (a, b) as a Permutation."""
-    images = list(range(1 << n))
-    for a, b in ts:
-        images = [b if v == a else a if v == b else v for v in images]
-    return Permutation(n, tuple(images))
-
-
 def split_dependent_pair(
     t1: Pair, t2: Pair, n: int
 ) -> tuple[tuple[Pair, Pair], tuple[Pair, Pair]]:

@@ -4,7 +4,8 @@ Each function takes the k control lines, the target line and the helper
 lines, which must be disjoint from the gate's own lines.
 
 borrowed: helper lines hold arbitrary values and are restored; the whole
-          m-line state is preserved except for the intended target flip.
+          m-line state is preserved except for the intended target flip;
+          with k-2 or more helpers it is the garbage chain mirrored.
 clean:    k-2 helpers start at 0 and end at 0, exactly 2k-3 gates.
 garbage:  k-2 helpers start at 0 and may end dirty, exactly k-1 gates.
 """
@@ -17,19 +18,17 @@ from .errors import CapacityError, ParameterError
 
 
 def _dirty_chain(controls: Sequence[int], borrows: Sequence[int], target: int) -> list[Gate]:
-    """k-CNOT out of 4(k-2) 2-CNOTs using k-2 borrowed lines of any value.
+    """k-CNOT out of 4(k-2) 2-CNOTs using k-2 borrowed lines of any value:
+    the garbage chain [top, steps..., last] mirrored.
 
-    The staircase palindrome M adds controls[0] & ... & controls[k-2] onto the
-    last borrow and is an involution, so [L, M, L, M] leaves every borrow as
-    it was and flips the target exactly when all controls are 1.
+    The staircase palindrome M = [steps reversed, top, steps] adds
+    controls[0] & ... & controls[k-2] onto the last borrow and is an
+    involution, so [last, M, last, M] leaves every borrow as it was and
+    flips the target exactly when all controls are 1.
     """
-    k = len(controls)
-    top = ccnot(controls[0], controls[1], borrows[0])
-    steps = [
-        ccnot(controls[i + 2], borrows[i], borrows[i + 1]) for i in range(k - 3)
-    ]
-    last = ccnot(controls[k - 1], borrows[k - 3], target)
-    mountain = list(reversed(steps)) + [top] + steps
+    chain = decompose_garbage(controls, target, borrows)
+    last = chain[-1]
+    mountain = chain[-2:0:-1] + chain[:-1]
     return [last] + mountain + [last] + mountain
 
 

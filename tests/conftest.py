@@ -1,8 +1,10 @@
-"""Shared helpers: seeded instance generators and an independent simulator
-used as the oracle against the package's own evaluation paths."""
+"""Shared helpers: seeded instance generators, and an independent simulator
+and transposition product used as oracles against the package's own
+evaluation paths."""
 from __future__ import annotations
 
 from random import Random
+from typing import Iterable
 
 import pytest
 
@@ -50,6 +52,14 @@ def sweep_tables(m: int, n: int, gates) -> list[int]:
             fired &= tables[c]
         tables[target] ^= fired
     return tables
+
+
+def transpositions_product(ts: Iterable[tuple[int, int]], n: int) -> Permutation:
+    """Left-to-right product of transpositions (a, b) as a Permutation."""
+    images = list(range(1 << n))
+    for a, b in ts:
+        images = [b if v == a else a if v == b else v for v in images]
+    return Permutation(n, tuple(images))
 
 
 def random_permutation(n: int, rng: Random) -> Permutation:

@@ -228,7 +228,7 @@ class TestSynthAndVerify:
         other.write_text(serialize_permutation(Permutation.identity(3)))
         code, _, err = run(capsys, "verify", str(circ), str(other))
         assert code == 2
-        assert "bit counts differ" in err
+        assert err == "error: bit counts differ: circuit has n=5, table has n=3\n"
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.perm"
@@ -337,6 +337,23 @@ class TestSynthAndVerify:
         code, _, _ = run(capsys, "synth", mode, str(spec), "--no-verify")
         assert (code, len(calls)) == (0, 1)
 
+    def test_verify_checks_cap_before_parsing_circuit(self, tmp_path, capsys, monkeypatch):
+        spec = tmp_path / "f.map"
+        run(capsys, "rand", "map", "--n", "5", "-o", str(spec))
+        circ = tmp_path / "c.circ"
+        circ.write_text("lines 5\ninputs 5\noutputs 0 1 2 3 4\n")
+        calls = []
+
+        def record(text):
+            calls.append(text)
+            return parse_circuit(text)
+
+        monkeypatch.setattr(cli, "parse_circuit", record)
+        monkeypatch.setenv("RCSYNTH_CAP", "4")
+        code, out, err = run(capsys, "verify", str(circ), str(spec))
+        assert (code, out, calls) == (3, "", [])
+        assert err == "error: realized_mapping over 2^5 inputs exceeds cap 4\n"
+
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         perm = tmp_path / "p.perm"
         run(capsys, "rand", "even-perm", "--n", "4", "-o", str(perm))
@@ -395,8 +412,10 @@ class TestSimulate:
     def test_oversized_input_exits_2(self, tmp_path, capsys):
         circ = tmp_path / "c.circ"
         circ.write_text("lines 2\ninputs 2\noutputs 0 1\n")
-        code, _, _ = run(capsys, "simulate", str(circ), "7")
-        assert code == 2
+        for literal, value in (("7", 7), ("0b111", 7), ("-1", -1)):
+            code, _, err = run(capsys, "simulate", str(circ), literal)
+            assert code == 2
+            assert err == f"error: input {value} does not fit in 2 bits\n", literal
 
 
 @pytest.mark.parametrize(

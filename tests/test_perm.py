@@ -10,10 +10,9 @@ from rcsynth.perm import (
     plain_transpositions,
     split_dependent_pair,
     transposition_stream,
-    transpositions_product,
 )
 from rcsynth.synth_basic import synth_block
-from conftest import random_even_permutation, random_permutation
+from conftest import random_even_permutation, random_permutation, transpositions_product
 
 
 class TestParity:

@@ -161,7 +161,7 @@ def test_borrowed_expansion_equals_generalized_gate(layout):
     m = max(controls + [target] + helpers) + 1
     for w in range(1 << m):
         bits = [(w >> i) & 1 for i in range(m)]
-        assert run_bits(gates, list(bits)) == run_bits([Gate(controls, target)], bits)
+        assert run_bits(gates, list(bits)) == run_bits([(controls, target)], bits)
 
 
 @st.composite
@@ -213,5 +213,5 @@ def test_lupanov_synthesis_matches_oracle_on_fixed_lines(target):
     # written by some gate.
     zero, _ = synth_mapping(BooleanMapping(f.n, (0,) * (1 << f.n)), k)
     assert circuit.m == zero.m
-    written = {gate.target for gate in circuit.gates}
+    written = {target for _, target in circuit.gates}
     assert set(range(f.n, circuit.m)) - set(circuit.outputs) <= written

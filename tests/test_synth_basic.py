@@ -15,10 +15,10 @@ from rcsynth import (
 )
 from rcsynth.bounds import block_upper, pair_block_upper
 from rcsynth.circuit import cnot, simulate
-from rcsynth.perm import transposition_stream, transpositions_product
+from rcsynth.perm import transposition_stream
 from rcsynth import synth_basic
 from rcsynth.synth_basic import _canonicalize, synth_block
-from conftest import random_even_permutation, random_permutation
+from conftest import random_even_permutation, random_permutation, transpositions_product
 
 
 def random_group(n, K, rng):
@@ -91,7 +91,7 @@ class TestSynthBlock:
                 ok, gates = block_realizes_group(group, n)
                 assert ok, (n, K, group)
                 assert len(gates) <= block_upper(n, 2 * K)
-                assert all(len(g.controls) <= 2 for g in gates)
+                assert all(len(controls) <= 2 for controls, _ in gates)
 
     def test_clean_core_variant(self, rng):
         for _ in range(8):
@@ -165,7 +165,7 @@ class TestSynthEvenPermutation:
         p = random_even_permutation(5, rng)
         circuit, report = synth_even_permutation(p, k=4)
         assert report.nots + report.cnots + report.toffolis == len(circuit)
-        assert all(len(g.controls) <= 2 for g in circuit.gates)
+        assert all(len(controls) <= 2 for controls, _ in circuit.gates)
 
     def test_odd_rejected_without_ancillas(self):
         p = Permutation.from_cycles(4, [(0, 1)])

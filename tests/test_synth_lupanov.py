@@ -159,7 +159,7 @@ class TestSynthMapping:
             assert report.s == s
             assert report.gate_counts[3] <= report.p * n * (1 << (n - k))
             assert report.ancilla_counts[3] == n
-            assert all(len(g.controls) <= 2 for g in circuit.gates)
+            assert all(len(controls) <= 2 for controls, _ in circuit.gates)
 
     def test_stage_accounting_matches_circuit(self, rng):
         f = BooleanMapping(6, tuple(rng.randrange(64) for _ in range(64)))
@@ -217,14 +217,14 @@ class TestStageBoundaries:
         f = BooleanMapping(4, tuple(rng.randrange(16) for _ in range(16)))
         circuit, _ = synth_mapping(f, 1)
         written = set(range(circuit.n))
-        for gate in circuit.gates:
-            for c in gate.controls:
+        for controls, target in circuit.gates:
+            for c in controls:
                 assert c in written, f"line {c} read before first write"
-            written.add(gate.target)
+            written.add(target)
 
     def test_outputs_never_retargeted_after_final_write(self, rng):
         f = BooleanMapping(4, tuple(rng.randrange(16) for _ in range(16)))
         circuit, report = synth_mapping(f, 1)
         stage4_start = len(circuit) - report.gate_counts[3]
-        for gate in circuit.gates[:stage4_start]:
-            assert gate.target not in circuit.outputs
+        for _, target in circuit.gates[:stage4_start]:
+            assert target not in circuit.outputs

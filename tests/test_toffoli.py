@@ -30,7 +30,7 @@ class TestBorrowed:
         # m = k + 2 lines: k controls, target, one borrowed line of any value.
         gates = borrowed(k, [k + 1])
         assert len(gates) <= 8 * k
-        assert all(len(g.controls) <= 2 for g in gates)
+        assert all(len(controls) <= 2 for controls, _ in gates)
         oracle = Gate(tuple(range(k)), k)
         for w in range(1 << (k + 2)):
             assert run(gates, w) == oracle.apply_to_bits(w)
