@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, FormatError
@@ -143,7 +144,7 @@ class GateCountReport:
 
 
 def count_gates(circuit: Circuit) -> GateCountReport:
-    by_arity = Counter(len(controls) for controls, _ in circuit.gates)
+    by_arity = Counter(map(len, map(itemgetter(0), circuit.gates)))
     return GateCountReport(nots=by_arity[0], cnots=by_arity[1], toffolis=by_arity[2])
 
 

@@ -10,7 +10,9 @@ blank lines are ignored.  Circuit file (UTF-8):
     c <c> <t>                CNOT
     t <c1> <c2> <t>          2-CNOT
 
-A `Circuit` holds basis gates only, so every circuit serializes.
+A `Circuit` holds basis gates only, so every circuit serializes.  Repeated
+gate texts are parsed once: the parser keeps the `Gate` of each of the first
+few thousand distinct gate lines and shares it among their repeats.
 
 Permutation file: ``perm <n>`` then 2^n integers forming a bijection on
 [0, 2^n).  Mapping file: ``map <n>`` then 2^n integers in [0, 2^n).
@@ -18,7 +20,6 @@ Permutation file: ``perm <n>`` then 2^n integers forming a bijection on
 from __future__ import annotations
 
 import re
-from io import StringIO
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
@@ -26,17 +27,28 @@ from .circuit import Circuit, Gate, find_gate_fault
 from .errors import FormatError
 from .perm import BooleanMapping, Permutation
 
-# Letter of the basis gate with i controls is GATE_LETTERS[i].
-GATE_LETTERS = ("n", "c", "t")
-_ARITY = {letter: i + 1 for i, letter in enumerate(GATE_LETTERS)}
+# Argument count of each gate letter: target plus 0, 1 or 2 controls.
+_ARITY = {"n": 1, "c": 2, "t": 3}
+# Most distinct gate lines whose `Gate` `parse_circuit` keeps.  The basis
+# has m + m(m-1) + m(m-1)(m-2)/2 gates on m lines (804 at m = 12, 3,820 at
+# m = 20), so on up to 20 lines every repeated gate text hits; a circuit
+# whose gates are all distinct pays one failed lookup per line and keeps no
+# more than this many.
+_MAX_KNOWN_GATES = 4096
 
 
 def _records(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, content) of each line with text outside its comment."""
-    for lineno, line in enumerate(StringIO(text, newline=None), start=1):
-        content = line.split("#", 1)[0].strip()
+    """(line number, content) of each line with text outside its comment.
+    Each line is dropped from the split text once read, so a parse does not
+    hold the whole text a second time beside what it builds."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for i, line in enumerate(lines):
+        lines[i] = ""
+        if "#" in line:
+            line = line[: line.index("#")]
+        content = line.strip()
         if content:
-            yield lineno, content
+            yield i + 1, content
 
 
 def _header(records: Iterator[tuple[int, str]], keyword: str, count: int | None) -> list[int]:
@@ -56,24 +68,35 @@ def _header(records: Iterator[tuple[int, str]], keyword: str, count: int | None)
         raise FormatError(f"line {lineno}: `{keyword}` value is not an integer") from None
 
 
+def _parse_gate(lineno: int, line: str) -> Gate:
+    """The gate on record `line`; its line range is left to `find_gate_fault`."""
+    letter, *args = line.split()
+    arity = _ARITY.get(letter)
+    if arity is None:
+        raise FormatError(f"line {lineno}: unknown gate kind {letter!r}")
+    if len(args) != arity:
+        raise FormatError(f"line {lineno}: `{letter}` takes {arity} arguments")
+    try:
+        *controls, target = map(int, args)
+    except ValueError:
+        raise FormatError(f"line {lineno}: gate arguments must be integers") from None
+    return Gate(controls, target)
+
+
 def parse_circuit(text: str) -> Circuit:
     records = _records(text)
     (m,) = _header(records, "lines", 1)
     (n,) = _header(records, "inputs", 1)
     outputs = _header(records, "outputs", None)
     gates = []
+    known: dict[str, Gate] = {}
     for lineno, line in records:
-        letter, *args = line.split()
-        arity = _ARITY.get(letter)
-        if arity is None:
-            raise FormatError(f"line {lineno}: unknown gate kind {letter!r}")
-        if len(args) != arity:
-            raise FormatError(f"line {lineno}: `{letter}` takes {arity} arguments")
-        try:
-            values = [int(tok) for tok in args]
-        except ValueError:
-            raise FormatError(f"line {lineno}: gate arguments must be integers") from None
-        gates.append(Gate(values[:-1], values[-1]))
+        gate = known.get(line)
+        if gate is None:
+            gate = _parse_gate(lineno, line)
+            if len(known) < _MAX_KNOWN_GATES:
+                known[line] = gate
+        gates.append(gate)
     try:
         return Circuit(m, n, gates, outputs)
     except ValueError as exc:
@@ -94,7 +117,12 @@ def serialize_circuit(circuit: Circuit, header_comments: Iterable[str] = ()) -> 
     out = [f"lines {circuit.m}", f"inputs {circuit.n}"]
     out.append("outputs " + " ".join(str(i) for i in circuit.outputs))
     for controls, target in circuit.gates:
-        out.append(" ".join([GATE_LETTERS[len(controls)], *map(str, controls), str(target)]))
+        if not controls:
+            out.append(f"n {target}")
+        elif len(controls) == 1:
+            out.append(f"c {controls[0]} {target}")
+        else:
+            out.append(f"t {controls[0]} {controls[1]} {target}")
     return _text(header_comments, out)
 
 

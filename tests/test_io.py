@@ -1,5 +1,6 @@
 """File format parsing and serialization round trips."""
 import re
+from itertools import combinations
 
 import pytest
 
@@ -90,6 +91,29 @@ class TestParseCircuit:
     def test_messages(self, text, message):
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             parse_circuit(text)
+
+
+def test_more_distinct_gates_than_the_parser_keeps():
+    # Every basis gate on 24 lines: more distinct texts than the parser keeps
+    # the `Gate` of, then a repeat of an early text once that bound is hit.
+    m = 24
+    gates = [
+        Gate(controls, target)
+        for target in range(m)
+        for width in range(3)
+        for controls in combinations([c for c in range(m) if c != target], width)
+    ]
+    assert len(gates) > 5000 > rio._MAX_KNOWN_GATES
+    gate_lines = [" ".join(["nct"[len(c)], *map(str, c), str(t)]) for c, t in gates]
+    head = f"lines {m}\ninputs {m}\noutputs {' '.join(map(str, range(m)))}\n"
+    valid = head + "\n".join(gate_lines + [gate_lines[1]]) + "\n"
+    expected = Circuit(m, m, gates + [gates[1]], range(m))
+    assert parse_circuit(valid) == expected
+    assert serialize_circuit(expected) == valid
+    faulty = head + "\n".join(gate_lines + ["c 3 24", gate_lines[1]]) + "\n"
+    line = 3 + len(gates) + 1
+    with pytest.raises(FormatError, match=f"^line {line}: target 24 out of range"):
+        parse_circuit(faulty)
 
 
 class TestSerializeCircuit:

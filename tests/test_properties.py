@@ -1,8 +1,8 @@
-"""Property tests: the circuit parser on fuzzed input, the serialize/parse
-round trip on generated circuits and tables under any header comments, the
-word/column transposes, simulation against the oracle, the borrowed-line
-Toffoli expansion on any line layout, and basic and lupanov synthesis
-against the oracle."""
+"""Property tests: the circuit parser on fuzzed and on repeated input, the
+serialize/parse round trip on generated circuits and tables under any header
+comments, the word/column transposes, simulation against the oracle, the
+borrowed-line Toffoli expansion on any line layout, and basic and lupanov
+synthesis against the oracle."""
 import re
 
 from hypothesis import assume, given, settings
@@ -57,6 +57,46 @@ def test_fuzzed_gate_lines_raise_only_format_errors(lines):
     assert circuit.m == 4 and len(circuit.gates) <= len(lines)
 
 
+# Messages of a gate line that does not parse; any other gate fault is
+# found only once every line has parsed.
+SYNTAX_FAULT = re.compile(r"line \d+: (unknown gate kind|`.` takes|gate arguments must)")
+
+
+@st.composite
+def repeated_gate_lines(draw):
+    """Gate lines drawn with replacement from a pool of at most 5 fuzzed or
+    valid lines, so that texts repeat."""
+    valid = st.sampled_from(["n 3", "c 0 1", "c  2 1", "t 0 1 2", "t 3 1 0"])
+    pool = draw(st.lists(st.one_of(gate_lines, valid), min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from(pool), max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_gate_lines())
+def test_repeated_fuzzed_lines_parse_as_each_line_alone(lines):
+    # Oracle: each line parsed alone under HEADER, as file line 4.
+    alone = []
+    for line in lines:
+        try:
+            alone.append(parse_circuit(HEADER + line + "\n").gates)
+        except FormatError as exc:
+            alone.append(str(exc))
+    faults = [(i, a) for i, a in enumerate(alone) if isinstance(a, str)]
+    text = HEADER + "\n".join(lines) + "\n"
+    if not faults:
+        assert parse_circuit(text).gates == tuple(g for gates in alone for g in gates)
+        return
+    # The first line that does not parse, else the first faulty gate.
+    i, message = next((f for f in faults if SYNTAX_FAULT.match(f[1])), faults[0])
+    expected = message.replace("line 4: ", f"line {4 + i}: ", 1)
+    try:
+        parse_circuit(text)
+    except FormatError as exc:
+        assert str(exc) == expected
+    else:
+        raise AssertionError(f"parsed, expected {expected!r}")
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=80))
 def test_fuzzed_text_raises_only_format_errors(text):
@@ -67,8 +107,8 @@ def test_fuzzed_text_raises_only_format_errors(text):
 
 
 @st.composite
-def circuits(draw):
-    m = draw(st.integers(1, 6))
+def circuits(draw, max_lines=6):
+    m = draw(st.integers(1, max_lines))
     n = draw(st.integers(1, m))
     gates = []
     for _ in range(draw(st.integers(0, 12))):
@@ -88,7 +128,7 @@ comment_lists = st.lists(st.text(), max_size=4)
 
 
 @settings(max_examples=200, deadline=None)
-@given(circuits(), comment_lists)
+@given(circuits(max_lines=40), comment_lists)
 def test_serialize_parse_round_trip(circuit, comments):
     assert parse_circuit(serialize_circuit(circuit, comments)) == circuit
 
