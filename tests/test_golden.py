@@ -85,6 +85,19 @@ def test_lupanov_forced_params():
     )
 
 
+def test_lupanov_every_k():
+    # One map per n = 3..12 from Random(n), synthesized at every admissible k:
+    # the circuit text and the stage report.
+    text = ""
+    for n in range(3, 13):
+        rng = Random(n)
+        f = BooleanMapping(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
+        for k in range(1, (n + 1) // 2):
+            circuit, report = synth_mapping(f, k)
+            text += serialize_circuit(circuit) + repr(report) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "25182484ba0821d4d125b55da66bde350e1091002d99b455187e664d9910ae98"
+
+
 @pytest.mark.parametrize(
     "phi, digest",
     [
