@@ -20,6 +20,7 @@ from .circuit import (
 )
 from .errors import CapacityError, ContractError, FormatError, ParameterError, ParityError
 from .io import (
+    circuit_inputs,
     parse_circuit,
     parse_permutation,
     parse_spec_table,
@@ -128,12 +129,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"synthesized lupanov circuit: lines {circuit.m}, gates {len(circuit)}",
             f"parameters: k {stage.k}, s {stage.s}, p {stage.p}"
             + (", psi constraint waived" if stage.psi_waived else ""),
-            "stage gates " + " ".join(
-                f"L{i + 1}={v}" for i, v in enumerate(stage.gate_counts)
-            ),
-            "stage ancillas " + " ".join(
-                f"q{i + 1}={v}" for i, v in enumerate(stage.ancilla_counts)
-            ),
+            "stage gates " + " ".join(f"L{i}={v}" for i, v in enumerate(stage.gate_counts, 1)),
+            "stage ancillas " + " ".join(f"q{i}={v}" for i, v in enumerate(stage.ancilla_counts, 1)),
         ]
     verified_note = []
     if not args.no_verify:
@@ -151,11 +148,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     table = parse_spec_table(_read(args.spec))
     check_sweep_cap(table.n)  # fail before parsing the circuit, not after it
-    circuit = parse_circuit(_read(args.circuit))
-    if circuit.n != table.n:
-        raise FormatError(
-            f"bit counts differ: circuit has n={circuit.n}, table has n={table.n}"
-        )
+    text = _read(args.circuit)
+    n = circuit_inputs(text)  # compare bit counts before parsing the gates
+    if n != table.n:
+        raise FormatError(f"bit counts differ: circuit has n={n}, table has n={table.n}")
+    circuit = parse_circuit(text)
     code = _check_against_table(circuit, table)
     if code == EXIT_OK:
         print(f"match on all {1 << circuit.n} inputs")
@@ -285,12 +282,9 @@ def main(argv: list[str] | None = None) -> int:
         if not isinstance(exc, BrokenPipeError):
             print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except FormatError as exc:
+    except (FormatError, ParityError, ParameterError, CapacityError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ParityError, ParameterError, CapacityError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
+        return EXIT_INVALID if isinstance(exc, FormatError) else EXIT_CONSTRAINT
 
 
 if __name__ == "__main__":

@@ -107,6 +107,15 @@ def parse_circuit(text: str) -> Circuit:
         raise FormatError(f"line {lineno}: {fault[1]}") from None
 
 
+def circuit_inputs(text: str) -> int:
+    """n from the `inputs` header of a circuit file.  When the first 16 lines
+    hold the first two records, only they are read: no gate line is split."""
+    head = list(islice(_records("\n".join(text.split("\n", 16)[:16])), 2))
+    records = iter(head) if len(head) == 2 else _records(text)
+    _header(records, "lines", 1)
+    return _header(records, "inputs", 1)[0]
+
+
 def _text(header_comments: Iterable[str], lines: list[str]) -> str:
     """`lines` under one `# ` line per line of each header comment."""
     comments = [f"# {line}" for c in header_comments for line in re.split(r"\r\n?|\n", c)]

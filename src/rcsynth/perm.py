@@ -53,8 +53,14 @@ class Permutation(BooleanMapping):
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         images = list(range(1 << n))
+        seen: set[int] = set()
         for cycle in cycles:
             for i, point in enumerate(cycle):
+                if not 0 <= point < len(images):
+                    raise ValueError(f"cycle point {point} out of range [0, {len(images)})")
+                if point in seen:
+                    raise ValueError(f"cycle point {point} appears twice")
+                seen.add(point)
                 images[point] = cycle[(i + 1) % len(cycle)]
         return cls(n, tuple(images))
 

@@ -3,35 +3,21 @@
 The circuit is built from four stages: a conjunction bank over the first k
 input lines (S1), one over the remaining n - k lines (S2), subset-XOR banks
 over groups of at most s first-bank lines (S3), and the n output lines (S4),
-each the XOR of 2-CNOTs of a second-bank line with a group line.  The
-ancilla count depends only on n and k.
+each the XOR of 2-CNOTs of a second-bank line with a group line.  The line
+layout depends only on n and k and is computed in closed form before any
+gate is built: a conjunction bank over v variables takes v + C(v) fresh
+lines, an XOR bank of width w takes 2^w - 1 - w, and the outputs take n.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
+from typing import Iterator
 
 from .circuit import MAX_LINES, Circuit, Gate, ccnot, cnot, columns_of, not_gate
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ContractError, ParameterError
 from .perm import BooleanMapping
-
-
-class LineAllocator:
-    """Hands out fresh ancilla line indices; lines are never reused."""
-
-    def __init__(self, first_free: int):
-        self._next = first_free
-
-    def take(self) -> int:
-        if self._next >= MAX_LINES:
-            raise CapacityError(f"line allocator exhausted at {MAX_LINES} lines")
-        line = self._next
-        self._next += 1
-        return line
-
-    @property
-    def next_free(self) -> int:
-        return self._next
 
 
 @dataclass(frozen=True)
@@ -60,7 +46,7 @@ def conjunction_gate_count(v: int) -> int:
 
 
 def conjunction_bank(
-    var_lines: tuple[int, ...], alloc: LineAllocator
+    var_lines: tuple[int, ...], fresh: Iterator[int]
 ) -> tuple[list[Gate], dict[int, int]]:
     """Expose x_0^{a_0} & ... & x_{v-1}^{a_v-1} for every sign assignment a
     (bit i of a chooses x_i itself over its negation).
@@ -76,9 +62,8 @@ def conjunction_bank(
     gates: list[Gate] = []
     negated: dict[int, int] = {}
     for line in var_lines:
-        fresh = alloc.take()
-        gates += [not_gate(fresh), cnot(line, fresh)]
-        negated[line] = fresh
+        negated[line] = target = next(fresh)
+        gates += [not_gate(target), cnot(line, target)]
 
     def build(lines: tuple[int, ...]) -> dict[int, int]:
         if len(lines) == 1:
@@ -89,16 +74,15 @@ def conjunction_bank(
         bank: dict[int, int] = {}
         for a_high in range(1 << (len(lines) - mid)):
             for a_low in range(1 << mid):
-                fresh = alloc.take()
-                gates.append(ccnot(low[a_low], high[a_high], fresh))
-                bank[a_low | (a_high << mid)] = fresh
+                bank[a_low | (a_high << mid)] = target = next(fresh)
+                gates.append(ccnot(low[a_low], high[a_high], target))
         return bank
 
     return gates, build(tuple(var_lines))
 
 
 def xor_bank(
-    group_lines: tuple[int, ...], alloc: LineAllocator
+    group_lines: tuple[int, ...], fresh: Iterator[int]
 ) -> tuple[list[Gate], dict[int, int]]:
     """Expose the XOR of every nonempty subset of the group lines (bit i of
     the subset mask selects group_lines[i]); singletons map to the group
@@ -124,9 +108,8 @@ def xor_bank(
         for m_high, high_line in high.items():
             bank[m_high << mid] = high_line
             for m_low, low_line in low.items():
-                fresh = alloc.take()
-                gates.extend((cnot(low_line, fresh), cnot(high_line, fresh)))
-                bank[m_low | (m_high << mid)] = fresh
+                bank[m_low | (m_high << mid)] = target = next(fresh)
+                gates.extend((cnot(low_line, target), cnot(high_line, target)))
         return bank
 
     return gates, build(tuple(group_lines))
@@ -148,6 +131,10 @@ def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
     from banks over k and n - k variables and p = ceil(2^k / s) groups of at
     most s = n - 2k first-bank lines.
 
+    The fresh lines of each stage are counted in closed form first (see the
+    module docstring), so a layout over MAX_LINES raises CapacityError
+    before any bank is built; the banks then draw exactly those lines.
+
     Output stage budget: L4 <= p n 2^(n-k), one 2-CNOT per nonzero group
     restriction of each coordinate function, with q4 = n output lines; all
     gates have at most two controls by construction.  The support of f_ij,
@@ -158,35 +145,35 @@ def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
     if not 1 <= k < n / 2:
         raise ParameterError(f"need 1 <= k < n/2, got k={k}, n={n}")
     s = n - 2 * k
-    alloc = LineAllocator(n)
-    gates: list[Gate] = []
-    marks = [(0, n)]  # (gates, next free line) at each stage boundary
+    starts = range(0, 1 << k, s)
+    widths = [min(s, (1 << k) - start) for start in starts]
+    ancilla_counts = (
+        conjunction_gate_count(k) - k,
+        conjunction_gate_count(n - k) - (n - k),
+        sum((1 << w) - 1 - w for w in widths),
+        n,
+    )
+    m = n + sum(ancilla_counts)
+    if m > MAX_LINES:
+        raise CapacityError(f"k={k} on n={n} needs {m} lines, more than {MAX_LINES}")
+    fresh = count(n)
 
-    def close_stage() -> None:
-        marks.append((len(gates), alloc.next_free))
-
-    # S1: conjunctions of the first k input variables.
-    bank_gates, first_bank = conjunction_bank(tuple(range(k)), alloc)
-    gates.extend(bank_gates)
-    close_stage()
-
-    # S2: conjunctions of the remaining n - k input variables.
-    bank_gates, second_bank = conjunction_bank(tuple(range(k, n)), alloc)
-    gates.extend(bank_gates)
-    close_stage()
+    # S1 and S2: conjunctions of the first k and the remaining n - k inputs.
+    s1, first_bank = conjunction_bank(tuple(range(k)), fresh)
+    s2, second_bank = conjunction_bank(tuple(range(k, n)), fresh)
 
     # S3: subset-XOR bank per group of at most s first-bank lines.
+    s3: list[Gate] = []
     groups: list[tuple[int, int, dict[int, int]]] = []  # (start, width, bank)
-    for start in range(0, 1 << k, s):
-        lines = tuple(first_bank[sigma] for sigma in range(start, min(start + s, 1 << k)))
-        bank_gates, bank = xor_bank(lines, alloc)
-        gates.extend(bank_gates)
-        groups.append((start, len(lines), bank))
-    close_stage()
+    for start, width in zip(starts, widths):
+        bank_gates, bank = xor_bank(tuple(first_bank[start + i] for i in range(width)), fresh)
+        s3 += bank_gates
+        groups.append((start, width, bank))
 
     # S4: m_i & f_ij is the XOR over groups t of m_i & (f_ij restricted to
     # group t), so each nonzero restriction is one 2-CNOT onto output j.
-    out_lines = tuple(alloc.take() for _ in range(n))
+    out_lines = tuple(next(fresh) for _ in range(n))
+    s4: list[Gate] = []
     columns = columns_of(f.images, n)
     window = (1 << (1 << k)) - 1
     for j in range(n):
@@ -195,15 +182,17 @@ def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
             for start, width, bank in groups:
                 mask = (support >> start) & ((1 << width) - 1)
                 if mask:
-                    gates.append(ccnot(second_bank[i], bank[mask], out_lines[j]))
-    close_stage()
+                    s4.append(ccnot(second_bank[i], bank[mask], out_lines[j]))
+    drawn = next(fresh)
+    if drawn != m:
+        raise ContractError(f"lupanov stages use {drawn} lines, their layout has {m}")
 
     report = StageReport(
         k=k,
         s=s,
         p=len(groups),  # ceil(2^k / s)
-        gate_counts=tuple(b[0] - a[0] for a, b in zip(marks, marks[1:])),
-        ancilla_counts=tuple(b[1] - a[1] for a, b in zip(marks, marks[1:])),
+        gate_counts=(len(s1), len(s2), len(s3), len(s4)),
+        ancilla_counts=ancilla_counts,
         psi_waived=(1 << k) / s < math.log2(n),
     )
-    return Circuit(alloc.next_free, n, tuple(gates), out_lines), report
+    return Circuit(m, n, (*s1, *s2, *s3, *s4), out_lines), report

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report lines.
 """
 import math
+import itertools
 from random import Random
 
 import pytest
@@ -21,7 +22,7 @@ from rcsynth import (
 from rcsynth.bounds import block_upper, gate_set_size, pair_block_upper, shannon_lower
 from rcsynth.perm import is_even, transposition_stream
 from rcsynth.synth_basic import synth_block
-from rcsynth.synth_lupanov import LineAllocator, conjunction_bank, conjunction_gate_count
+from rcsynth.synth_lupanov import conjunction_bank, conjunction_gate_count
 from rcsynth.toffoli import decompose_borrowed, decompose_clean, decompose_garbage
 from rcsynth.cli import main
 from conftest import random_even_permutation, sweep_tables
@@ -128,10 +129,10 @@ def test_criterion_4_toffoli_decompositions():
 
 def test_criterion_5_conjunction_bank():
     for v in range(1, 11):
-        alloc = LineAllocator(v)
-        gates, bank = conjunction_bank(tuple(range(v)), alloc)
+        fresh = itertools.count(v)
+        gates, bank = conjunction_bank(tuple(range(v)), fresh)
         assert len(gates) == conjunction_gate_count(v)
-        tables = sweep_tables(alloc.next_free, v, gates)
+        tables = sweep_tables(next(fresh), v, gates)
         for assignment in range(1 << v):
             assert tables[bank[assignment]] == 1 << assignment, (v, assignment)
     assert conjunction_gate_count(4) == 2 * 4 + 24

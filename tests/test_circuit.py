@@ -1,4 +1,5 @@
 """Gate semantics, simulation, inversion, counting and gadgets."""
+from itertools import count
 from random import Random
 
 import pytest
@@ -14,7 +15,7 @@ from rcsynth.circuit import (
     truth_table_masks,
 )
 from rcsynth.perm import is_even
-from rcsynth.synth_lupanov import LineAllocator, conjunction_bank, xor_bank
+from rcsynth.synth_lupanov import conjunction_bank, xor_bank
 from conftest import naive_mapping, random_circuit, run_bits
 
 
@@ -219,7 +220,7 @@ class TestBasisGadget:
         return bits, bits[fresh]
 
     def test_negation(self):
-        gates, bank = conjunction_bank((0,), LineAllocator(1))
+        gates, bank = conjunction_bank((0,), count(1))
         assert gates == [not_gate(1), cnot(0, 1)] and bank[0] == 1
         for a in (0, 1):
             bits, value = self.value_on_fresh(gates, [a], 2, 1)
@@ -227,7 +228,7 @@ class TestBasisGadget:
             assert bits[0] == a
 
     def test_xor(self):
-        gates, bank = xor_bank((0, 1), LineAllocator(2))
+        gates, bank = xor_bank((0, 1), count(2))
         assert gates == [cnot(0, 2), cnot(1, 2)] and bank == {1: 0, 2: 1, 3: 2}
         for a in (0, 1):
             for b in (0, 1):
@@ -236,7 +237,7 @@ class TestBasisGadget:
                 assert bits[:2] == [a, b]
 
     def test_conjunction(self):
-        gates, bank = conjunction_bank((0, 1), LineAllocator(2))
+        gates, bank = conjunction_bank((0, 1), count(2))
         assert gates[-1] == ccnot(0, 1, bank[3])
         for a in (0, 1):
             for b in (0, 1):

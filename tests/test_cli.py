@@ -230,6 +230,15 @@ class TestSynthAndVerify:
         assert code == 2
         assert err == "error: bit counts differ: circuit has n=5, table has n=3\n"
 
+    def test_bit_counts_compared_before_gates_are_parsed(self, tmp_path, capsys):
+        circ = tmp_path / "c.circ"
+        circ.write_text("lines 4\ninputs 4\noutputs 0 1 2 3\nx 0 1\n")
+        spec = tmp_path / "p.perm"
+        spec.write_text(serialize_permutation(Permutation.identity(3)))
+        code, out, err = run(capsys, "verify", str(circ), str(spec))
+        assert (code, out) == (2, "")
+        assert err == "error: bit counts differ: circuit has n=4, table has n=3\n"
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.perm"
         bad.write_text("perm 2\n0 1 2\n")

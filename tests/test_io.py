@@ -116,6 +116,22 @@ def test_more_distinct_gates_than_the_parser_keeps():
         parse_circuit(faulty)
 
 
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("comments", [0, 15, 16, 17, 300])
+def test_circuit_inputs_reads_the_header_alone(comments, line_end):
+    # Comments push the header past the first lines read; with `\r` line ends
+    # there is no `\n` to split on.  Gate lines are not read at all.
+    lines = ["# c"] * comments + ["lines 3", "inputs 2", "outputs 0 1", "c 0 1", "x 0"]
+    text = line_end.join(lines) + line_end
+    assert rio.circuit_inputs(text) == 2
+    for bad in (text.replace("inputs 2", "inputs two"), text.replace("lines 3", "# 3")):
+        with pytest.raises(FormatError) as header:
+            rio.circuit_inputs(bad)
+        with pytest.raises(FormatError) as whole:
+            parse_circuit(bad)
+        assert str(header.value) == str(whole.value)
+
+
 class TestSerializeCircuit:
     def test_round_trip_random_circuits(self, rng):
         for _ in range(20):

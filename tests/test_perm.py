@@ -73,6 +73,23 @@ class TestCycles:
             p = random_permutation(4, rng)
             assert Permutation.from_cycles(4, cycle_decomposition(p)) == p
 
+    @pytest.mark.parametrize(
+        "n, cycles, message",
+        [
+            (2, [(0, -4)], r"cycle point -4 out of range \[0, 4\)"),
+            (3, [(1, -7), (2, 3)], r"cycle point -7 out of range \[0, 8\)"),
+            (2, [(0, 5)], r"cycle point 5 out of range \[0, 4\)"),
+            (2, [(0, 1), (1, 0)], "cycle point 1 appears twice"),
+        ],
+    )
+    def test_from_cycles_rejects_bad_points(self, n, cycles, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Permutation.from_cycles(n, cycles)
+
+    def test_from_cycles_rejects_point_repeated_in_one_cycle(self):
+        with pytest.raises(ValueError, match="^cycle point 0 appears twice$"):
+            Permutation.from_cycles(2, [(0, 1, 0)])
+
     def test_length_budget(self, rng):
         p = random_permutation(5, rng)
         assert sum(len(c) for c in cycle_decomposition(p)) <= 32

@@ -1,5 +1,6 @@
 """Conjunction banks, XOR banks and the staged mapping synthesis."""
 import math
+from itertools import count
 from random import Random
 
 import pytest
@@ -7,14 +8,14 @@ import pytest
 from rcsynth import (
     BooleanMapping,
     CapacityError,
+    ContractError,
     ParameterError,
     realized_mapping,
     synth_mapping,
 )
+from rcsynth import synth_lupanov
 from rcsynth.bounds import PHI_REGISTRY
-from rcsynth.circuit import MAX_LINES
 from rcsynth.synth_lupanov import (
-    LineAllocator,
     choose_params,
     conjunction_bank,
     conjunction_gate_count,
@@ -44,49 +45,44 @@ class TestConjunctionGateCount:
 class TestConjunctionBank:
     @pytest.mark.parametrize("v", [1, 2, 3, 4, 6, 8, 10])
     def test_lines_hold_every_minterm(self, v):
-        alloc = LineAllocator(v)
-        gates, bank = conjunction_bank(tuple(range(v)), alloc)
+        fresh = count(v)
+        gates, bank = conjunction_bank(tuple(range(v)), fresh)
         assert len(gates) == conjunction_gate_count(v)
         assert len(bank) == 1 << v
-        tables = sweep_tables(alloc.next_free, v, gates)
+        tables = sweep_tables(next(fresh), v, gates)
         for assignment, line in bank.items():
             expected = 1 << assignment  # minterm truth table
             assert tables[line] == expected, (v, assignment)
 
     def test_base_case_reuses_input_line(self):
-        alloc = LineAllocator(1)
-        gates, bank = conjunction_bank((0,), alloc)
+        gates, bank = conjunction_bank((0,), count(1))
         assert bank[1] == 0
         assert bank[0] == 1
         assert len(gates) == 2
 
     def test_fresh_line_accounting(self):
-        alloc = LineAllocator(2)
-        gates, _ = conjunction_bank((0, 1), alloc)
-        assert alloc.next_free - 2 == 6  # 2 negations + 4 products
-
-    def test_allocator_cap(self):
-        alloc = LineAllocator(MAX_LINES - 6)
-        with pytest.raises(CapacityError):
-            conjunction_bank((0, 1, 2, 3), alloc)
+        fresh = count(2)
+        gates, _ = conjunction_bank((0, 1), fresh)
+        assert next(fresh) - 2 == 6  # 2 negations + 4 products
 
 
 class TestXorBank:
     def test_single_line_needs_no_gates(self):
-        alloc = LineAllocator(2)
-        gates, bank = xor_bank((0,), alloc)
+        fresh = count(2)
+        gates, bank = xor_bank((0,), fresh)
         assert gates == []
         assert bank == {1: 0}
-        assert alloc.next_free == 2
+        assert next(fresh) == 2
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_subset_lines_exhaustive(self, s):
-        alloc = LineAllocator(s)
-        gates, bank = xor_bank(tuple(range(s)), alloc)
+        fresh = count(s)
+        gates, bank = xor_bank(tuple(range(s)), fresh)
         assert sorted(bank) == list(range(1, 1 << s))  # every nonempty subset
-        assert alloc.next_free - s == (1 << s) - 1 - s
+        m = next(fresh)
+        assert m - s == (1 << s) - 1 - s
         assert len(gates) == 2 * ((1 << s) - 1 - s)
-        tables = sweep_tables(alloc.next_free, s, gates)
+        tables = sweep_tables(m, s, gates)
         masks = sweep_tables(s, s, [])
         for subset, line in bank.items():
             expected = 0
@@ -98,7 +94,7 @@ class TestXorBank:
     def test_frozen_counts(self):
         counts = {}
         for s in (2, 4):
-            gates, _ = xor_bank(tuple(range(s)), LineAllocator(s))
+            gates, _ = xor_bank(tuple(range(s)), count(s))
             counts[s] = len(gates)
         assert counts == {2: 2, 4: 22}
 
@@ -166,6 +162,25 @@ class TestSynthMapping:
         circuit, report = synth_mapping(f, 2)
         assert sum(report.gate_counts) == len(circuit)
         assert sum(report.ancilla_counts) == circuit.q
+
+    def test_line_limit_checked_before_building(self, monkeypatch):
+        # k = 1 on n = 21 lays out 1,050,880 lines, more than MAX_LINES.
+        def unreachable(*args):
+            raise AssertionError("a bank was built before the line limit was checked")
+
+        monkeypatch.setattr(synth_lupanov, "conjunction_bank", unreachable)
+        with pytest.raises(CapacityError, match="needs 1050880 lines"):
+            synth_mapping(BooleanMapping(21, tuple(range(1 << 21))), 1)
+
+    def test_wrong_stage_line_count_raises(self, monkeypatch):
+        def one_line_too_many(lines, fresh):
+            next(fresh)
+            return xor_bank(lines, fresh)
+
+        monkeypatch.setattr(synth_lupanov, "xor_bank", one_line_too_many)
+        message = "^lupanov stages use 26 lines, their layout has 25$"
+        with pytest.raises(ContractError, match=message):
+            synth_mapping(BooleanMapping(4, tuple(range(16))), 1)
 
     def test_parameter_validation(self):
         f = BooleanMapping(4, tuple(range(16)))
