@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+from .bounds import gate_set_size
 from .errors import CapacityError, FormatError
 from .perm import BooleanMapping
 
@@ -103,7 +104,12 @@ def find_gate_fault(gates: Iterable[Gate], m: int) -> tuple[int, str] | None:
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate sequence over m lines with n inputs and q = m - n
-    zero-initialized ancillas; `outputs` selects the result lines."""
+    zero-initialized ancillas; `outputs` selects the result lines.
+
+    A circuit with more gates than the basis on m lines has
+    (`bounds.gate_set_size(m)`) must repeat some, so its gates are checked
+    once per distinct gate; a fault found that way is looked up again in
+    the full sequence, so the error names its first index."""
 
     m: int
     n: int
@@ -122,9 +128,12 @@ class Circuit:
         for line in self.outputs:
             if not 0 <= line < self.m:
                 raise ValueError(f"output line {line} out of range [0, {self.m})")
-        fault = find_gate_fault(self.gates, self.m)
-        if fault is not None:
-            raise ValueError(f"gate {fault[0]}: {fault[1]}")
+        gates = self.gates
+        if len(gates) > gate_set_size(self.m):
+            gates = dict.fromkeys(gates)
+        if find_gate_fault(gates, self.m) is not None:
+            index, reason = find_gate_fault(self.gates, self.m)
+            raise ValueError(f"gate {index}: {reason}")
 
     @property
     def q(self) -> int:

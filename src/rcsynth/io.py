@@ -12,7 +12,11 @@ blank lines are ignored.  Circuit file (UTF-8):
 
 A `Circuit` holds basis gates only, so every circuit serializes.  Repeated
 gate texts are parsed once: the parser keeps the `Gate` of each of the first
-few thousand distinct gate lines and shares it among their repeats.
+few thousand distinct gate lines and shares it among their repeats.  A
+circuit with more gates than the basis on its m lines has
+(`bounds.gate_set_size(m)`) must repeat some, so the serializer then formats
+each distinct gate once and writes the others by lookup; below that count it
+formats gate by gate.
 
 Permutation file: ``perm <n>`` then 2^n integers forming a bijection on
 [0, 2^n).  Mapping file: ``map <n>`` then 2^n integers in [0, 2^n).
@@ -23,14 +27,15 @@ import re
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
+from .bounds import gate_set_size
 from .circuit import Circuit, Gate, find_gate_fault
 from .errors import FormatError
 from .perm import BooleanMapping, Permutation
 
 # Argument count of each gate letter: target plus 0, 1 or 2 controls.
 _ARITY = {"n": 1, "c": 2, "t": 3}
-# Most distinct gate lines whose `Gate` `parse_circuit` keeps.  The basis
-# has m + m(m-1) + m(m-1)(m-2)/2 gates on m lines (804 at m = 12, 3,820 at
+# Most distinct gate lines whose `Gate` `parse_circuit` keeps.  It exceeds
+# `bounds.gate_set_size(m)` for every m <= 20 (804 at m = 12, 3,820 at
 # m = 20), so on up to 20 lines every repeated gate text hits; a circuit
 # whose gates are all distinct pays one failed lookup per line and keeps no
 # more than this many.
@@ -122,16 +127,23 @@ def _text(header_comments: Iterable[str], lines: list[str]) -> str:
     return "\n".join(comments + lines) + "\n"
 
 
+def _gate_lines(gates: Iterable[Gate]) -> list[str]:
+    """The `n`, `c` or `t` line of each gate."""
+    return [
+        f"t {c[0]} {c[1]} {t}" if len(c) == 2 else f"c {c[0]} {t}" if c else f"n {t}"
+        for c, t in gates
+    ]
+
+
 def serialize_circuit(circuit: Circuit, header_comments: Iterable[str] = ()) -> str:
     out = [f"lines {circuit.m}", f"inputs {circuit.n}"]
     out.append("outputs " + " ".join(str(i) for i in circuit.outputs))
-    for controls, target in circuit.gates:
-        if not controls:
-            out.append(f"n {target}")
-        elif len(controls) == 1:
-            out.append(f"c {controls[0]} {target}")
-        else:
-            out.append(f"t {controls[0]} {controls[1]} {target}")
+    gates = circuit.gates
+    if len(gates) > gate_set_size(circuit.m):
+        distinct = list(dict.fromkeys(gates))
+        out += map(dict(zip(distinct, _gate_lines(distinct))).__getitem__, gates)
+    else:
+        out += _gate_lines(gates)
     return _text(header_comments, out)
 
 

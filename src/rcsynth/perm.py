@@ -7,6 +7,7 @@ are applied.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -128,25 +129,37 @@ def transposition_stream(p: Permutation, K: int) -> list[tuple[Pair, ...]]:
     (c0, c2, ..., c_{2j-2}, c_{2j}, ..., c_{l-1}).  The residual that cannot
     fill a pair is either a lone transposition (odd p) or a 3-cycle, which
     is rewritten through split_dependent_pair.
+
+    Each cycle is a deque consumed from its front, and a running count of
+    the pairs left says whether another group fills, so the stream takes
+    time linear in the number of moved points.
     """
     if K < 2:
         raise ParameterError("group size K must be at least 2")
     groups: list[tuple[Pair, ...]] = []
-    work = [list(c) for c in cycle_decomposition(p)]
+    work = deque(deque(c) for c in cycle_decomposition(p))
+    pairs_left = sum(len(c) // 2 for c in work)
 
     for size in (K, 2):
-        while sum(len(c) // 2 for c in work) >= size:
+        while pairs_left >= size:
             batch: list[Pair] = []
-            for i, cycle in enumerate(work):
+            walked = []
+            # Every outstanding cycle has at least 2 points, so each one
+            # walked gives at least one pair.
+            while len(batch) < size:
+                cycle = work.popleft()
+                pairs_left -= len(cycle) // 2
                 take = min(len(cycle) // 2, size - len(batch))
-                if take == 0:
-                    break
-                batch.extend(_pair(cycle[2 * t], cycle[2 * t + 1]) for t in range(take))
-                work[i] = cycle[: 2 * take : 2] + cycle[2 * take :]
-            # Only the walked cycles, work[: i + 1], can have fallen below 2 points.
-            work[: i + 1] = [c for c in work[: i + 1] if len(c) >= 2]
+                taken = [(cycle.popleft(), cycle.popleft()) for _ in range(take)]
+                batch.extend(_pair(a, b) for a, b in taken)
+                cycle.extendleft(a for a, _ in reversed(taken))
+                pairs_left += len(cycle) // 2
+                if len(cycle) >= 2:
+                    walked.append(cycle)
+            work.extendleft(reversed(walked))
             groups.append(tuple(batch))
 
+    work = [list(c) for c in work]
     if work:
         if len(work) != 1 or len(work[0]) not in (2, 3):
             raise ContractError(f"residual cycles {work}: expected one of length 2 or 3")

@@ -90,26 +90,39 @@ def synth_block(
     group: tuple[Pair, ...],
     n: int,
     ancilla_lines: tuple[int, ...] = (),
+    *,
+    _expanded: dict[tuple[Gate, bool], list[Gate]] | None = None,
 ) -> list[Gate]:
     """Gates realizing exactly the permutation of one group of independent
     transpositions on 2^n states: expanded conjugators, expanded core gate,
     the expanded conjugators again in reverse order.  With ancilla_lines the
     core gate is expanded through clean helpers instead of borrowed data
     lines.  `block_upper(n, k)` for the k = 2|group| moved points both
-    checks k and caps the gate count."""
+    checks k and caps the gate count.
+
+    Each distinct gate is expanded once; `synth_even_permutation` passes one
+    `_expanded` dict (gate and clean flag to expansion) to all its blocks on
+    the same n and ancilla_lines, so blocks share the expanded core gate."""
     rows = [x for t in group for x in t]
     budget = block_upper(n, len(rows))
     conjugators, core = _canonicalize(rows, n)
+    expanded = {} if _expanded is None else _expanded
 
     def expand(gate: Gate, clean: bool = False) -> list[Gate]:
+        part = expanded.get((gate, clean))
+        if part is not None:
+            return part
         controls, target = gate
         if len(controls) <= 2:
-            return [gate]
-        if clean and ancilla_lines:
-            return decompose_clean(controls, target, ancilla_lines[: len(controls) - 2])
-        used = set(controls) | {target}
-        free = tuple(line for line in range(n) if line not in used) + ancilla_lines
-        return decompose_borrowed(controls, target, free)
+            part = [gate]
+        elif clean and ancilla_lines:
+            part = decompose_clean(controls, target, ancilla_lines[: len(controls) - 2])
+        else:
+            used = set(controls) | {target}
+            free = tuple(line for line in range(n) if line not in used) + ancilla_lines
+            part = decompose_borrowed(controls, target, free)
+        expanded[(gate, clean)] = part
+        return part
 
     parts = [expand(gate) for gate in conjugators]
     gates = [g for part in parts + [expand(core, clean=True)] + parts[::-1] for g in part]
@@ -173,6 +186,11 @@ def synth_even_permutation(
             groups = [(t,) for t in plain_transpositions(p)]
         else:
             groups = transposition_stream(p, k // 2)
-        gates = [g for group in groups for g in synth_block(group, n, ancilla_lines)]
+        expanded: dict[tuple[Gate, bool], list[Gate]] = {}
+        gates = [
+            g
+            for group in groups
+            for g in synth_block(group, n, ancilla_lines, _expanded=expanded)
+        ]
     circuit = Circuit(m, n, tuple(gates), tuple(range(n)))
     return circuit, count_gates(circuit)

@@ -1,6 +1,7 @@
-"""Shared helpers: seeded instance generators, and an independent simulator
-and transposition product used as oracles against the package's own
-evaluation paths."""
+"""Shared helpers: seeded instance generators, every basis gate on m lines,
+and an independent simulator, gate-line writer and transposition product
+used as oracles against the package's own evaluation and serialization
+paths."""
 from __future__ import annotations
 
 from random import Random
@@ -9,6 +10,7 @@ from typing import Iterable
 import pytest
 
 from rcsynth import Circuit, Gate, Permutation
+from rcsynth.circuit import ccnot, cnot, not_gate
 
 
 def run_bits(gates, bits: list[int]) -> list[int]:
@@ -52,6 +54,26 @@ def sweep_tables(m: int, n: int, gates) -> list[int]:
             fired &= tables[c]
         tables[target] ^= fired
     return tables
+
+
+def all_basis_gates(m: int) -> list[Gate]:
+    """Every NOT, CNOT and 2-CNOT on m lines."""
+    gates = [not_gate(t) for t in range(m)]
+    gates += [cnot(c, t) for c in range(m) for t in range(m) if c != t]
+    gates += [
+        ccnot(c1, c2, t)
+        for c1 in range(m)
+        for c2 in range(c1 + 1, m)
+        for t in range(m)
+        if t not in (c1, c2)
+    ]
+    return gates
+
+
+def gate_line(gate) -> str:
+    """The circuit-file line of one gate, written gate by gate."""
+    controls, target = gate
+    return " ".join(["nct"[len(controls)], *map(str, controls), str(target)])
 
 
 def transpositions_product(ts: Iterable[tuple[int, int]], n: int) -> Permutation:

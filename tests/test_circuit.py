@@ -16,7 +16,7 @@ from rcsynth.circuit import (
 )
 from rcsynth.perm import is_even
 from rcsynth.synth_lupanov import conjunction_bank, xor_bank
-from conftest import naive_mapping, random_circuit, run_bits
+from conftest import all_basis_gates, naive_mapping, random_circuit, run_bits
 
 
 def whole_state_permutation(c):
@@ -24,19 +24,6 @@ def whole_state_permutation(c):
     widened so that every line is an input and an output."""
     widened = Circuit(c.m, c.m, c.gates, tuple(range(c.m)))
     return Permutation(c.m, realized_mapping(widened).images)
-
-
-def all_basis_gates(m):
-    gates = [not_gate(t) for t in range(m)]
-    gates += [cnot(c, t) for c in range(m) for t in range(m) if c != t]
-    gates += [
-        ccnot(c1, c2, t)
-        for c1 in range(m)
-        for c2 in range(c1 + 1, m)
-        for t in range(m)
-        if t not in (c1, c2)
-    ]
-    return gates
 
 
 class TestApplyGate:

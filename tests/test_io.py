@@ -1,6 +1,5 @@
 """File format parsing and serialization round trips."""
 import re
-from itertools import combinations
 
 import pytest
 
@@ -18,8 +17,10 @@ from rcsynth import (
     serialize_mapping,
     serialize_permutation,
 )
+import rcsynth.circuit as rcircuit
 import rcsynth.io as rio
-from conftest import random_circuit
+from rcsynth.bounds import gate_set_size
+from conftest import all_basis_gates, gate_line, random_circuit
 
 
 class TestParseCircuit:
@@ -97,14 +98,9 @@ def test_more_distinct_gates_than_the_parser_keeps():
     # Every basis gate on 24 lines: more distinct texts than the parser keeps
     # the `Gate` of, then a repeat of an early text once that bound is hit.
     m = 24
-    gates = [
-        Gate(controls, target)
-        for target in range(m)
-        for width in range(3)
-        for controls in combinations([c for c in range(m) if c != target], width)
-    ]
+    gates = all_basis_gates(m)
     assert len(gates) > 5000 > rio._MAX_KNOWN_GATES
-    gate_lines = [" ".join(["nct"[len(c)], *map(str, c), str(t)]) for c, t in gates]
+    gate_lines = [gate_line(gate) for gate in gates]
     head = f"lines {m}\ninputs {m}\noutputs {' '.join(map(str, range(m)))}\n"
     valid = head + "\n".join(gate_lines + [gate_lines[1]]) + "\n"
     expected = Circuit(m, m, gates + [gates[1]], range(m))
@@ -114,6 +110,37 @@ def test_more_distinct_gates_than_the_parser_keeps():
     line = 3 + len(gates) + 1
     with pytest.raises(FormatError, match=f"^line {line}: target 24 out of range"):
         parse_circuit(faulty)
+
+
+@pytest.mark.parametrize("count", [10, 20])
+def test_first_faulty_index_named_when_gates_repeat(count, monkeypatch):
+    # On m = 3 lines the basis has 12 gates; 20 gates must repeat, so the
+    # circuit is checked per distinct gate, 10 gate by gate.  Each gate comes
+    # twice in a row, so the faulty one, first at index 7 (file line 12 under
+    # one comment and the header), is only the fifth distinct gate; it
+    # repeats near the end.
+    m = 3
+    basis = all_basis_gates(m)
+    assert len(basis) == gate_set_size(m) == 12
+    gates = [basis[i // 2] for i in range(count)]
+    gates[7] = gates[count - 2] = Gate((0,), 3)
+    scanned = []
+    find = rcircuit.find_gate_fault
+
+    def recording(gates, m):
+        scanned.append(len(gates))
+        return find(gates, m)
+
+    monkeypatch.setattr(rcircuit, "find_gate_fault", recording)
+    with pytest.raises(ValueError, match=r"^gate 7: target 3 out of range \[0, 3\)$"):
+        Circuit(m, m, gates, range(m))
+    # Above the basis size the first scan sees each distinct gate once.
+    assert scanned[0] == (len(set(gates)) if count > 12 else count)
+    text = "# faulty\n" + "".join(
+        f"{line}\n" for line in ["lines 3", "inputs 3", "outputs 0 1 2", *map(gate_line, gates)]
+    )
+    with pytest.raises(FormatError, match=r"^line 12: target 3 out of range \[0, 3\)$"):
+        parse_circuit(text)
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])

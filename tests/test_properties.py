@@ -1,8 +1,9 @@
 """Property tests: the circuit parser on fuzzed and on repeated input, the
 serialize/parse round trip on generated circuits and tables under any header
-comments, the word/column transposes, simulation against the oracle, the
-borrowed-line Toffoli expansion on any line layout, and basic and lupanov
-synthesis against the oracle."""
+comments, serialized gate lines against a gate-by-gate writer, the
+word/column transposes, simulation against the oracle, the borrowed-line
+Toffoli expansion on any line layout, and basic and lupanov synthesis
+against the oracle."""
 import re
 
 from hypothesis import assume, given, settings
@@ -29,7 +30,7 @@ from rcsynth import (
 from rcsynth.circuit import columns_of, simulate, words_of
 from rcsynth.perm import is_even
 from rcsynth.toffoli import decompose_borrowed
-from conftest import naive_mapping, naive_run, run_bits, sweep_tables
+from conftest import gate_line, naive_mapping, naive_run, run_bits, sweep_tables
 
 HEADER = "lines 4\ninputs 3\noutputs 0 1 2\n"
 
@@ -107,11 +108,11 @@ def test_fuzzed_text_raises_only_format_errors(text):
 
 
 @st.composite
-def circuits(draw, max_lines=6):
+def circuits(draw, max_lines=6, max_gates=12):
     m = draw(st.integers(1, max_lines))
     n = draw(st.integers(1, m))
     gates = []
-    for _ in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, max_gates))):
         target = draw(st.integers(0, m - 1))
         others = [line for line in range(m) if line != target]
         controls = draw(
@@ -131,6 +132,17 @@ comment_lists = st.lists(st.text(), max_size=4)
 @given(circuits(max_lines=40), comment_lists)
 def test_serialize_parse_round_trip(circuit, comments):
     assert parse_circuit(serialize_circuit(circuit, comments)) == circuit
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits(max_lines=3, max_gates=60), comment_lists)
+def test_serialized_gates_match_per_gate_lines(circuit, comments):
+    # On at most 3 lines (a basis of at most 12 gates) most of these circuits
+    # repeat gates, so the serializer formats each distinct gate once.
+    text = serialize_circuit(circuit, comments)
+    head = serialize_circuit(Circuit(circuit.m, circuit.n, (), circuit.outputs), comments)
+    assert text == head + "".join(f"{gate_line(g)}\n" for g in circuit.gates)
+    assert parse_circuit(text) == circuit
 
 
 @st.composite

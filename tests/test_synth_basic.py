@@ -1,4 +1,5 @@
 """Block synthesis and no-ancilla synthesis of (even) permutations."""
+from collections import Counter
 from itertools import permutations as all_orderings
 from random import Random
 
@@ -18,7 +19,12 @@ from rcsynth.circuit import cnot, simulate
 from rcsynth.perm import transposition_stream
 from rcsynth import synth_basic
 from rcsynth.synth_basic import _canonicalize, synth_block
-from conftest import random_even_permutation, random_permutation, transpositions_product
+from conftest import (
+    naive_mapping,
+    random_even_permutation,
+    random_permutation,
+    transpositions_product,
+)
 
 
 def random_group(n, K, rng):
@@ -166,6 +172,29 @@ class TestSynthEvenPermutation:
         circuit, report = synth_even_permutation(p, k=4)
         assert report.nots + report.cnots + report.toffolis == len(circuit)
         assert all(len(controls) <= 2 for controls, _ in circuit.gates)
+
+    @pytest.mark.parametrize("n, k", [(6, 4), (8, 16)])
+    def test_each_distinct_gate_expanded_once(self, n, k, monkeypatch):
+        # The core gate repeats in every block of one size; at k = 16 some
+        # conjugators have three or more controls too.
+        p = random_even_permutation(n, Random(n))
+        generalized = set()
+        for group in transposition_stream(p, k // 2):
+            conjugators, core = _canonicalize([x for t in group for x in t], n)
+            generalized.update(g for g in conjugators + [core] if len(g[0]) >= 3)
+        if k == 16:
+            assert any(len(controls) >= 3 and target != 0 for controls, target in generalized)
+        calls = Counter()
+        expand = synth_basic.decompose_borrowed
+
+        def counting(controls, target, helpers):
+            calls[(tuple(controls), target)] += 1
+            return expand(controls, target, helpers)
+
+        monkeypatch.setattr(synth_basic, "decompose_borrowed", counting)
+        circuit, _ = synth_even_permutation(p, k=k)
+        assert calls == Counter(generalized)
+        assert naive_mapping(circuit) == list(p.images)
 
     def test_odd_rejected_without_ancillas(self):
         p = Permutation.from_cycles(4, [(0, 1)])
