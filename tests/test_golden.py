@@ -1,6 +1,6 @@
 """Serialized circuits of fixed instances, pinned by SHA-256 and gate count,
-the `bounds --csv` table, the transposition grouping and the Toffoli
-decompositions, pinned by SHA-256.
+the `bounds --csv` table, the transposition grouping, the block
+canonicalization and the Toffoli decompositions, pinned by SHA-256.
 
 Any change to synthesis or serialization that alters one output byte fails
 here.  A change meant to alter output updates these values and reports the
@@ -19,6 +19,7 @@ from rcsynth import (
 )
 from rcsynth.cli import main
 from rcsynth.perm import Permutation, transposition_stream
+from rcsynth.synth_basic import _canonicalize
 from rcsynth.synth_lupanov import choose_params
 from rcsynth.toffoli import decompose_borrowed, decompose_clean, decompose_garbage
 from conftest import random_even_permutation, random_permutation
@@ -173,3 +174,25 @@ def test_toffoli_decompositions(decompose, digest):
         if decompose is decompose_borrowed or len(helpers) == len(controls) - 2
     )
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _canonicalize_inputs():
+    """Per n = 2..12, every admissible block size k = 2..32 (log2 k < n) and
+    seeds 0..2: k distinct random n-bit rows."""
+    for n in range(2, 13):
+        for k in (2, 4, 8, 16, 32):
+            if k.bit_length() - 1 >= n:
+                continue
+            for seed in range(3):
+                yield Random(1000 * n + 10 * k + seed).sample(range(1 << n), k), n
+
+
+def test_canonicalize():
+    # Gates are written as plain (controls, target) pairs, so the pin reads
+    # the same whatever type holds them.
+    text = ""
+    for rows, n in _canonicalize_inputs():
+        conjugators, (controls, target) = _canonicalize(rows, n)
+        pairs = [(tuple(cs), t) for cs, t in conjugators]
+        text += repr((pairs, (tuple(controls), target))) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "82c521cc96ac63bef0ca8379738cf1fa3082044b98e37eca4b439f39f1153b86"
