@@ -10,8 +10,9 @@ Conventions used everywhere in the package:
   lines read back out, in order;
 - a column holds one line over many inputs: bit x of column j is bit j of
   word x.  `columns_of` and `words_of` convert, and `_sweep` runs the gates
-  over columns; the check after `synth` and `verify` (all 2^n inputs) and
-  `simulate` (one input) run that one sweep.
+  over columns; the check after `synth` and `verify` (all 2^n inputs),
+  `simulate` (one input) and the block check of basic synthesis (a block's
+  moved points) run that one sweep.
 """
 from __future__ import annotations
 
@@ -60,13 +61,6 @@ class Gate(tuple):
 
     def __repr__(self) -> str:
         return f"Gate({self[0]!r}, {self[1]!r})"
-
-    def apply_to_bits(self, bits: int) -> int:
-        controls, target = self
-        for c in controls:
-            if not (bits >> c) & 1:
-                return bits
-        return bits ^ (1 << target)
 
 
 def not_gate(target: int) -> Gate:
@@ -189,12 +183,10 @@ def truth_table_masks(n: int) -> list[int]:
     return masks
 
 
-def _sweep(circuit: Circuit, input_tables: Sequence[int], full: int) -> list[int]:
-    """Column per line after running the gates: lines 0..n-1 start as
-    input_tables, the ancillas as 0, and full is the all-ones column that a
-    NOT flips."""
-    tables = list(input_tables) + [0] * circuit.q
-    for controls, target in circuit.gates:
+def _sweep(gates: Iterable[tuple], tables: list[int], full: int) -> list[int]:
+    """Run the gates over tables, one column per line, in place and return
+    it; full is the all-ones column that a NOT flips."""
+    for controls, target in gates:
         fired = full
         for c in controls:
             fired &= tables[c]
@@ -208,7 +200,7 @@ def simulate(circuit: Circuit, input_word: int) -> tuple[int, int]:
     m-line state).  A word outside [0, 2^n) raises FormatError."""
     if not 0 <= input_word < (1 << circuit.n):
         raise FormatError(f"input {input_word} does not fit in {circuit.n} bits")
-    lines = _sweep(circuit, columns_of([input_word], circuit.n), 1)
+    lines = _sweep(circuit.gates, columns_of([input_word], circuit.n) + [0] * circuit.q, 1)
     (output,) = words_of([lines[line] for line in circuit.outputs], 1)
     (final,) = words_of(lines, 1)
     return output, final
@@ -226,6 +218,7 @@ def realized_mapping(circuit: Circuit) -> BooleanMapping:
     w < 2^n.  Capped on n, the size of the table being materialized."""
     check_sweep_cap(circuit.n)
     size = 1 << circuit.n
-    tables = _sweep(circuit, truth_table_masks(circuit.n), (1 << size) - 1)
+    tables = truth_table_masks(circuit.n) + [0] * circuit.q
+    _sweep(circuit.gates, tables, (1 << size) - 1)
     images = words_of([tables[line] for line in circuit.outputs], size)
     return BooleanMapping(circuit.n, images)

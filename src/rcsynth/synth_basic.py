@@ -8,10 +8,14 @@ core gate realizes the block; concatenated blocks realize the permutation.
 from __future__ import annotations
 
 from .bounds import block_upper
-from .circuit import Circuit, Gate, GateCountReport, cnot, columns_of, count_gates, not_gate
+from .circuit import (
+    Circuit, Gate, GateCountReport, _sweep, columns_of, count_gates, truth_table_masks, words_of
+)
 from .errors import ContractError, ParameterError, ParityError
 from .perm import Pair, Permutation, is_even, plain_transpositions, transposition_stream
 from .toffoli import decompose_borrowed, decompose_clean
+
+GatePair = tuple[tuple[int, ...], int]
 
 
 def _bit_positions(value: int) -> tuple[int, ...]:
@@ -23,10 +27,14 @@ def _bit_positions(value: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _canonicalize(rows: list[int], n: int) -> tuple[list[Gate], Gate]:
+def _canonicalize(rows: list[int], n: int) -> tuple[list[GatePair], GatePair]:
     """Conjugate the block until its rows read 0, 1, ..., k-1 in the low
     log2 k columns with all high columns 1, at which point the block is the
-    single gate with controls on lines log2 k .. n-1 and target 0.
+    single gate with controls on lines log2 k .. n-1 and target 0.  Gates are
+    (controls, target) pairs, controls ascending.  The rows move by whole-row
+    updates, one per gate group; the emitted gates are checked by one sweep
+    over the columns of the given rows, which raises ContractError unless
+    they end canonical.
 
     The rows are the block's moved points, pairwise distinct n-bit points;
     their count k must be one that `block_upper(n, k)` admits."""
@@ -36,28 +44,24 @@ def _canonicalize(rows: list[int], n: int) -> tuple[list[Gate], Gate]:
     lgk = k.bit_length() - 1
     if any(not 0 <= r < (1 << n) for r in rows):
         raise ParameterError("rows must be n-bit points")
-    conjugators: list[Gate] = []
-
-    def conjugate(gate: Gate) -> None:
-        nonlocal rows
-        conjugators.append(gate)
-        rows = [gate.apply_to_bits(r) for r in rows]
+    conjugators: list[GatePair] = []
 
     # Zero every column that repeats an earlier one; first occurrences stay.
     # cnot(kept, j) zeroes column j and leaves the others as they were, so
     # the columns of the rows as given serve for the whole pass.
+    columns = columns_of(rows, n)
     kept: dict[int, int] = {}
-    for j, pattern in enumerate(columns_of(rows, n)):
-        if pattern == 0:
-            continue
+    for j, pattern in enumerate(columns):
         if pattern in kept:
-            conjugate(cnot(kept[pattern], j))
-        else:
+            conjugators.append(((kept[pattern],), j))
+        elif pattern:
             kept[pattern] = j
+    repeated = sum(1 << j for _, j in conjugators)
 
     # Clear the first row with NOTs on its set columns.
-    for j in _bit_positions(rows[0]):
-        conjugate(not_gate(j))
+    first = rows[0] & ~repeated
+    conjugators += [((), j) for j in _bit_positions(first)]
+    rows = [(x & ~repeated) ^ first for x in rows]
 
     # Row r must become the value r.  Rows are pairwise distinct throughout
     # (conjugation permutes points), which keeps finished rows untouched.
@@ -67,23 +71,26 @@ def _canonicalize(rows: list[int], n: int) -> tuple[list[Gate], Gate]:
             continue
         if value >> lgk == 0:
             # No high bit available: lift the row into the spill column lgk.
-            conjugate(Gate(_bit_positions(value), lgk))
+            conjugators.append((_bit_positions(value), lgk))
+            rows = [x ^ (1 << lgk) if x & value == value else x for x in rows]
             value = rows[r]
         j = lgk + ((value >> lgk) & -(value >> lgk)).bit_length() - 1
-        for jp in _bit_positions((value ^ r) & ~(1 << j)):
-            conjugate(cnot(j, jp))
-        conjugate(Gate(_bit_positions(r), j))
+        # The CNOTs all have control j and none targets it, so together they
+        # XOR mask into the rows with bit j set.
+        mask = (value ^ r) & ~(1 << j)
+        conjugators += [((j,), jp) for jp in _bit_positions(mask)]
+        conjugators.append((_bit_positions(r), j))
+        rows = [x ^ mask if (x >> j) & 1 else x for x in rows]
+        rows = [x ^ (1 << j) if x & r == r else x for x in rows]
 
     # Set every high column to all ones so a single gate matches the block.
-    for j in range(lgk, n):
-        conjugate(not_gate(j))
-    high = ((1 << (n - lgk)) - 1) << lgk
-    if rows != [r | high for r in range(k)]:
-        raise ContractError(
-            f"block canonicalized to rows {rows}, not r | {high} for r < {k}"
-        )
+    conjugators += [((), j) for j in range(lgk, n)]
+    full = (1 << k) - 1
+    if _sweep(conjugators, columns, full) != truth_table_masks(lgk) + [full] * (n - lgk):
+        rows, high = list(words_of(columns, k)), (1 << n) - (1 << lgk)
+        raise ContractError(f"block canonicalized to rows {rows}, not r | {high} for r < {k}")
 
-    return conjugators, Gate(tuple(range(lgk, n)), 0)
+    return conjugators, (tuple(range(lgk, n)), 0)
 
 
 def synth_block(
@@ -91,7 +98,7 @@ def synth_block(
     n: int,
     ancilla_lines: tuple[int, ...] = (),
     *,
-    _expanded: dict[tuple[Gate, bool], list[Gate]] | None = None,
+    _expanded: dict[tuple[GatePair, bool], list[Gate]] | None = None,
 ) -> list[Gate]:
     """Gates realizing exactly the permutation of one group of independent
     transpositions on 2^n states: expanded conjugators, expanded core gate,
@@ -100,31 +107,31 @@ def synth_block(
     lines.  `block_upper(n, k)` for the k = 2|group| moved points both
     checks k and caps the gate count.
 
-    Each distinct gate is expanded once; `synth_even_permutation` passes one
-    `_expanded` dict (gate and clean flag to expansion) to all its blocks on
-    the same n and ancilla_lines, so blocks share the expanded core gate."""
+    Each distinct (controls, target) pair becomes a `Gate` and is expanded
+    once; `synth_even_permutation` passes one `_expanded` dict (pair and clean
+    flag to expansion) to all its blocks on the same n and ancilla_lines."""
     rows = [x for t in group for x in t]
     budget = block_upper(n, len(rows))
     conjugators, core = _canonicalize(rows, n)
     expanded = {} if _expanded is None else _expanded
 
-    def expand(gate: Gate, clean: bool = False) -> list[Gate]:
-        part = expanded.get((gate, clean))
+    def expand(pair: GatePair, clean: bool = False) -> list[Gate]:
+        part = expanded.get((pair, clean))
         if part is not None:
             return part
-        controls, target = gate
+        controls, target = pair
         if len(controls) <= 2:
-            part = [gate]
+            part = [Gate(controls, target)]
         elif clean and ancilla_lines:
             part = decompose_clean(controls, target, ancilla_lines[: len(controls) - 2])
         else:
             used = set(controls) | {target}
             free = tuple(line for line in range(n) if line not in used) + ancilla_lines
             part = decompose_borrowed(controls, target, free)
-        expanded[(gate, clean)] = part
+        expanded[(pair, clean)] = part
         return part
 
-    parts = [expand(gate) for gate in conjugators]
+    parts = [expand(pair) for pair in conjugators]
     gates = [g for part in parts + [expand(core, clean=True)] + parts[::-1] for g in part]
     if len(gates) > budget:
         raise ContractError(f"block emitted {len(gates)} gates, budget {budget}")
@@ -176,7 +183,7 @@ def synth_even_permutation(
 
     if n == 1:
         # One line admits only the identity and the NOT.
-        gates = [] if p.is_identity() else [not_gate(0)]
+        gates = [] if p.is_identity() else [Gate((), 0)]
     else:
         if k is None:
             # The paper's phi-driven k clamps to 4 for every n <= 1999 (any
@@ -186,7 +193,7 @@ def synth_even_permutation(
             groups = [(t,) for t in plain_transpositions(p)]
         else:
             groups = transposition_stream(p, k // 2)
-        expanded: dict[tuple[Gate, bool], list[Gate]] = {}
+        expanded: dict[tuple[GatePair, bool], list[Gate]] = {}
         gates = [
             g
             for group in groups

@@ -1,5 +1,5 @@
 """Shared helpers: seeded instance generators, every basis gate on m lines,
-and an independent simulator, gate-line writer and transposition product
+and independent simulators, gate-line writer and transposition product
 used as oracles against the package's own evaluation and serialization
 paths."""
 from __future__ import annotations
@@ -20,6 +20,15 @@ def run_bits(gates, bits: list[int]) -> list[int]:
         if all(bits[c] == 1 for c in controls):
             bits[target] ^= 1
     return bits
+
+
+def run_word(gates, word: int) -> int:
+    """Run gates with any number of controls over one integer state whose
+    bit j is line j: flip the target bit when every control bit is 1."""
+    for controls, target in gates:
+        if all(word >> c & 1 for c in controls):
+            word ^= 1 << target
+    return word
 
 
 def naive_run(circuit: Circuit, w: int) -> tuple[int, int]:

@@ -25,7 +25,7 @@ from rcsynth.synth_basic import synth_block
 from rcsynth.synth_lupanov import conjunction_bank, conjunction_gate_count
 from rcsynth.toffoli import decompose_borrowed, decompose_clean, decompose_garbage
 from rcsynth.cli import main
-from conftest import random_even_permutation, sweep_tables
+from conftest import random_even_permutation, run_word, sweep_tables
 
 BASIC_NS = (4, 5, 6, 7, 8)
 BASIC_RUNS = 100
@@ -101,10 +101,7 @@ def test_criterion_4_toffoli_decompositions():
         borrowed = decompose_borrowed(controls, target, (k + 1,))
         assert len(borrowed) <= 8 * k
         for w in range(1 << m):
-            bits = w
-            for gate in borrowed:
-                bits = gate.apply_to_bits(bits)
-            assert bits == oracle.apply_to_bits(w), ("borrowed", k, w)
+            assert run_word(borrowed, w) == run_word([oracle], w), ("borrowed", k, w)
 
         helpers = tuple(range(k + 1, 2 * k - 1))
         clean = decompose_clean(controls, target, helpers)
@@ -113,14 +110,9 @@ def test_criterion_4_toffoli_decompositions():
         assert len(garbage) == k - 1
         visible = (1 << (k + 1)) - 1
         for w in range(1 << (k + 1)):  # helper-zero subspace
-            bits = w
-            for gate in clean:
-                bits = gate.apply_to_bits(bits)
-            assert bits == oracle.apply_to_bits(w), ("clean", k, w)
-            bits = w
-            for gate in garbage:
-                bits = gate.apply_to_bits(bits)
-            assert bits & visible == oracle.apply_to_bits(w), ("garbage", k, w)
+            want = run_word([oracle], w)
+            assert run_word(clean, w) == want, ("clean", k, w)
+            assert run_word(garbage, w) & visible == want, ("garbage", k, w)
     print(
         "\nACCEPTANCE 4 PASS: k=3..8 replacements exhaustive "
         "(borrowed <= 8k, clean = 2k-3 restoring helpers, garbage = k-1)"

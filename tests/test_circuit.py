@@ -16,7 +16,7 @@ from rcsynth.circuit import (
 )
 from rcsynth.perm import is_even
 from rcsynth.synth_lupanov import conjunction_bank, xor_bank
-from conftest import all_basis_gates, naive_mapping, random_circuit, run_bits
+from conftest import all_basis_gates, naive_mapping, random_circuit, run_bits, run_word
 
 
 def whole_state_permutation(c):
@@ -28,22 +28,22 @@ def whole_state_permutation(c):
 
 class TestApplyGate:
     def test_not_sets_bit(self):
-        assert not_gate(0).apply_to_bits(0b00) == 0b01
+        assert run_word([not_gate(0)], 0b00) == 0b01
 
     def test_toffoli_fires_only_when_all_controls_set(self):
         gate = ccnot(0, 1, 2)
-        assert gate.apply_to_bits(0b011) == 0b111
-        assert gate.apply_to_bits(0b001) == 0b001
+        assert run_word([gate], 0b011) == 0b111
+        assert run_word([gate], 0b001) == 0b001
 
     def test_every_gate_is_an_involution(self):
         for gate in all_basis_gates(4):
             for bits in range(16):
-                assert gate.apply_to_bits(gate.apply_to_bits(bits)) == bits
+                assert run_word([gate, gate], bits) == bits
 
     def test_locality_changes_at_most_one_bit(self):
         for gate in all_basis_gates(4):
             for bits in range(16):
-                after = gate.apply_to_bits(bits)
+                after = run_word([gate], bits)
                 assert bin(after ^ bits).count("1") <= 1
 
     def test_out_of_range_index_rejected(self):

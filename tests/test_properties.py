@@ -2,8 +2,8 @@
 serialize/parse round trip on generated circuits and tables under any header
 comments, serialized gate lines against a gate-by-gate writer, the
 word/column transposes, simulation against the oracle, the borrowed-line
-Toffoli expansion on any line layout, and basic and lupanov synthesis
-against the oracle."""
+Toffoli expansion on any line layout, block canonicalization gate by gate,
+and basic and lupanov synthesis against the oracle."""
 import re
 
 from hypothesis import assume, given, settings
@@ -29,8 +29,9 @@ from rcsynth import (
 )
 from rcsynth.circuit import columns_of, simulate, words_of
 from rcsynth.perm import is_even
+from rcsynth.synth_basic import _canonicalize
 from rcsynth.toffoli import decompose_borrowed
-from conftest import gate_line, naive_mapping, naive_run, run_bits, sweep_tables
+from conftest import gate_line, naive_mapping, naive_run, run_bits, run_word, sweep_tables
 
 HEADER = "lines 4\ninputs 3\noutputs 0 1 2\n"
 
@@ -217,6 +218,29 @@ def test_borrowed_expansion_equals_generalized_gate(layout):
 
 
 @st.composite
+def block_rows(draw):
+    """(rows, n): k distinct n-bit rows, n = 2..9 and k = 2^j for any j < n,
+    in any order."""
+    n = draw(st.integers(2, 9))
+    k = 1 << draw(st.integers(1, n - 1))
+    return list(draw(st.permutations(range(1 << n)))[:k]), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_rows())
+def test_canonicalize_gates_move_each_row_to_its_index(case):
+    # The conjugators run one at a time on each given row through run_word,
+    # which shares no code with the sweep that the package's own check runs.
+    rows, n = case
+    conjugators, core = _canonicalize(rows, n)
+    lgk = len(rows).bit_length() - 1
+    high = (1 << n) - (1 << lgk)
+    assert [run_word(conjugators, r) for r in rows] == [i | high for i in range(len(rows))]
+    assert all(list(cs) == sorted(set(cs)) and t not in cs for cs, t in conjugators)
+    assert core == (tuple(range(lgk, n)), 0)
+
+
+@st.composite
 def basic_targets(draw):
     """(permutation, k, ancilla budget) with n = 1..7 and k a power of two;
     odd permutations only where the lines or the helpers admit them."""
@@ -240,6 +264,8 @@ def test_basic_synthesis_matches_oracle_and_inverts(target):
     except ParameterError:
         assume(False)
     assert naive_mapping(circuit) == list(p.images)
+    # Blocks build their gates from plain pairs; the circuit holds Gates only.
+    assert all(type(g) is Gate for g in circuit.gates)
     # c followed by its reversed gates fixes every state of all m lines.
     m = circuit.m
     round_trip = circuit.gates + tuple(reversed(circuit.gates))

@@ -3,12 +3,7 @@ import pytest
 
 from rcsynth import CapacityError, Gate, ParameterError
 from rcsynth.toffoli import decompose_borrowed, decompose_clean, decompose_garbage
-
-
-def run(gates, bits):
-    for gate in gates:
-        bits = gate.apply_to_bits(bits)
-    return bits
+from conftest import run_word
 
 
 def borrowed(k, helpers):
@@ -33,7 +28,7 @@ class TestBorrowed:
         assert all(len(controls) <= 2 for controls, _ in gates)
         oracle = Gate(tuple(range(k)), k)
         for w in range(1 << (k + 2)):
-            assert run(gates, w) == oracle.apply_to_bits(w)
+            assert run_word(gates, w) == run_word([oracle], w)
 
     @pytest.mark.parametrize("k", range(3, 7))
     def test_many_borrows_full_state_equivalence(self, k):
@@ -42,7 +37,7 @@ class TestBorrowed:
         assert len(gates) == 4 * (k - 2)
         oracle = Gate(tuple(range(k)), k)
         for w in range(1 << (2 * k - 1)):
-            assert run(gates, w) == oracle.apply_to_bits(w)
+            assert run_word(gates, w) == run_word([oracle], w)
 
     def test_needs_a_free_line(self):
         with pytest.raises(CapacityError):
@@ -62,8 +57,8 @@ class TestClean:
         assert len(gates) == 2 * k - 3
         oracle = Gate(tuple(range(k)), k)
         for w in range(1 << (k + 1)):  # helpers start at zero
-            after = run(gates, w)
-            assert after == oracle.apply_to_bits(w)  # helpers end at zero too
+            after = run_word(gates, w)
+            assert after == run_word([oracle], w)  # helpers end at zero too
 
     def test_three_controls_shape(self):
         gates = decompose_clean((0, 1, 2), 3, (4,))
@@ -87,8 +82,8 @@ class TestGarbage:
         visible = (1 << (k + 1)) - 1
         dirty_seen = False
         for w in range(1 << (k + 1)):
-            after = run(gates, w)
-            assert after & visible == oracle.apply_to_bits(w)
+            after = run_word(gates, w)
+            assert after & visible == run_word([oracle], w)
             if after >> (k + 1):
                 dirty_seen = True
         assert dirty_seen, "garbage mode must leave some helper nonzero"
