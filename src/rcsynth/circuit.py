@@ -63,18 +63,6 @@ class Gate(tuple):
         return f"Gate({self[0]!r}, {self[1]!r})"
 
 
-def not_gate(target: int) -> Gate:
-    return Gate((), target)
-
-
-def cnot(control: int, target: int) -> Gate:
-    return Gate((control,), target)
-
-
-def ccnot(c1: int, c2: int, target: int) -> Gate:
-    return Gate((c1, c2), target)
-
-
 def find_gate_fault(gates: Iterable[Gate], m: int) -> tuple[int, str] | None:
     """Index and reason of the first gate that is not a valid basis gate on
     m lines: more than two controls, a line index outside [0, m), a repeated

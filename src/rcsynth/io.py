@@ -1,7 +1,8 @@
 r"""Text file formats for circuits, permutations and mappings.
 
 Lines end at \n, \r\n or \r; a `#` comment runs to the end of its line, and
-blank lines are ignored.  Circuit file (UTF-8):
+blank lines are ignored.  Every parser reads the text one line at a time, so
+`circuit_inputs` stops at the `inputs` header.  Circuit file (UTF-8):
 
     lines <m>
     inputs <n>
@@ -24,6 +25,7 @@ Permutation file: ``perm <n>`` then 2^n integers forming a bijection on
 from __future__ import annotations
 
 import re
+from io import StringIO
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
@@ -43,17 +45,15 @@ _MAX_KNOWN_GATES = 4096
 
 
 def _records(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, content) of each line with text outside its comment.
-    Each line is dropped from the split text once read, so a parse does not
-    hold the whole text a second time beside what it builds."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for i, line in enumerate(lines):
-        lines[i] = ""
+    """(line number, content) of each line with text outside its comment,
+    read one line at a time: a caller that stops early splits no further
+    lines, and no list of all the lines is ever built."""
+    for lineno, line in enumerate(StringIO(text, newline=None), 1):
         if "#" in line:
             line = line[: line.index("#")]
         content = line.strip()
         if content:
-            yield i + 1, content
+            yield lineno, content
 
 
 def _header(records: Iterator[tuple[int, str]], keyword: str, count: int | None) -> list[int]:
@@ -113,10 +113,9 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def circuit_inputs(text: str) -> int:
-    """n from the `inputs` header of a circuit file.  When the first 16 lines
-    hold the first two records, only they are read: no gate line is split."""
-    head = list(islice(_records("\n".join(text.split("\n", 16)[:16])), 2))
-    records = iter(head) if len(head) == 2 else _records(text)
+    """n from the `inputs` header of a circuit file.  Only the lines up to
+    that header are read: no gate line is split."""
+    records = _records(text)
     _header(records, "lines", 1)
     return _header(records, "inputs", 1)[0]
 

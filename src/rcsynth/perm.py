@@ -105,11 +105,12 @@ def split_dependent_pair(
 ) -> tuple[tuple[Pair, Pair], tuple[Pair, Pair]]:
     """Rewrite a product of two transpositions sharing one point as two
     independent pairs, using a fresh transposition (r, s) on the two smallest
-    free points: t1 * t2 == (t1 * (r,s)) * ((r,s) * t2)."""
+    free points: t1 * t2 == (t1 * (r,s)) * ((r,s) * t2).  The two pairs use
+    three points, so the first five points hold two free ones."""
     if len(set(t1) & set(t2)) != 1:
         raise ParameterError("transpositions must share exactly one point")
     used = set(t1) | set(t2)
-    free = [x for x in range(1 << n) if x not in used]
+    free = [x for x in range(min(5, 1 << n)) if x not in used]
     if len(free) < 2:
         raise CapacityError(
             f"no room for a fresh transposition on {1 << n} points"

@@ -47,8 +47,8 @@ def _canonicalize(rows: list[int], n: int) -> tuple[list[GatePair], GatePair]:
     conjugators: list[GatePair] = []
 
     # Zero every column that repeats an earlier one; first occurrences stay.
-    # cnot(kept, j) zeroes column j and leaves the others as they were, so
-    # the columns of the rows as given serve for the whole pass.
+    # The CNOT ((kept,), j) zeroes column j and leaves the others as they
+    # were, so the columns of the rows as given serve for the whole pass.
     columns = columns_of(rows, n)
     kept: dict[int, int] = {}
     for j, pattern in enumerate(columns):

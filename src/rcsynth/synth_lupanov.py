@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterator
 
-from .circuit import MAX_LINES, Circuit, Gate, ccnot, cnot, columns_of, not_gate
+from .circuit import MAX_LINES, Circuit, Gate, columns_of
 from .errors import CapacityError, ContractError, ParameterError
 from .perm import BooleanMapping
 
@@ -63,7 +63,7 @@ def conjunction_bank(
     negated: dict[int, int] = {}
     for line in var_lines:
         negated[line] = target = next(fresh)
-        gates += [not_gate(target), cnot(line, target)]
+        gates += [Gate((), target), Gate((line,), target)]
 
     def build(lines: tuple[int, ...]) -> dict[int, int]:
         if len(lines) == 1:
@@ -75,7 +75,7 @@ def conjunction_bank(
         for a_high in range(1 << (len(lines) - mid)):
             for a_low in range(1 << mid):
                 bank[a_low | (a_high << mid)] = target = next(fresh)
-                gates.append(ccnot(low[a_low], high[a_high], target))
+                gates.append(Gate((low[a_low], high[a_high]), target))
         return bank
 
     return gates, build(tuple(var_lines))
@@ -109,7 +109,7 @@ def xor_bank(
             bank[m_high << mid] = high_line
             for m_low, low_line in low.items():
                 bank[m_low | (m_high << mid)] = target = next(fresh)
-                gates.extend((cnot(low_line, target), cnot(high_line, target)))
+                gates.extend((Gate((low_line,), target), Gate((high_line,), target)))
         return bank
 
     return gates, build(tuple(group_lines))
@@ -182,7 +182,7 @@ def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
             for start, width, bank in groups:
                 mask = (support >> start) & ((1 << width) - 1)
                 if mask:
-                    s4.append(ccnot(second_bank[i], bank[mask], out_lines[j]))
+                    s4.append(Gate((second_bank[i], bank[mask]), out_lines[j]))
     drawn = next(fresh)
     if drawn != m:
         raise ContractError(f"lupanov stages use {drawn} lines, their layout has {m}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .circuit import Gate, ccnot
+from .circuit import Gate
 from .errors import CapacityError, ParameterError
 
 
@@ -71,10 +71,10 @@ def decompose_garbage(
         )
     if k <= 2:
         return [Gate(controls, target)]
-    gates = [ccnot(controls[0], controls[1], helpers[0])]
+    gates = [Gate((controls[0], controls[1]), helpers[0])]
     for i in range(k - 3):
-        gates.append(ccnot(controls[i + 2], helpers[i], helpers[i + 1]))
-    gates.append(ccnot(controls[-1], helpers[-1], target))
+        gates.append(Gate((controls[i + 2], helpers[i]), helpers[i + 1]))
+    gates.append(Gate((controls[-1], helpers[-1]), target))
     return gates
 
 

@@ -1,16 +1,16 @@
 """Shared helpers: seeded instance generators, every basis gate on m lines,
-and independent simulators, gate-line writer and transposition product
-used as oracles against the package's own evaluation and serialization
-paths."""
+and independent simulators, gate-line writer, record splitter and
+transposition product used as oracles against the package's own
+evaluation, serialization and parsing paths."""
 from __future__ import annotations
 
+import re
 from random import Random
 from typing import Iterable
 
 import pytest
 
 from rcsynth import Circuit, Gate, Permutation
-from rcsynth.circuit import ccnot, cnot, not_gate
 
 
 def run_bits(gates, bits: list[int]) -> list[int]:
@@ -67,10 +67,10 @@ def sweep_tables(m: int, n: int, gates) -> list[int]:
 
 def all_basis_gates(m: int) -> list[Gate]:
     """Every NOT, CNOT and 2-CNOT on m lines."""
-    gates = [not_gate(t) for t in range(m)]
-    gates += [cnot(c, t) for c in range(m) for t in range(m) if c != t]
+    gates = [Gate((), t) for t in range(m)]
+    gates += [Gate((c,), t) for c in range(m) for t in range(m) if c != t]
     gates += [
-        ccnot(c1, c2, t)
+        Gate((c1, c2), t)
         for c1 in range(m)
         for c2 in range(c1 + 1, m)
         for t in range(m)
@@ -83,6 +83,14 @@ def gate_line(gate) -> str:
     """The circuit-file line of one gate, written gate by gate."""
     controls, target = gate
     return " ".join(["nct"[len(controls)], *map(str, controls), str(target)])
+
+
+def split_records(text: str) -> list[tuple[int, str]]:
+    r"""(1-based line number, stripped content before any `#`) of each line
+    with such content, the lines split at \r\n, \r or \n by a regex."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    contents = ((i, line.split("#", 1)[0].strip()) for i, line in enumerate(lines, 1))
+    return [(i, content) for i, content in contents if content]
 
 
 def transpositions_product(ts: Iterable[tuple[int, int]], n: int) -> Permutation:

@@ -6,11 +6,8 @@ import pytest
 
 from rcsynth import CapacityError, Circuit, Gate, Permutation, realized_mapping
 from rcsynth.circuit import (
-    ccnot,
-    cnot,
     columns_of,
     count_gates,
-    not_gate,
     simulate,
     truth_table_masks,
 )
@@ -28,10 +25,10 @@ def whole_state_permutation(c):
 
 class TestApplyGate:
     def test_not_sets_bit(self):
-        assert run_word([not_gate(0)], 0b00) == 0b01
+        assert run_word([Gate((), 0)], 0b00) == 0b01
 
     def test_toffoli_fires_only_when_all_controls_set(self):
-        gate = ccnot(0, 1, 2)
+        gate = Gate((0, 1), 2)
         assert run_word([gate], 0b011) == 0b111
         assert run_word([gate], 0b001) == 0b001
 
@@ -48,11 +45,11 @@ class TestApplyGate:
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
-            Circuit(2, 2, (not_gate(3),), (0, 1))
+            Circuit(2, 2, (Gate((), 3),), (0, 1))
         with pytest.raises(ValueError):
-            Circuit(2, 2, (cnot(0, 2),), (0, 1))
+            Circuit(2, 2, (Gate((0,), 2),), (0, 1))
         with pytest.raises(ValueError):
-            Circuit(2, 2, (cnot(-1, 0),), (0, 1))
+            Circuit(2, 2, (Gate((-1,), 0),), (0, 1))
 
 
 class TestGateValidation:
@@ -70,7 +67,7 @@ class TestGateValidation:
 
     def test_controls_are_sorted_and_define_equality(self):
         assert Gate((2, 0), 1) == ((0, 2), 1)
-        assert Gate((2, 0), 1) == ccnot(0, 2, 1)
+        assert Gate((2, 0), 1) == Gate((0, 2), 1)
 
 
 class TestSimulate:
@@ -80,11 +77,11 @@ class TestSimulate:
             assert simulate(c, w) == (w, w)
 
     def test_cnot_circuit(self):
-        c = Circuit(2, 2, (cnot(0, 1),), (0, 1))
+        c = Circuit(2, 2, (Gate((0,), 1),), (0, 1))
         assert simulate(c, 0b01)[0] == 0b11
 
     def test_ancilla_enables_control(self):
-        c = Circuit(3, 2, (not_gate(2), ccnot(0, 2, 1)), (0, 1))
+        c = Circuit(3, 2, (Gate((), 2), Gate((0, 2), 1)), (0, 1))
         output, final = simulate(c, 0b01)
         assert output == 0b11
         assert final == 0b111
@@ -101,7 +98,7 @@ class TestRealizedMapping:
         assert realized_mapping(c).images == (0, 1, 2, 3)
 
     def test_single_not(self):
-        c = Circuit(1, 1, (not_gate(0),), (0,))
+        c = Circuit(1, 1, (Gate((), 0),), (0,))
         assert realized_mapping(c).images == (1, 0)
 
     def test_matches_reference_simulation(self, rng):
@@ -122,11 +119,11 @@ class TestRealizedMapping:
 
 class TestCircuitPermutation:
     def test_single_not(self):
-        c = Circuit(1, 1, (not_gate(0),), (0,))
+        c = Circuit(1, 1, (Gate((), 0),), (0,))
         assert whole_state_permutation(c).images == (1, 0)
 
     def test_cnot_table(self):
-        c = Circuit(2, 2, (cnot(0, 1),), (0, 1))
+        c = Circuit(2, 2, (Gate((0,), 1),), (0, 1))
         assert whole_state_permutation(c).images == (0, 3, 2, 1)
 
     def test_even_on_four_or_more_lines(self, rng):
@@ -164,7 +161,7 @@ class TestInvert:
         assert self.invert(self.invert(c)) == c
 
     def test_single_gate_circuit_is_its_own_inverse(self):
-        c = Circuit(3, 3, (ccnot(0, 1, 2),), (0, 1, 2))
+        c = Circuit(3, 3, (Gate((0, 1), 2),), (0, 1, 2))
         assert self.invert(c) == c
 
     def test_composition_with_inverse_is_identity(self, rng):
@@ -188,13 +185,13 @@ class TestCountGates:
         assert (report.nots, report.cnots, report.toffolis) == (0, 0, 0)
 
     def test_mixed(self):
-        c = Circuit(3, 3, (not_gate(0), cnot(0, 1), ccnot(0, 1, 2)), (0, 1, 2))
+        c = Circuit(3, 3, (Gate((), 0), Gate((0,), 1), Gate((0, 1), 2)), (0, 1, 2))
         report = count_gates(c)
         assert (report.nots, report.cnots, report.toffolis) == (1, 1, 1)
 
     def test_three_controls_count_as_generalized(self):
         # No circuit holds a generalized gate, so none is ever counted.
-        gates = (not_gate(0), cnot(0, 1), ccnot(0, 1, 2), Gate((0, 1, 2), 3))
+        gates = (Gate((), 0), Gate((0,), 1), Gate((0, 1), 2), Gate((0, 1, 2), 3))
         with pytest.raises(ValueError, match="^gate 3: gate with 3 controls is outside the basis$"):
             Circuit(4, 4, gates, (0, 1, 2, 3))
 
@@ -208,7 +205,7 @@ class TestBasisGadget:
 
     def test_negation(self):
         gates, bank = conjunction_bank((0,), count(1))
-        assert gates == [not_gate(1), cnot(0, 1)] and bank[0] == 1
+        assert gates == [Gate((), 1), Gate((0,), 1)] and bank[0] == 1
         for a in (0, 1):
             bits, value = self.value_on_fresh(gates, [a], 2, 1)
             assert value == 1 - a
@@ -216,7 +213,7 @@ class TestBasisGadget:
 
     def test_xor(self):
         gates, bank = xor_bank((0, 1), count(2))
-        assert gates == [cnot(0, 2), cnot(1, 2)] and bank == {1: 0, 2: 1, 3: 2}
+        assert gates == [Gate((0,), 2), Gate((1,), 2)] and bank == {1: 0, 2: 1, 3: 2}
         for a in (0, 1):
             for b in (0, 1):
                 bits, value = self.value_on_fresh(gates, [a, b], 3, 2)
@@ -225,7 +222,7 @@ class TestBasisGadget:
 
     def test_conjunction(self):
         gates, bank = conjunction_bank((0, 1), count(2))
-        assert gates[-1] == ccnot(0, 1, bank[3])
+        assert gates[-1] == Gate((0, 1), bank[3])
         for a in (0, 1):
             for b in (0, 1):
                 _, value = self.value_on_fresh(gates, [a, b], 8, bank[3])
@@ -243,7 +240,7 @@ class TestCircuitValidation:
 
     def test_gate_must_fit(self):
         with pytest.raises(ValueError):
-            Circuit(2, 2, (not_gate(2),), (0, 1))
+            Circuit(2, 2, (Gate((), 2),), (0, 1))
 
 
 def test_truth_table_masks():

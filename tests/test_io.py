@@ -146,8 +146,9 @@ def test_first_faulty_index_named_when_gates_repeat(count, monkeypatch):
 @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("comments", [0, 15, 16, 17, 300])
 def test_circuit_inputs_reads_the_header_alone(comments, line_end):
-    # Comments push the header past the first lines read; with `\r` line ends
-    # there is no `\n` to split on.  Gate lines are not read at all.
+    # The header sits below any number of comment lines, under each line
+    # end.  Reading stops at `inputs`, so the bad `x 0` gate line is never
+    # parsed, and a bad header fails as the whole-file parse does.
     lines = ["# c"] * comments + ["lines 3", "inputs 2", "outputs 0 1", "c 0 1", "x 0"]
     text = line_end.join(lines) + line_end
     assert rio.circuit_inputs(text) == 2

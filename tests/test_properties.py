@@ -1,9 +1,10 @@
 """Property tests: the circuit parser on fuzzed and on repeated input, the
-serialize/parse round trip on generated circuits and tables under any header
-comments, serialized gate lines against a gate-by-gate writer, the
-word/column transposes, simulation against the oracle, the borrowed-line
-Toffoli expansion on any line layout, block canonicalization gate by gate,
-and basic and lupanov synthesis against the oracle."""
+record reader against a regex line split, the serialize/parse round trip
+on generated circuits and tables under any header comments, serialized
+gate lines against a gate-by-gate writer, the word/column transposes,
+simulation against the oracle, the borrowed-line Toffoli expansion on any
+line layout, block canonicalization gate by gate, and basic and lupanov
+synthesis against the oracle."""
 import re
 
 from hypothesis import assume, given, settings
@@ -27,11 +28,21 @@ from rcsynth import (
     synth_even_permutation,
     synth_mapping,
 )
+import rcsynth.io as rio
 from rcsynth.circuit import columns_of, simulate, words_of
 from rcsynth.perm import is_even
 from rcsynth.synth_basic import _canonicalize
 from rcsynth.toffoli import decompose_borrowed
-from conftest import gate_line, naive_mapping, naive_run, run_bits, run_word, sweep_tables
+from conftest import (
+    gate_line,
+    naive_mapping,
+    naive_run,
+    run_bits,
+    run_word,
+    split_records,
+    sweep_tables,
+)
+from test_io import NOT_LINE_ENDS
 
 HEADER = "lines 4\ninputs 3\noutputs 0 1 2\n"
 
@@ -106,6 +117,22 @@ def test_fuzzed_text_raises_only_format_errors(text):
         parse_circuit(text)
     except FormatError:
         pass
+
+
+# Line ends, comment marks, blanks, digits, letters and characters that
+# str.splitlines() would break at, joined into file texts.
+record_texts = st.lists(
+    st.sampled_from(
+        ["\n", "\r", "\r\n", "#", " ", "\t", "0", "7", "a", "Z", "\x00", "é", "ж", *NOT_LINE_ENDS]
+    ),
+    max_size=60,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_texts)
+def test_records_match_regex_split_oracle(text):
+    assert list(rio._records(text)) == split_records(text)
 
 
 @st.composite
