@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .bounds import gate_set_size
 from .errors import CapacityError, FormatError
-from .perm import BooleanMapping
+from .perm import BooleanMapping, _Value
 
 DEFAULT_EXHAUSTIVE_CAP = 24
 CAP_ENV_VAR = "RCSYNTH_CAP"
@@ -83,24 +82,21 @@ def find_gate_fault(gates: Iterable[Gate], m: int) -> tuple[int, str] | None:
     return None
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(_Value):
     """Ordered gate sequence over m lines with n inputs and q = m - n
     zero-initialized ancillas; `outputs` selects the result lines.
 
-    A circuit with more gates than the basis on m lines has
+    An immutable value: two circuits are equal when m, n, gates and outputs
+    are.  A circuit with more gates than the basis on m lines has
     (`bounds.gate_set_size(m)`) must repeat some, so its gates are checked
     once per distinct gate; a fault found that way is looked up again in
     the full sequence, so the error names its first index."""
 
-    m: int
-    n: int
-    gates: tuple[Gate, ...]
-    outputs: tuple[int, ...]
+    __slots__ = _fields = ("m", "n", "gates", "outputs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+    def __init__(self, m: int, n: int, gates: Iterable[Gate], outputs: Iterable[int]) -> None:
+        for name, value in zip(self._fields, (m, n, tuple(gates), tuple(outputs))):
+            object.__setattr__(self, name, value)
         if self.n < 1 or self.m < self.n:
             raise ValueError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
         if self.m > MAX_LINES:
@@ -125,9 +121,9 @@ class Circuit:
         return len(self.gates)
 
 
-@dataclass(frozen=True)
-class GateCountReport:
-    """Gate counts by kind; the total is len(circuit)."""
+class GateCountReport(NamedTuple):
+    """Gate counts by kind; the total is len(circuit).  A named tuple, so
+    immutable and equal to any tuple of the same three counts."""
 
     nots: int
     cnots: int

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification mismatch, 2 invalid input or format,
 from __future__ import annotations
 
 import argparse
-import csv
 import io as stringio
 import os
 import sys
@@ -93,6 +92,7 @@ def _bound_line(name: str, value: float | None, note: str) -> str:
 def cmd_bounds(args: argparse.Namespace) -> int:
     tables = [bounds_mod.bound_table(n, q, args.phi) for n in args.n for q in args.q]
     if args.csv:
+        import csv
         buf = stringio.StringIO()
         writer = csv.writer(buf)
         writer.writerow(name for name, _, _ in tables[0])

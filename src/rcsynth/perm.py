@@ -8,23 +8,55 @@ are applied.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, ContractError, ParameterError
 
 
-@dataclass(frozen=True)
-class BooleanMapping:
-    """Arbitrary function {0,...,2^n-1} -> {0,...,2^n-1} as an image table."""
+class _Value:
+    """Immutable record over the slots named in `_fields`, set once in
+    `__init__`: equal only to an object of exactly its class with equal
+    fields, hashed over them, and shown as `Name(field=value, ...)`."""
 
-    n: int
-    images: tuple[int, ...]
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class BooleanMapping(_Value):
+    """Arbitrary function {0,...,2^n-1} -> {0,...,2^n-1} as an image table;
+    an immutable value, equal to a mapping of its own class and same fields."""
+
+    __slots__ = _fields = ("n", "images")
+
+    def __init__(self, n: int, images: Iterable[int]) -> None:
+        object.__setattr__(self, "n", n)
         if self.n < 1:
             raise ValueError("bit count must be at least 1")
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "images", tuple(images))
         count = len(self.images)
         # Compare widths before shifting: a huge n must not build 2^n.
         if count.bit_length() != self.n + 1 or count != 1 << self.n:
@@ -38,12 +70,13 @@ class BooleanMapping:
         return 1 << self.n
 
 
-@dataclass(frozen=True)
 class Permutation(BooleanMapping):
-    """Bijection on {0, ..., 2^n - 1}."""
+    """Bijection on {0, ..., 2^n - 1}; never equal to a BooleanMapping."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, n: int, images: Iterable[int]) -> None:
+        super().__init__(n, images)
         if len(set(self.images)) != self.size:
             raise ValueError("image table is not a bijection")
 

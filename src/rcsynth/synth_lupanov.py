@@ -11,20 +11,19 @@ lines, an XOR bank of width w takes 2^w - 1 - w, and the outputs take n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .circuit import MAX_LINES, Circuit, Gate, columns_of
 from .errors import CapacityError, ContractError, ParameterError
 from .perm import BooleanMapping
 
 
-@dataclass(frozen=True)
-class StageReport:
+class StageReport(NamedTuple):
     """Per-stage gate and ancilla accounting plus the chosen parameters.
     psi_waived is set when the growth condition 2^k / s >= log2 n fails;
-    the circuit is built either way."""
+    the circuit is built either way.  A named tuple, so immutable and equal
+    to any tuple of the same fields."""
 
     k: int
     s: int

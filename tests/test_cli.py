@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file handling, determinism."""
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -108,6 +109,20 @@ def test_full_stdout_exits_2(argv):
     assert proc.returncode == 2
     assert proc.stderr.decode().startswith("error: cannot write stdout: ")
     assert proc.stderr.count(b"\n") == 1 and b"Traceback" not in proc.stderr
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_csv():
+    code = "import rcsynth.cli, sys; print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
+
+
+def test_bounds_csv_bytes_on_stdout():
+    proc = run_child(["bounds", "--n", "4", "8", "--csv"], subprocess.PIPE)
+    assert proc.returncode == 0 and proc.stdout.count(b"\r\n") == 3
+    digest = "e8900153a56abdae27fa5259b02fcba0a01b345f6d0ee28a5829c7a21288e517"
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 class TestRand:
