@@ -10,9 +10,11 @@ Conventions used everywhere in the package:
   lines read back out, in order;
 - a column holds one line over many inputs: bit x of column j is bit j of
   word x.  `columns_of` and `words_of` convert, and `_sweep` runs the gates
-  over columns; the check after `synth` and `verify` (all 2^n inputs),
-  `simulate` (one input) and the block check of basic synthesis (a block's
-  moved points) run that one sweep.
+  over columns, one XOR per gate of a column chosen by its arity (full, one
+  control's column, or two controls' columns ANDed); the check after
+  `synth` and `verify` (all 2^n inputs), `simulate` (one input) and the
+  block check of basic synthesis (a block's moved points, the only user
+  with three or more controls) run that one sweep.
 """
 from __future__ import annotations
 
@@ -57,6 +59,9 @@ class Gate(tuple):
 
     def __new__(cls, controls: Iterable[int], target: int) -> "Gate":
         return tuple.__new__(cls, (tuple(sorted(controls)), target))
+
+    def __getnewargs__(self) -> tuple[tuple[int, ...], int]:
+        return self[0], self[1]
 
     def __repr__(self) -> str:
         return f"Gate({self[0]!r}, {self[1]!r})"
@@ -169,12 +174,24 @@ def truth_table_masks(n: int) -> list[int]:
 
 def _sweep(gates: Iterable[tuple], tables: list[int], full: int) -> list[int]:
     """Run the gates over tables, one column per line, in place and return
-    it; full is the all-ones column that a NOT flips."""
+    it; full is the all-ones column that a NOT flips.  Each basis gate is
+    one XOR into its target: of full, of its control's column, or of the
+    AND of its two controls' columns.  Only the block check of basic
+    synthesis sends gates with three or more controls, whose columns are
+    ANDed in a loop."""
     for controls, target in gates:
-        fired = full
-        for c in controls:
-            fired &= tables[c]
-        tables[target] ^= fired
+        arity = len(controls)
+        if arity == 2:
+            tables[target] ^= tables[controls[0]] & tables[controls[1]]
+        elif not arity:
+            tables[target] ^= full
+        elif arity == 1:
+            tables[target] ^= tables[controls[0]]
+        else:
+            fired = full
+            for c in controls:
+                fired &= tables[c]
+            tables[target] ^= fired
     return tables
 
 

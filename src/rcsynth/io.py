@@ -12,12 +12,14 @@ blank lines are ignored.  Every parser reads the text one line at a time, so
     t <c1> <c2> <t>          2-CNOT
 
 A `Circuit` holds basis gates only, so every circuit serializes.  Repeated
-gate texts are parsed once: the parser keeps the `Gate` of each of the first
-few thousand distinct gate lines and shares it among their repeats.  A
-circuit with more gates than the basis on its m lines has
-(`bounds.gate_set_size(m)`) must repeat some, so the serializer then formats
-each distinct gate once and writes the others by lookup; below that count it
-formats gate by gate.
+gate lines are parsed once: past the headers, the parser maps each raw line
+(comment and line end included) to its `Gate`, or to nothing for a blank or
+comment-only line, and keeps the first few thousand distinct raw lines, so a
+repeat costs one dict lookup.  A syntax error is then found again record by
+record, so its message names its line.  A circuit with more gates than the
+basis on its m lines has (`bounds.gate_set_size(m)`) must repeat some, so
+the serializer then formats each distinct gate once and writes the others
+by lookup; below that count it formats gate by gate.
 
 Permutation file: ``perm <n>`` then 2^n integers forming a bijection on
 [0, 2^n).  Mapping file: ``map <n>`` then 2^n integers in [0, 2^n).
@@ -36,19 +38,23 @@ from .perm import BooleanMapping, Permutation
 
 # Argument count of each gate letter: target plus 0, 1 or 2 controls.
 _ARITY = {"n": 1, "c": 2, "t": 3}
-# Most distinct gate lines whose `Gate` `parse_circuit` keeps.  It exceeds
+# Most distinct raw lines past the headers, blank and comment lines
+# included, whose parse `parse_circuit` keeps.  It exceeds
 # `bounds.gate_set_size(m)` for every m <= 20 (804 at m = 12, 3,820 at
-# m = 20), so on up to 20 lines every repeated gate text hits; a circuit
-# whose gates are all distinct pays one failed lookup per line and keeps no
-# more than this many.
+# m = 20), so in a circuit `serialize_circuit` wrote on up to 20 lines every
+# repeated line hits; a circuit whose lines are all distinct pays one failed
+# lookup per line and keeps no more than this many.
 _MAX_KNOWN_GATES = 4096
 
 
-def _records(text: str) -> Iterator[tuple[int, str]]:
+def _records(text: str | StringIO) -> Iterator[tuple[int, str]]:
     """(line number, content) of each line with text outside its comment,
     read one line at a time: a caller that stops early splits no further
-    lines, and no list of all the lines is ever built."""
-    for lineno, line in enumerate(StringIO(text, newline=None), 1):
+    lines, and no list of all the lines is ever built.  `text` may be a
+    `StringIO(text, newline=None)` at its start, which a caller that stops
+    early can go on reading."""
+    lines = StringIO(text, newline=None) if isinstance(text, str) else text
+    for lineno, line in enumerate(lines, 1):
         if "#" in line:
             line = line[: line.index("#")]
         content = line.strip()
@@ -88,20 +94,35 @@ def _parse_gate(lineno: int, line: str) -> Gate:
     return Gate(controls, target)
 
 
+class _GateLines(dict):
+    """Raw gate line -> its `Gate`, or None for a blank or comment-only
+    line; a line is parsed on its first lookup and kept while fewer than
+    `_MAX_KNOWN_GATES` lines are.  Its parse errors say line 0."""
+
+    __slots__ = ()
+
+    def __missing__(self, raw: str) -> Gate | None:
+        line = raw[: raw.index("#")].strip() if "#" in raw else raw.strip()
+        gate = _parse_gate(0, line) if line else None
+        if len(self) < _MAX_KNOWN_GATES:
+            self[raw] = gate
+        return gate
+
+
 def parse_circuit(text: str) -> Circuit:
-    records = _records(text)
+    stream = StringIO(text, newline=None)
+    records = _records(stream)
     (m,) = _header(records, "lines", 1)
     (n,) = _header(records, "inputs", 1)
     outputs = _header(records, "outputs", None)
-    gates = []
-    known: dict[str, Gate] = {}
-    for lineno, line in records:
-        gate = known.get(line)
-        if gate is None:
-            gate = _parse_gate(lineno, line)
-            if len(known) < _MAX_KNOWN_GATES:
-                known[line] = gate
-        gates.append(gate)
+    try:
+        gates = list(filter(None, map(_GateLines().__getitem__, stream)))
+    except FormatError:
+        gates = None
+    if gates is None:
+        # Parse record by record, so the first bad one raises with its line
+        # number (outside the handler, so without the line-0 error as context).
+        gates = [_parse_gate(lineno, line) for lineno, line in islice(_records(text), 3, None)]
     try:
         return Circuit(m, n, gates, outputs)
     except ValueError as exc:

@@ -1,6 +1,6 @@
 """Shared helpers: seeded instance generators, every basis gate on m lines,
-and independent simulators, gate-line writer, record splitter and
-transposition product used as oracles against the package's own
+and independent simulators, gate-line writer, record splitter, circuit
+parser and transposition product used as oracles against the package's own
 evaluation, serialization and parsing paths."""
 from __future__ import annotations
 
@@ -91,6 +91,42 @@ def split_records(text: str) -> list[tuple[int, str]]:
     lines = re.split(r"\r\n|\r|\n", text)
     contents = ((i, line.split("#", 1)[0].strip()) for i, line in enumerate(lines, 1))
     return [(i, content) for i, content in contents if content]
+
+
+# Argument count of each gate letter of a circuit file.
+GATE_ARGS = {"n": 1, "c": 2, "t": 3}
+
+
+def naive_circuit(text: str) -> Circuit | str:
+    """The circuit in a circuit file whose three header records are well
+    formed, or the message parse_circuit must raise: the first gate record
+    that does not parse, else the first gate that is not a valid basis gate
+    on m lines, each named by its line.  Built from split_records and one
+    gate record at a time, with no line cache."""
+    records = split_records(text)
+    (m,), (n,), outputs = ([int(tok) for tok in line.split()[1:]] for _, line in records[:3])
+    parsed = []
+    for lineno, line in records[3:]:
+        letter, *args = line.split()
+        if letter not in GATE_ARGS:
+            return f"line {lineno}: unknown gate kind {letter!r}"
+        if len(args) != GATE_ARGS[letter]:
+            return f"line {lineno}: `{letter}` takes {GATE_ARGS[letter]} arguments"
+        try:
+            *controls, target = [int(arg) for arg in args]
+        except ValueError:
+            return f"line {lineno}: gate arguments must be integers"
+        parsed.append((lineno, tuple(sorted(controls)), target))
+    for lineno, controls, target in parsed:
+        if not 0 <= target < m:
+            return f"line {lineno}: target {target} out of range [0, {m})"
+        if any(not 0 <= c < m for c in controls):
+            return f"line {lineno}: controls {controls} out of range [0, {m})"
+        if target in controls:
+            return f"line {lineno}: target {target} is also a control"
+        if len(set(controls)) < len(controls):
+            return f"line {lineno}: duplicate control lines in {controls}"
+    return Circuit(m, n, [Gate(controls, target) for _, controls, target in parsed], outputs)
 
 
 def transpositions_product(ts: Iterable[tuple[int, int]], n: int) -> Permutation:

@@ -10,6 +10,7 @@ import pytest
 
 from rcsynth import Permutation, parse_circuit, parse_permutation, serialize_permutation
 from rcsynth import cli
+import rcsynth.io as rio
 from rcsynth.cli import build_parser, main
 from rcsynth.perm import is_even
 
@@ -253,6 +254,25 @@ class TestSynthAndVerify:
         code, out, err = run(capsys, "verify", str(circ), str(spec))
         assert (code, out) == (2, "")
         assert err == "error: bit counts differ: circuit has n=4, table has n=3\n"
+
+    @pytest.mark.parametrize(
+        "bad, reason", [("c 0", "`c` takes 2 arguments"), ("c 0 2", "target 2 out of range [0, 2)")]
+    )
+    def test_bad_gate_after_more_distinct_lines_than_parser_keeps(
+        self, tmp_path, capsys, bad, reason
+    ):
+        # Each gate line is distinct by its comment, so the parser keeps the
+        # first _MAX_KNOWN_GATES of them only; an early line repeats after
+        # the bad one.
+        count = rio._MAX_KNOWN_GATES + 10
+        body = [f"c 0 1  # {i}" for i in range(count)] + [bad, "c 0 1  # 0"]
+        circ = tmp_path / "c.circ"
+        circ.write_text("\n".join(["lines 2", "inputs 2", "outputs 0 1", *body]) + "\n")
+        perm = tmp_path / "id.perm"
+        perm.write_text(serialize_permutation(Permutation.identity(2)))
+        code, out, err = run(capsys, "verify", str(circ), str(perm))
+        assert (code, out) == (2, "")
+        assert err == f"error: line {3 + count + 1}: {reason}\n"
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.perm"

@@ -1,11 +1,13 @@
-"""Property tests: the circuit parser on fuzzed and on repeated input, the
-record reader against a regex line split, the serialize/parse round trip
-on generated circuits and tables under any header comments, serialized
-gate lines against a gate-by-gate writer, the word/column transposes,
-simulation against the oracle, the borrowed-line Toffoli expansion on any
-line layout, block canonicalization gate by gate, and basic and lupanov
-synthesis against the oracle."""
+"""Property tests: the circuit parser on fuzzed and on repeated input and
+against a record-by-record oracle, the record reader against a regex line
+split, the serialize/parse round trip on generated circuits and tables
+under any header comments, serialized gate lines against a gate-by-gate
+writer, the word/column transposes, simulation against the oracle, each
+arm of the sweep against a word oracle, the borrowed-line Toffoli
+expansion on any line layout, block canonicalization gate by gate, and
+basic and lupanov synthesis against the oracle."""
 import re
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -29,12 +31,14 @@ from rcsynth import (
     synth_mapping,
 )
 import rcsynth.io as rio
-from rcsynth.circuit import columns_of, simulate, words_of
+from rcsynth.circuit import _sweep, columns_of, simulate, truth_table_masks, words_of
 from rcsynth.perm import is_even
 from rcsynth.synth_basic import _canonicalize
 from rcsynth.toffoli import decompose_borrowed
 from conftest import (
+    all_basis_gates,
     gate_line,
+    naive_circuit,
     naive_mapping,
     naive_run,
     run_bits,
@@ -135,6 +139,60 @@ def test_records_match_regex_split_oracle(text):
     assert list(rio._records(text)) == split_records(text)
 
 
+def spell(gate, seps, lead, comment):
+    """A gate line: the tokens of gate_line(gate) joined by seps, after
+    lead, before comment."""
+    tokens = gate_line(gate).split()
+    return lead + "".join(t + sep for t, sep in zip(tokens[:-1], seps)) + tokens[-1] + comment
+
+
+comments = st.one_of(
+    st.just(""),
+    st.sampled_from(["#", " # c 0 1", "\t#x"]),
+    st.sampled_from(NOT_LINE_ENDS).map(lambda char: f"  # a{char}b"),
+)
+# Syntax faults, then range faults, on 3 lines.
+FAULT_LINES = ["x 0 1", "c 0", "t 0 1 y", "n 0 1", "c 0 3", "t 0 5 1", "c 1 1", "t 2 2 0", "n -1"]
+
+
+@st.composite
+def repeated_circuit_texts(draw):
+    r"""Circuit texts on 3 lines whose gate records repeat a few gates, each
+    spelled several ways, among blank and comment-only lines, with \n, \r
+    and \r\n line ends; sometimes a fault follows the repeats."""
+    pool = draw(st.lists(st.sampled_from(all_basis_gates(3)), min_size=1, max_size=4))
+    spelled = st.builds(
+        spell,
+        st.sampled_from(pool),
+        st.lists(st.sampled_from([" ", "  ", "\t"]), min_size=3, max_size=3),
+        st.sampled_from(["", " ", "\t "]),
+        comments,
+    )
+    other = st.one_of(st.sampled_from(["", "  ", "\t", "# note"]), comments)
+    body = draw(st.lists(st.one_of(spelled, spelled, other), min_size=20, max_size=80))
+    fault = draw(st.lists(st.sampled_from(FAULT_LINES), max_size=1))
+    tail = draw(st.lists(st.one_of(spelled, other), max_size=4))
+    lines = ["lines 3", "inputs 2 # two", "outputs 1 0", *body, *fault, *tail]
+    ends = st.sampled_from(["\n", "\r", "\r\n"])
+    ends = draw(st.lists(ends, min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_circuit_texts(), st.sampled_from([1, 3, rio._MAX_KNOWN_GATES]))
+def test_parse_circuit_matches_record_oracle(text, cap):
+    # cap bounds how many raw lines the parser keeps; small ones make most
+    # repeats parse again.
+    expected = naive_circuit(text)
+    with mock.patch.object(rio, "_MAX_KNOWN_GATES", cap):
+        try:
+            circuit = parse_circuit(text)
+        except FormatError as exc:
+            assert str(exc) == expected
+        else:
+            assert circuit == expected
+
+
 @st.composite
 def circuits(draw, max_lines=6, max_gates=12):
     m = draw(st.integers(1, max_lines))
@@ -218,6 +276,31 @@ def test_columns_words_round_trip(case):
     for j, column in enumerate(columns):
         assert all((column >> x) & 1 == (w >> j) & 1 for x, w in enumerate(words))
     assert words_of(columns, len(words)) == tuple(words)
+
+
+@st.composite
+def wide_gate_lists(draw):
+    """(m, gates): m = 1..8 lines and plain (controls, target) pairs with
+    0..5 distinct ascending controls, none of them the target."""
+    m = draw(st.integers(1, 8))
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        target = draw(st.integers(0, m - 1))
+        others = [line for line in range(m) if line != target]
+        count = draw(st.integers(0, min(5, len(others))))
+        gates.append((tuple(sorted(draw(st.permutations(others))[:count])), target))
+    return m, gates
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_gate_lists())
+def test_sweep_matches_word_oracle(case):
+    # Every arm of the sweep, three or more controls included, against
+    # run_word on each of the 2^m words.
+    m, gates = case
+    size = 1 << m
+    tables = _sweep(gates, truth_table_masks(m), (1 << size) - 1)
+    assert words_of(tables, size) == tuple(run_word(gates, x) for x in range(size))
 
 
 @st.composite

@@ -63,10 +63,12 @@ def test_fields_cannot_be_assigned_or_deleted(a, _):
 
 @pytest.mark.parametrize(
     "a", [BooleanMapping(1, (0, 0)), Permutation(1, (1, 0)), Circuit(2, 1, (), (1,)),
+          Gate((0,), 1), Circuit(3, 2, [Gate((0, 1), 2), Gate((1,), 0), Gate((), 2)], (2, 0)),
           GateCountReport(1, 0, 0), STAGES]
 )
 def test_copy_and_pickle_round_trip(a):
-    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+    pickled = [pickle.loads(pickle.dumps(a, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for b in (copy.copy(a), copy.deepcopy(a), *pickled):
         assert type(b) is type(a) and b == a
 
 
