@@ -19,7 +19,6 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import os
-from collections import Counter
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -136,8 +135,9 @@ class GateCountReport(NamedTuple):
 
 
 def count_gates(circuit: Circuit) -> GateCountReport:
-    by_arity = Counter(map(len, map(itemgetter(0), circuit.gates)))
-    return GateCountReport(nots=by_arity[0], cnots=by_arity[1], toffolis=by_arity[2])
+    # One byte per gate, its control count: a Circuit holds basis gates only.
+    arities = bytes(map(len, map(itemgetter(0), circuit.gates)))
+    return GateCountReport(nots=arities.count(0), cnots=arities.count(1), toffolis=arities.count(2))
 
 
 def columns_of(words: Sequence[int], width: int) -> list[int]:

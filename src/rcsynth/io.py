@@ -155,13 +155,22 @@ def _gate_lines(gates: Iterable[Gate]) -> list[str]:
     ]
 
 
+class _GateText(dict):
+    """Gate -> its line, formatted on the first lookup of the gate."""
+
+    __slots__ = ()
+
+    def __missing__(self, gate: Gate) -> str:
+        line = self[gate] = _gate_lines((gate,))[0]
+        return line
+
+
 def serialize_circuit(circuit: Circuit, header_comments: Iterable[str] = ()) -> str:
     out = [f"lines {circuit.m}", f"inputs {circuit.n}"]
     out.append("outputs " + " ".join(str(i) for i in circuit.outputs))
     gates = circuit.gates
     if len(gates) > gate_set_size(circuit.m):
-        distinct = list(dict.fromkeys(gates))
-        out += map(dict(zip(distinct, _gate_lines(distinct))).__getitem__, gates)
+        out += map(_GateText().__getitem__, gates)
     else:
         out += _gate_lines(gates)
     return _text(header_comments, out)

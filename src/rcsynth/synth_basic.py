@@ -7,6 +7,8 @@ core gate realizes the block; concatenated blocks realize the permutation.
 """
 from __future__ import annotations
 
+from itertools import chain
+
 from .bounds import block_upper
 from .circuit import (
     Circuit, Gate, GateCountReport, _sweep, columns_of, count_gates, truth_table_masks, words_of
@@ -93,12 +95,38 @@ def _canonicalize(rows: list[int], n: int) -> tuple[list[GatePair], GatePair]:
     return conjugators, (tuple(range(lgk, n)), 0)
 
 
+class _Expansions(dict):
+    """Gate pair (controls, target) -> its gates over NOT, CNOT and 2-CNOT,
+    expanded on the first lookup of the pair.  A pair with three or more
+    controls is expanded through the clean helpers `ancilla_lines` when
+    `clean` is set and there are any, else through borrowed lines: the
+    data lines outside the gate, then the helpers."""
+
+    __slots__ = ("n", "ancilla_lines", "clean")
+
+    def __init__(self, n: int, ancilla_lines: tuple[int, ...], clean: bool = False) -> None:
+        self.n, self.ancilla_lines, self.clean = n, ancilla_lines, clean
+
+    def __missing__(self, pair: GatePair) -> list[Gate]:
+        controls, target = pair
+        if len(controls) <= 2:
+            part = [Gate(controls, target)]
+        elif self.clean and self.ancilla_lines:
+            part = decompose_clean(controls, target, self.ancilla_lines[: len(controls) - 2])
+        else:
+            used = set(controls) | {target}
+            free = tuple(line for line in range(self.n) if line not in used)
+            part = decompose_borrowed(controls, target, free + self.ancilla_lines)
+        self[pair] = part
+        return part
+
+
 def synth_block(
     group: tuple[Pair, ...],
     n: int,
     ancilla_lines: tuple[int, ...] = (),
     *,
-    _expanded: dict[tuple[GatePair, bool], list[Gate]] | None = None,
+    _expanded: tuple[_Expansions, _Expansions] | None = None,
 ) -> list[Gate]:
     """Gates realizing exactly the permutation of one group of independent
     transpositions on 2^n states: expanded conjugators, expanded core gate,
@@ -108,34 +136,30 @@ def synth_block(
     checks k and caps the gate count.
 
     Each distinct (controls, target) pair becomes a `Gate` and is expanded
-    once; `synth_even_permutation` passes one `_expanded` dict (pair and clean
-    flag to expansion) to all its blocks on the same n and ancilla_lines."""
+    once; `synth_even_permutation` passes one `_expanded` pair of
+    `_Expansions` (conjugators, then core gates) to all its blocks on the
+    same n and ancilla_lines."""
     rows = [x for t in group for x in t]
     budget = block_upper(n, len(rows))
     conjugators, core = _canonicalize(rows, n)
-    expanded = {} if _expanded is None else _expanded
-
-    def expand(pair: GatePair, clean: bool = False) -> list[Gate]:
-        part = expanded.get((pair, clean))
-        if part is not None:
-            return part
-        controls, target = pair
-        if len(controls) <= 2:
-            part = [Gate(controls, target)]
-        elif clean and ancilla_lines:
-            part = decompose_clean(controls, target, ancilla_lines[: len(controls) - 2])
-        else:
-            used = set(controls) | {target}
-            free = tuple(line for line in range(n) if line not in used) + ancilla_lines
-            part = decompose_borrowed(controls, target, free)
-        expanded[(pair, clean)] = part
-        return part
-
-    parts = [expand(pair) for pair in conjugators]
-    gates = [g for part in parts + [expand(core, clean=True)] + parts[::-1] for g in part]
+    if _expanded is None:
+        _expanded = _Expansions(n, ancilla_lines), _Expansions(n, ancilla_lines, clean=True)
+    borrowed, clean = _expanded
+    parts = list(map(borrowed.__getitem__, conjugators))
+    gates = list(chain.from_iterable(parts + [clean[core]] + parts[::-1]))
     if len(gates) > budget:
         raise ContractError(f"block emitted {len(gates)} gates, budget {budget}")
     return gates
+
+
+def _default_block_size(n: int, ancilla_budget: int) -> int:
+    """The block size k that gives the fewest gates on n lines, by
+    measurement: gate totals of seeds 1-3 for every admissible k at
+    n = 2..16 and both budgets, in BENCH_blocksize.json.  k starts at 2 and
+    doubles at each line count listed; it passes `_validate_block_size` on
+    every n >= 2."""
+    doublings = (3, 5, 9, 15) if ancilla_budget == 0 else (3, 6, 14)
+    return 2 << sum(n >= start for start in doublings)
 
 
 def _validate_block_size(k: int, n: int, ancilla_budget: int) -> None:
@@ -183,21 +207,17 @@ def synth_even_permutation(
 
     if n == 1:
         # One line admits only the identity and the NOT.
-        gates = [] if p.is_identity() else [Gate((), 0)]
+        gates = () if p.is_identity() else (Gate((), 0),)
     else:
         if k is None:
-            # The paper's phi-driven k clamps to 4 for every n <= 1999 (any
-            # phi); the default passes _validate_block_size on every n >= 2.
-            k = 4 if n >= 3 else 2
+            k = _default_block_size(n, ancilla_budget)
         if k == 2:
             groups = [(t,) for t in plain_transpositions(p)]
         else:
             groups = transposition_stream(p, k // 2)
-        expanded: dict[tuple[GatePair, bool], list[Gate]] = {}
-        gates = [
-            g
-            for group in groups
-            for g in synth_block(group, n, ancilla_lines, _expanded=expanded)
-        ]
-    circuit = Circuit(m, n, tuple(gates), tuple(range(n)))
+        expanded = _Expansions(n, ancilla_lines), _Expansions(n, ancilla_lines, clean=True)
+        gates = tuple(chain.from_iterable(
+            synth_block(group, n, ancilla_lines, _expanded=expanded) for group in groups
+        ))
+    circuit = Circuit(m, n, gates, tuple(range(n)))
     return circuit, count_gates(circuit)

@@ -34,8 +34,8 @@ def fingerprint(circuit):
     "n, digest, gates",
     [
         (2, "6c9ca478db613511f8292047981d25c8bcb33936fe75bca8457c549e77a1f038", 12),
-        (5, "af5aedaa3c86cf7c4e64a18eaf93f8d362b3e564e3e102fa79cc4733296754b0", 378),
-        (8, "7d7680201f2da21f1e5e4ec6728e97530a8bc7a4073d2b05db0cbfb902550b3a", 7858),
+        (5, "8139764b3dee0731c1adf8de990e6389aa32338da71bd3002502f211f29d0d2e", 376),
+        (8, "475c7b67dae0c8cda777cea95764e7208a3746fb3091140d3735173f85778a8c", 5826),
     ],
 )
 def test_basic(n, digest, gates):
@@ -59,8 +59,8 @@ def test_basic_with_ancillas():
     # An odd permutation on 6 lines, realized through n - 3 clean helpers.
     circuit, _ = synth_even_permutation(random_permutation(6, Random(6)), ancilla_budget=3)
     assert fingerprint(circuit) == (
-        "4e8779bd6ebbae68c5887f2473670f2608ac4972a8dfda0eb48feb13284e9e02",
-        897,
+        "82e18e8bbc78c3cb1a7ca9366cfe33a96e204f33de0838e96caf444ac94710f9",
+        882,
     )
 
 

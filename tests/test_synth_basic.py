@@ -41,15 +41,51 @@ def block_realizes_group(group, n, ancilla_lines=()):
 
 
 class TestChooseBlockSize:
-    """The default block size is k = 4 from three lines on, k = 2 below."""
+    """The default block size follows the measured rule: k = 2 on two lines,
+    4 on three and four, then 8, 16 and 32 as n grows, each later with the
+    n - 3 clean helpers (gate totals in BENCH_blocksize.json)."""
 
-    def test_small_n_clamps_to_four(self):
+    # Default k on n lines with ancilla budget 0 and n - 3.
+    MEASURED = {
+        3: (4, 4), 4: (4, 4), 5: (8, 4), 6: (8, 8), 7: (8, 8), 8: (8, 8), 9: (16, 8),
+        10: (16, 8), 11: (16, 8), 12: (16, 8), 13: (16, 8), 14: (16, 16), 15: (32, 16),
+        16: (32, 16),
+    }
+
+    def test_default_follows_measured_table(self):
         rng = Random(3)
+        for n, ks in self.MEASURED.items():
+            for budget, k in zip((0, n - 3), ks):
+                assert synth_basic._default_block_size(n, budget) == k, (n, budget)
+                if n > 9:
+                    continue  # synthesized up to n = 9 only, to keep the test fast
+                p = random_even_permutation(n, rng) if budget == 0 else random_permutation(n, rng)
+                default, _ = synth_even_permutation(p, ancilla_budget=budget)
+                forced, _ = synth_even_permutation(p, k=k, ancilla_budget=budget)
+                assert default == forced, (n, budget)
+
+    def test_default_admissible_on_every_line_count(self):
+        for n in range(2, 65):
+            for budget in {0, max(n - 3, 0)}:
+                synth_basic._validate_block_size(
+                    synth_basic._default_block_size(n, budget), n, budget
+                )
+
+    def test_default_no_more_gates_than_four(self):
+        # Totals over seeds 1-2, the instances `rcsynth rand even-perm` (budget
+        # 0) and `rand perm` (budget n - 3) write; one instance alone may
+        # favour k = 4 (n = 5, budget 0, seed 2: 388 gates against 376).
         for n in range(3, 9):
-            p = random_even_permutation(n, rng)
-            default, _ = synth_even_permutation(p)
-            forced, _ = synth_even_permutation(p, k=4)
-            assert default == forced, n
+            for budget in {0, n - 3}:
+                totals = {None: 0, 4: 0}
+                for seed in (1, 2):
+                    make = random_even_permutation if budget == 0 else random_permutation
+                    p = make(n, Random(seed))
+                    for k in totals:
+                        circuit, _ = synth_even_permutation(p, k=k, ancilla_budget=budget)
+                        assert naive_mapping(circuit) == list(p.images), (n, budget, k)
+                        totals[k] += len(circuit)
+                assert totals[None] <= totals[4], (n, budget, totals)
 
     def test_postconditions_over_sweep(self):
         # The default is admissible on every line count, with and without
