@@ -2,8 +2,12 @@
 
 Each block takes one group of K independent transpositions (k = 2K moved
 points) and conjugates it, gate by self-inverse gate, until it collapses to
-a single generalized Toffoli.  Emitting the conjugators around the expanded
-core gate realizes the block; concatenated blocks realize the permutation.
+a single generalized Toffoli.  Any transposition may become any pair the
+Toffoli swaps, in either orientation, so the block's rows are placed
+cheapest first; a sweep of the conjugators then checks that each
+transposition lands on one such pair.  Emitting the conjugators around the
+expanded core gate realizes the block; concatenated blocks realize the
+permutation.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from itertools import chain
 
 from .bounds import block_upper
 from .circuit import (
-    Circuit, Gate, GateCountReport, _sweep, columns_of, count_gates, truth_table_masks, words_of
+    Circuit, Gate, GateCountReport, _sweep, columns_of, count_gates, words_of
 )
 from .errors import ContractError, ParameterError, ParityError
 from .perm import Pair, Permutation, is_even, plain_transpositions, transposition_stream
@@ -29,23 +33,50 @@ def _bit_positions(value: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _canonicalize(rows: list[int], n: int) -> tuple[list[GatePair], GatePair]:
-    """Conjugate the block until its rows read 0, 1, ..., k-1 in the low
-    log2 k columns with all high columns 1, at which point the block is the
-    single gate with controls on lines log2 k .. n-1 and target 0.  Gates are
-    (controls, target) pairs, controls ascending.  The rows move by whole-row
-    updates, one per gate group; the emitted gates are checked by one sweep
-    over the columns of the given rows, which raises ContractError unless
-    they end canonical.
+class _Positions(dict):
+    """Value -> `_bit_positions(value)`, computed on the first lookup of the
+    value."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: int) -> tuple[int, ...]:
+        positions = self[value] = _bit_positions(value)
+        return positions
+
+
+def _canonicalize(
+    rows: list[int], n: int, positions: _Positions | None = None
+) -> tuple[list[GatePair], GatePair]:
+    """Conjugate the block until its transpositions are those of the single
+    gate with controls on lines log2 k .. n-1 and target 0: every high
+    column reads 1, and the low log2 k columns place rows 2i and 2i + 1, one
+    transposition, on v and v ^ 1 for some even v.  Gates are
+    (controls, target) pairs, controls ascending.
+
+    Any pair may take any slot pair, in either orientation, so the rows are
+    placed cheapest first.  Slot 0 takes the row with the fewest set bits
+    once the repeated columns are zeroed; at each later even slot r the
+    pending row v with the fewest bits in v ^ r takes r, ties in the given
+    order; rows that need the spill lift (no high bit, and not r already)
+    go last.  The partner of the row at slot r takes r + 1.  The pending
+    rows move by one whole-row update per gate group.  The emitted gates
+    are checked by one sweep over the columns of the given rows, which
+    raises ContractError unless they realize the block's transpositions:
+    every high column all ones, column 0 differing within each pair and
+    the other low columns agreeing.  Conjugation is a bijection, so the
+    rows stay distinct and no slot bookkeeping is needed.
 
     The rows are the block's moved points, pairwise distinct n-bit points;
-    their count k must be one that `block_upper(n, k)` admits."""
+    their count k must be one that `block_upper(n, k)` admits.  `positions`
+    memoizes `_bit_positions`; a call without one builds its own."""
     k = len(rows)
     if len(set(rows)) != k:
         raise ParameterError("rows must be pairwise distinct")
     lgk = k.bit_length() - 1
     if any(not 0 <= r < (1 << n) for r in rows):
         raise ParameterError("rows must be n-bit points")
+    if positions is None:
+        positions = _Positions()
     conjugators: list[GatePair] = []
 
     # Zero every column that repeats an earlier one; first occurrences stay.
@@ -60,37 +91,62 @@ def _canonicalize(rows: list[int], n: int) -> tuple[list[GatePair], GatePair]:
             kept[pattern] = j
     repeated = sum(1 << j for _, j in conjugators)
 
-    # Clear the first row with NOTs on its set columns.
-    first = rows[0] & ~repeated
-    conjugators += [((), j) for j in _bit_positions(first)]
-    rows = [(x & ~repeated) ^ first for x in rows]
+    # Slot 0: clear the row with the fewest set bits by NOTs on them.
+    pending = [x & ~repeated for x in rows]
+    weights = [x.bit_count() for x in pending]
+    i = weights.index(min(weights))
+    first = pending[i]
+    conjugators += [((), j) for j in positions[first]]
+    pending = [x ^ first for x in pending]
 
-    # Row r must become the value r.  Rows are pairwise distinct throughout
-    # (conjugation permutes points), which keeps finished rows untouched.
+    # The row pending[i] must become the value r.  `pending` holds the rows
+    # not yet placed, pairs side by side in the given order.  Rows are
+    # pairwise distinct throughout (conjugation permutes points), so no gate
+    # below touches a placed row: it holds some r' < r and no high bit.
+    spill = 1 << lgk
     for r in range(1, k):
-        value = rows[r]
+        if r & 1:
+            i ^= 1  # the partner of the row at slot r - 1
+        else:
+            del pending[i & ~1 : (i | 1) + 1]
+            # The cost of row v is the bit count of d = v ^ r, at most n.
+            # A row with 0 < d < k has no high bit and needs the spill lift:
+            # n + 1 more puts it last.  A row with d = 0 costs no gate.
+            costs = [(d := v ^ r).bit_count() + (0 < d < k) * (n + 1) for v in pending]
+            i = costs.index(min(costs))
+        value = pending[i]
         if value == r:
             continue
-        if value >> lgk == 0:
+        if value < k:
             # No high bit available: lift the row into the spill column lgk.
-            conjugators.append((_bit_positions(value), lgk))
-            rows = [x ^ (1 << lgk) if x & value == value else x for x in rows]
-            value = rows[r]
+            conjugators.append((positions[value], lgk))
+            pending = [x ^ spill if x & value == value else x for x in pending]
+            value |= spill
         j = lgk + ((value >> lgk) & -(value >> lgk)).bit_length() - 1
+        pivot = 1 << j
         # The CNOTs all have control j and none targets it, so together they
-        # XOR mask into the rows with bit j set.
-        mask = (value ^ r) & ~(1 << j)
-        conjugators += [((j,), jp) for jp in _bit_positions(mask)]
-        conjugators.append((_bit_positions(r), j))
-        rows = [x ^ mask if (x >> j) & 1 else x for x in rows]
-        rows = [x ^ (1 << j) if x & r == r else x for x in rows]
+        # XOR mask into the rows with bit j set; then the gate with controls
+        # on the bits of r flips bit j of the rows that hold every bit of r,
+        # which clears it in pending[i].
+        mask = (value ^ r) & ~pivot
+        conjugators += [((j,), t) for t in positions[mask]]
+        conjugators.append((positions[r], j))
+        pending = [
+            y ^ pivot if (y := x ^ mask if x & pivot else x) & r == r else y for x in pending
+        ]
 
     # Set every high column to all ones so a single gate matches the block.
+    # Then bit 2i of (c ^ c >> 1) compares rows 2i and 2i + 1 in column c.
     conjugators += [((), j) for j in range(lgk, n)]
     full = (1 << k) - 1
-    if _sweep(conjugators, columns, full) != truth_table_masks(lgk) + [full] * (n - lgk):
-        rows, high = list(words_of(columns, k)), (1 << n) - (1 << lgk)
-        raise ContractError(f"block canonicalized to rows {rows}, not r | {high} for r < {k}")
+    evens = full // 3
+    tables = _sweep(conjugators, columns, full)
+    low = [(c ^ c >> 1) & evens for c in tables[:lgk]]
+    if low != [evens] + [0] * (lgk - 1) or tables[lgk:] != [full] * (n - lgk):
+        raise ContractError(
+            f"block canonicalized to rows {list(words_of(tables, k))}, not pairs "
+            f"v, v ^ 1 with every bit of {(1 << n) - spill} set"
+        )
 
     return conjugators, (tuple(range(lgk, n)), 0)
 
@@ -121,12 +177,18 @@ class _Expansions(dict):
         return part
 
 
+def _new_memos(
+    n: int, ancilla_lines: tuple[int, ...]
+) -> tuple[_Positions, _Expansions, _Expansions]:
+    return _Positions(), _Expansions(n, ancilla_lines), _Expansions(n, ancilla_lines, clean=True)
+
+
 def synth_block(
     group: tuple[Pair, ...],
     n: int,
     ancilla_lines: tuple[int, ...] = (),
     *,
-    _expanded: tuple[_Expansions, _Expansions] | None = None,
+    _memos: tuple[_Positions, _Expansions, _Expansions] | None = None,
 ) -> list[Gate]:
     """Gates realizing exactly the permutation of one group of independent
     transpositions on 2^n states: expanded conjugators, expanded core gate,
@@ -136,15 +198,15 @@ def synth_block(
     checks k and caps the gate count.
 
     Each distinct (controls, target) pair becomes a `Gate` and is expanded
-    once; `synth_even_permutation` passes one `_expanded` pair of
-    `_Expansions` (conjugators, then core gates) to all its blocks on the
-    same n and ancilla_lines."""
+    once; `synth_even_permutation` passes one `_memos` triple (the bit
+    positions of `_canonicalize`, then the `_Expansions` of conjugators and
+    of core gates) to all its blocks on the same n and ancilla_lines."""
     rows = [x for t in group for x in t]
     budget = block_upper(n, len(rows))
-    conjugators, core = _canonicalize(rows, n)
-    if _expanded is None:
-        _expanded = _Expansions(n, ancilla_lines), _Expansions(n, ancilla_lines, clean=True)
-    borrowed, clean = _expanded
+    if _memos is None:
+        _memos = _new_memos(n, ancilla_lines)
+    positions, borrowed, clean = _memos
+    conjugators, core = _canonicalize(rows, n, positions)
     parts = list(map(borrowed.__getitem__, conjugators))
     gates = list(chain.from_iterable(parts + [clean[core]] + parts[::-1]))
     if len(gates) > budget:
@@ -155,10 +217,10 @@ def synth_block(
 def _default_block_size(n: int, ancilla_budget: int) -> int:
     """The block size k that gives the fewest gates on n lines, by
     measurement: gate totals of seeds 1-3 for every admissible k at
-    n = 2..16 and both budgets, in BENCH_blocksize.json.  k starts at 2 and
-    doubles at each line count listed; it passes `_validate_block_size` on
-    every n >= 2."""
-    doublings = (3, 5, 9, 15) if ancilla_budget == 0 else (3, 6, 14)
+    n = 2..16 and both budgets, under the row order `_canonicalize` chooses,
+    in BENCH_roworder.json.  k starts at 2 and doubles at each line count
+    listed; it passes `_validate_block_size` on every n >= 2."""
+    doublings = (3, 5, 8, 13) if ancilla_budget == 0 else (3, 5, 10)
     return 2 << sum(n >= start for start in doublings)
 
 
@@ -215,9 +277,9 @@ def synth_even_permutation(
             groups = [(t,) for t in plain_transpositions(p)]
         else:
             groups = transposition_stream(p, k // 2)
-        expanded = _Expansions(n, ancilla_lines), _Expansions(n, ancilla_lines, clean=True)
+        memos = _new_memos(n, ancilla_lines)
         gates = tuple(chain.from_iterable(
-            synth_block(group, n, ancilla_lines, _expanded=expanded) for group in groups
+            synth_block(group, n, ancilla_lines, _memos=memos) for group in groups
         ))
     circuit = Circuit(m, n, gates, tuple(range(n)))
     return circuit, count_gates(circuit)

@@ -34,8 +34,8 @@ def fingerprint(circuit):
     "n, digest, gates",
     [
         (2, "6c9ca478db613511f8292047981d25c8bcb33936fe75bca8457c549e77a1f038", 12),
-        (5, "8139764b3dee0731c1adf8de990e6389aa32338da71bd3002502f211f29d0d2e", 376),
-        (8, "475c7b67dae0c8cda777cea95764e7208a3746fb3091140d3735173f85778a8c", 5826),
+        (5, "9cfc115ca78c174ee3c9e1c49dc0a797d75b4946cd1023cc0b5ce412742aca57", 332),
+        (8, "2a2901f88c31ea39c1d7de62fdd38705ccd93221cb6b2f1528bac6758d1a0956", 5082),
     ],
 )
 def test_basic(n, digest, gates):
@@ -46,8 +46,8 @@ def test_basic(n, digest, gates):
 @pytest.mark.parametrize(
     "n, k, digest, gates",
     [
-        (6, 8, "b0f2d64e67822040d2af8e71c30ced6d944c225eae9e86c3a5cba390ac5a4901", 906),
-        (7, 16, "a9482fc72f2ef3fc76787b0d413bb1b38772191d01b96cae797c947b914fea02", 2508),
+        (6, 8, "a29d0acad0420d0282dff4209dbfe32e01647ba4265c3076a1a82a27cb60498d", 768),
+        (7, 16, "09537f7d6ebdc7eeed457ee8c06499fe26bd35c20177c0e88db2b7bb326e577b", 2214),
     ],
 )
 def test_basic_forced_block_size(n, k, digest, gates):
@@ -59,8 +59,8 @@ def test_basic_with_ancillas():
     # An odd permutation on 6 lines, realized through n - 3 clean helpers.
     circuit, _ = synth_even_permutation(random_permutation(6, Random(6)), ancilla_budget=3)
     assert fingerprint(circuit) == (
-        "82e18e8bbc78c3cb1a7ca9366cfe33a96e204f33de0838e96caf444ac94710f9",
-        882,
+        "8b8f06994b1025f470affbfe67ccd4c2b8de545da70d9be38869f36a8dab681c",
+        744,
     )
 
 
@@ -195,4 +195,4 @@ def test_canonicalize():
         conjugators, (controls, target) = _canonicalize(rows, n)
         pairs = [(tuple(cs), t) for cs, t in conjugators]
         text += repr((pairs, (tuple(controls), target))) + "\n"
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "82c521cc96ac63bef0ca8379738cf1fa3082044b98e37eca4b439f39f1153b86"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "c481ec0f3f9d16d1103cb4e5ca63209fe03fd9d2db836089f2b07a4ccfe3e0da"

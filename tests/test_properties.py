@@ -338,14 +338,18 @@ def block_rows(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(block_rows())
-def test_canonicalize_gates_move_each_row_to_its_index(case):
+def test_canonicalize_gates_move_each_row_to_its_slot(case):
     # The conjugators run one at a time on each given row through run_word,
     # which shares no code with the sweep that the package's own check runs.
+    # They take the rows onto the subcube of the core gate, and rows 2i and
+    # 2i + 1, one transposition, onto two points that differ in bit 0 alone.
     rows, n = case
     conjugators, core = _canonicalize(rows, n)
     lgk = len(rows).bit_length() - 1
     high = (1 << n) - (1 << lgk)
-    assert [run_word(conjugators, r) for r in rows] == [i | high for i in range(len(rows))]
+    images = [run_word(conjugators, r) for r in rows]
+    assert sorted(images) == [i | high for i in range(len(rows))]
+    assert all(a ^ b == 1 for a, b in zip(images[::2], images[1::2]))
     assert all(list(cs) == sorted(set(cs)) and t not in cs for cs, t in conjugators)
     assert core == (tuple(range(lgk, n)), 0)
 

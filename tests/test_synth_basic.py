@@ -42,13 +42,14 @@ def block_realizes_group(group, n, ancilla_lines=()):
 
 class TestChooseBlockSize:
     """The default block size follows the measured rule: k = 2 on two lines,
-    4 on three and four, then 8, 16 and 32 as n grows, each later with the
-    n - 3 clean helpers (gate totals in BENCH_blocksize.json)."""
+    4 on three and four, 8 from five, then 16 and 32 as n grows; with the
+    n - 3 clean helpers 16 comes later and 32 not up to sixteen lines (gate
+    totals in BENCH_roworder.json)."""
 
     # Default k on n lines with ancilla budget 0 and n - 3.
     MEASURED = {
-        3: (4, 4), 4: (4, 4), 5: (8, 4), 6: (8, 8), 7: (8, 8), 8: (8, 8), 9: (16, 8),
-        10: (16, 8), 11: (16, 8), 12: (16, 8), 13: (16, 8), 14: (16, 16), 15: (32, 16),
+        3: (4, 4), 4: (4, 4), 5: (8, 8), 6: (8, 8), 7: (8, 8), 8: (16, 8), 9: (16, 8),
+        10: (16, 16), 11: (16, 16), 12: (16, 16), 13: (32, 16), 14: (32, 16), 15: (32, 16),
         16: (32, 16),
     }
 
@@ -174,7 +175,19 @@ class TestSynthBlock:
         # gates and, as a typed error unlike an assert, survives -O.
         positions = synth_basic._bit_positions
         monkeypatch.setattr(synth_basic, "_bit_positions", lambda v: positions(v)[:-1])
-        with pytest.raises(ContractError, match=r"rows \[12, 11, 13, 10\]"):
+        with pytest.raises(ContractError, match=r"rows \[12, 15, 9, 10\]"):
+            synth_block(((0, 3), (5, 6)), 4)
+
+    def test_split_pair_postcondition_raises(self, monkeypatch):
+        # Gates that end by swapping lines 0 and 1 still land the rows on the
+        # core gate's subcube, 12..15, but each transposition then differs in
+        # bit 1, so the core gate would swap the wrong points.
+        sweep = synth_basic._sweep
+        swap = [((0,), 1), ((1,), 0), ((0,), 1)]
+        monkeypatch.setattr(
+            synth_basic, "_sweep", lambda gates, tables, full: sweep(gates + swap, tables, full)
+        )
+        with pytest.raises(ContractError, match=r"rows \[12, 14, 15, 13\], not pairs"):
             synth_block(((0, 3), (5, 6)), 4)
 
     def test_eight_point_block(self, rng):
