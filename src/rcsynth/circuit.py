@@ -1,5 +1,11 @@
 """Gate and circuit model for reversible circuits over NOT, CNOT and 2-CNOT.
 
+A gate is the plain tuple (controls, target): it flips line `target` iff all
+lines in `controls`, a tuple of distinct lines in ascending order, are 1.  No
+controls is a NOT, one a CNOT, two a 2-CNOT; more make a generalized gate,
+legal only inside basic synthesis.  A `Circuit` holds basis gates only and
+rejects a gate of any other shape, naming its index.
+
 Conventions used everywhere in the package:
 
 - lines are 0-indexed;
@@ -43,40 +49,28 @@ def resolve_cap() -> int:
         raise FormatError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-class Gate(tuple):
-    """One reversible element: flip `target` iff all `controls` are 1.
-
-    No controls is a NOT, one a CNOT, two a 2-CNOT.  Three or more controls
-    make a generalized gate, legal only as an in-memory intermediate inside
-    `synth_block`; a `Circuit` holds basis gates only.  A gate is the pair
-    (controls, target) with the controls in ascending order; which lines it
-    may use is checked by the `Circuit` that holds it.  Its fields are read
-    by unpacking: `controls, target = gate`.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, controls: Iterable[int], target: int) -> "Gate":
-        return tuple.__new__(cls, (tuple(sorted(controls)), target))
-
-    def __getnewargs__(self) -> tuple[tuple[int, ...], int]:
-        return self[0], self[1]
-
-    def __repr__(self) -> str:
-        return f"Gate({self[0]!r}, {self[1]!r})"
+def Gate(controls: Iterable[int], target: int) -> tuple[tuple[int, ...], int]:
+    """The gate that flips `target` iff all `controls` are 1, controls sorted."""
+    return tuple(sorted(controls)), target
 
 
-def find_gate_fault(gates: Iterable[Gate], m: int) -> tuple[int, str] | None:
+def find_gate_fault(gates: Iterable[tuple], m: int) -> tuple[int, str] | None:
     """Index and reason of the first gate that is not a valid basis gate on
-    m lines: more than two controls, a line index outside [0, m), a repeated
-    control, or a target that is also a control.  None when every gate is
-    valid."""
-    for i, (controls, target) in enumerate(gates):
+    m lines: not a tuple (controls, target) with tuple controls, more than
+    two controls, a line index outside [0, m), two controls out of
+    ascending order, a repeated control, or a target that is also a
+    control.  None when every gate is valid."""
+    for i, gate in enumerate(gates):
+        if type(gate) is not tuple or len(gate) != 2 or type(gate[0]) is not tuple:
+            return i, f"{gate!r} is not a tuple (controls, target) with tuple controls"
+        controls, target = gate
         if len(controls) > 2:
             return i, f"gate with {len(controls)} controls is outside the basis"
         if not 0 <= target < m:
             return i, f"target {target} out of range [0, {m})"
         if controls:
+            if controls[0] > controls[-1]:
+                return i, f"controls {controls} are not in ascending order"
             if controls[0] < 0 or controls[-1] >= m:
                 return i, f"controls {controls} out of range [0, {m})"
             if target in controls:
@@ -98,7 +92,7 @@ class Circuit(_Value):
 
     __slots__ = _fields = ("m", "n", "gates", "outputs")
 
-    def __init__(self, m: int, n: int, gates: Iterable[Gate], outputs: Iterable[int]) -> None:
+    def __init__(self, m: int, n: int, gates: Iterable[tuple], outputs: Iterable[int]) -> None:
         for name, value in zip(self._fields, (m, n, tuple(gates), tuple(outputs))):
             object.__setattr__(self, name, value)
         if self.n < 1 or self.m < self.n:
@@ -112,7 +106,10 @@ class Circuit(_Value):
                 raise ValueError(f"output line {line} out of range [0, {self.m})")
         gates = self.gates
         if len(gates) > gate_set_size(self.m):
-            gates = dict.fromkeys(gates)
+            try:
+                gates = dict.fromkeys(gates)
+            except TypeError:  # an unhashable gate, which the full scan names
+                pass
         if find_gate_fault(gates, self.m) is not None:
             index, reason = find_gate_fault(self.gates, self.m)
             raise ValueError(f"gate {index}: {reason}")

@@ -13,7 +13,7 @@ blank lines are ignored.  Every parser reads the text one line at a time, so
 
 A `Circuit` holds basis gates only, so every circuit serializes.  Repeated
 gate lines are parsed once: past the headers, the parser maps each raw line
-(comment and line end included) to its `Gate`, or to nothing for a blank or
+(comment and line end included) to its gate, or to nothing for a blank or
 comment-only line, and keeps the first few thousand distinct raw lines, so a
 repeat costs one dict lookup.  A syntax error is then found again record by
 record, so its message names its line.  A circuit with more gates than the
@@ -32,7 +32,7 @@ from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .bounds import gate_set_size
-from .circuit import Circuit, Gate, find_gate_fault
+from .circuit import Circuit, find_gate_fault
 from .errors import FormatError
 from .perm import BooleanMapping, Permutation
 
@@ -79,29 +79,34 @@ def _header(records: Iterator[tuple[int, str]], keyword: str, count: int | None)
         raise FormatError(f"line {lineno}: `{keyword}` value is not an integer") from None
 
 
-def _parse_gate(lineno: int, line: str) -> Gate:
-    """The gate on record `line`; its line range is left to `find_gate_fault`."""
-    letter, *args = line.split()
+def _parse_gate(lineno: int, line: str) -> tuple:
+    """The gate on record `line`; `find_gate_fault` checks its lines."""
+    words = line.split()
+    letter = words[0]
     arity = _ARITY.get(letter)
     if arity is None:
         raise FormatError(f"line {lineno}: unknown gate kind {letter!r}")
-    if len(args) != arity:
+    if len(words) != arity + 1:
         raise FormatError(f"line {lineno}: `{letter}` takes {arity} arguments")
     try:
-        *controls, target = map(int, args)
+        if arity == 3:
+            a, b, target = int(words[1]), int(words[2]), int(words[3])
+            return ((a, b) if a < b else (b, a)), target
+        if arity == 2:
+            return (int(words[1]),), int(words[2])
+        return (), int(words[1])
     except ValueError:
         raise FormatError(f"line {lineno}: gate arguments must be integers") from None
-    return Gate(controls, target)
 
 
 class _GateLines(dict):
-    """Raw gate line -> its `Gate`, or None for a blank or comment-only
+    """Raw gate line -> its gate, or None for a blank or comment-only
     line; a line is parsed on its first lookup and kept while fewer than
     `_MAX_KNOWN_GATES` lines are.  Its parse errors say line 0."""
 
     __slots__ = ()
 
-    def __missing__(self, raw: str) -> Gate | None:
+    def __missing__(self, raw: str) -> tuple | None:
         line = raw[: raw.index("#")].strip() if "#" in raw else raw.strip()
         gate = _parse_gate(0, line) if line else None
         if len(self) < _MAX_KNOWN_GATES:
@@ -147,7 +152,7 @@ def _text(header_comments: Iterable[str], lines: list[str]) -> str:
     return "\n".join(comments + lines) + "\n"
 
 
-def _gate_lines(gates: Iterable[Gate]) -> list[str]:
+def _gate_lines(gates: Iterable[tuple]) -> list[str]:
     """The `n`, `c` or `t` line of each gate."""
     return [
         f"t {c[0]} {c[1]} {t}" if len(c) == 2 else f"c {c[0]} {t}" if c else f"n {t}"
@@ -160,7 +165,7 @@ class _GateText(dict):
 
     __slots__ = ()
 
-    def __missing__(self, gate: Gate) -> str:
+    def __missing__(self, gate: tuple) -> str:
         line = self[gate] = _gate_lines((gate,))[0]
         return line
 

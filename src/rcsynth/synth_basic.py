@@ -14,14 +14,10 @@ from __future__ import annotations
 from itertools import chain
 
 from .bounds import block_upper
-from .circuit import (
-    Circuit, Gate, GateCountReport, _sweep, columns_of, count_gates, words_of
-)
+from .circuit import Circuit, GateCountReport, _sweep, columns_of, count_gates, words_of
 from .errors import ContractError, ParameterError, ParityError
 from .perm import Pair, Permutation, is_even, plain_transpositions, transposition_stream
 from .toffoli import decompose_borrowed, decompose_clean
-
-GatePair = tuple[tuple[int, ...], int]
 
 
 def _bit_positions(value: int) -> tuple[int, ...]:
@@ -46,12 +42,12 @@ class _Positions(dict):
 
 def _canonicalize(
     rows: list[int], n: int, positions: _Positions | None = None
-) -> tuple[list[GatePair], GatePair]:
+) -> tuple[list[tuple], tuple]:
     """Conjugate the block until its transpositions are those of the single
     gate with controls on lines log2 k .. n-1 and target 0: every high
     column reads 1, and the low log2 k columns place rows 2i and 2i + 1, one
-    transposition, on v and v ^ 1 for some even v.  Gates are
-    (controls, target) pairs, controls ascending.
+    transposition, on v and v ^ 1 for some even v.  It returns the
+    conjugators and the core gate.
 
     Any pair may take any slot pair, in either orientation, so the rows are
     placed cheapest first.  Slot 0 takes the row with the fewest set bits
@@ -77,7 +73,7 @@ def _canonicalize(
         raise ParameterError("rows must be n-bit points")
     if positions is None:
         positions = _Positions()
-    conjugators: list[GatePair] = []
+    conjugators: list[tuple] = []
 
     # Zero every column that repeats an earlier one; first occurrences stay.
     # The CNOT ((kept,), j) zeroes column j and leaves the others as they
@@ -152,28 +148,28 @@ def _canonicalize(
 
 
 class _Expansions(dict):
-    """Gate pair (controls, target) -> its gates over NOT, CNOT and 2-CNOT,
-    expanded on the first lookup of the pair.  A pair with three or more
-    controls is expanded through the clean helpers `ancilla_lines` when
-    `clean` is set and there are any, else through borrowed lines: the
-    data lines outside the gate, then the helpers."""
+    """Gate -> its gates over NOT, CNOT and 2-CNOT, expanded on the first
+    lookup of the gate.  A basis gate is its own expansion.  A gate with
+    three or more controls is expanded through the clean helpers
+    `ancilla_lines` when `clean` is set and there are any, else through
+    borrowed lines: the data lines outside the gate, then the helpers."""
 
     __slots__ = ("n", "ancilla_lines", "clean")
 
     def __init__(self, n: int, ancilla_lines: tuple[int, ...], clean: bool = False) -> None:
         self.n, self.ancilla_lines, self.clean = n, ancilla_lines, clean
 
-    def __missing__(self, pair: GatePair) -> list[Gate]:
-        controls, target = pair
+    def __missing__(self, gate: tuple) -> list[tuple]:
+        controls, target = gate
         if len(controls) <= 2:
-            part = [Gate(controls, target)]
+            part = [gate]
         elif self.clean and self.ancilla_lines:
             part = decompose_clean(controls, target, self.ancilla_lines[: len(controls) - 2])
         else:
             used = set(controls) | {target}
             free = tuple(line for line in range(self.n) if line not in used)
             part = decompose_borrowed(controls, target, free + self.ancilla_lines)
-        self[pair] = part
+        self[gate] = part
         return part
 
 
@@ -189,7 +185,7 @@ def synth_block(
     ancilla_lines: tuple[int, ...] = (),
     *,
     _memos: tuple[_Positions, _Expansions, _Expansions] | None = None,
-) -> list[Gate]:
+) -> list[tuple]:
     """Gates realizing exactly the permutation of one group of independent
     transpositions on 2^n states: expanded conjugators, expanded core gate,
     the expanded conjugators again in reverse order.  With ancilla_lines the
@@ -197,10 +193,10 @@ def synth_block(
     lines.  `block_upper(n, k)` for the k = 2|group| moved points both
     checks k and caps the gate count.
 
-    Each distinct (controls, target) pair becomes a `Gate` and is expanded
-    once; `synth_even_permutation` passes one `_memos` triple (the bit
-    positions of `_canonicalize`, then the `_Expansions` of conjugators and
-    of core gates) to all its blocks on the same n and ancilla_lines."""
+    Each distinct conjugator or core gate is expanded once;
+    `synth_even_permutation` passes one `_memos` triple (the bit positions
+    of `_canonicalize`, then the `_Expansions` of conjugators and of core
+    gates) to all its blocks on the same n and ancilla_lines."""
     rows = [x for t in group for x in t]
     budget = block_upper(n, len(rows))
     if _memos is None:
@@ -269,7 +265,7 @@ def synth_even_permutation(
 
     if n == 1:
         # One line admits only the identity and the NOT.
-        gates = () if p.is_identity() else (Gate((), 0),)
+        gates = () if p.is_identity() else (((), 0),)
     else:
         if k is None:
             k = _default_block_size(n, ancilla_budget)

@@ -46,7 +46,7 @@ def conjunction_gate_count(v: int) -> int:
 
 def conjunction_bank(
     var_lines: tuple[int, ...], fresh: Iterator[int]
-) -> tuple[list[Gate], dict[int, int]]:
+) -> tuple[list[tuple], dict[int, int]]:
     """Expose x_0^{a_0} & ... & x_{v-1}^{a_v-1} for every sign assignment a
     (bit i of a chooses x_i itself over its negation).
 
@@ -58,7 +58,7 @@ def conjunction_bank(
         raise ParameterError("conjunction bank needs at least one variable")
     if len(set(var_lines)) != v:
         raise ParameterError("variable lines must be distinct")
-    gates: list[Gate] = []
+    gates: list[tuple] = []
     negated: dict[int, int] = {}
     for line in var_lines:
         negated[line] = target = next(fresh)
@@ -82,7 +82,7 @@ def conjunction_bank(
 
 def xor_bank(
     group_lines: tuple[int, ...], fresh: Iterator[int]
-) -> tuple[list[Gate], dict[int, int]]:
+) -> tuple[list[tuple], dict[int, int]]:
     """Expose the XOR of every nonempty subset of the group lines (bit i of
     the subset mask selects group_lines[i]); singletons map to the group
     lines themselves.
@@ -95,7 +95,7 @@ def xor_bank(
         raise ParameterError("xor bank needs at least one line")
     if len(set(group_lines)) != len(group_lines):
         raise ParameterError("group lines must be distinct")
-    gates: list[Gate] = []
+    gates: list[tuple] = []
 
     def build(lines: tuple[int, ...]) -> dict[int, int]:
         if len(lines) == 1:
@@ -162,7 +162,7 @@ def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
     s2, second_bank = conjunction_bank(tuple(range(k, n)), fresh)
 
     # S3: subset-XOR bank per group of at most s first-bank lines.
-    s3: list[Gate] = []
+    s3: list[tuple] = []
     groups: list[tuple[int, int, dict[int, int]]] = []  # (start, width, bank)
     for start, width in zip(starts, widths):
         bank_gates, bank = xor_bank(tuple(first_bank[start + i] for i in range(width)), fresh)
@@ -172,7 +172,7 @@ def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
     # S4: m_i & f_ij is the XOR over groups t of m_i & (f_ij restricted to
     # group t), so each nonzero restriction is one 2-CNOT onto output j.
     out_lines = tuple(next(fresh) for _ in range(n))
-    s4: list[Gate] = []
+    s4: list[tuple] = []
     columns = columns_of(f.images, n)
     window = (1 << (1 << k)) - 1
     for j in range(n):
@@ -181,7 +181,8 @@ def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
             for start, width, bank in groups:
                 mask = (support >> start) & ((1 << width) - 1)
                 if mask:
-                    s4.append(Gate((second_bank[i], bank[mask]), out_lines[j]))
+                    a, b = second_bank[i], bank[mask]
+                    s4.append(((a, b) if a < b else (b, a), out_lines[j]))
     drawn = next(fresh)
     if drawn != m:
         raise ContractError(f"lupanov stages use {drawn} lines, their layout has {m}")

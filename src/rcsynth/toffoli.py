@@ -17,7 +17,7 @@ from .circuit import Gate
 from .errors import CapacityError, ParameterError
 
 
-def _dirty_chain(controls: Sequence[int], borrows: Sequence[int], target: int) -> list[Gate]:
+def _dirty_chain(controls: Sequence[int], borrows: Sequence[int], target: int) -> list[tuple]:
     """k-CNOT out of 4(k-2) 2-CNOTs using k-2 borrowed lines of any value:
     the garbage chain [top, steps..., last] mirrored.
 
@@ -34,7 +34,7 @@ def _dirty_chain(controls: Sequence[int], borrows: Sequence[int], target: int) -
 
 def decompose_borrowed(
     controls: Sequence[int], target: int, helpers: Sequence[int]
-) -> list[Gate]:
+) -> list[tuple]:
     """Full-state equivalent replacement, at most 8k gates; helpers may hold
     anything and are restored for every input."""
     k = len(controls)
@@ -57,7 +57,7 @@ def decompose_borrowed(
 
 def decompose_garbage(
     controls: Sequence[int], target: int, helpers: Sequence[int]
-) -> list[Gate]:
+) -> list[tuple]:
     """Exactly k-1 gates; target and control lines correct on the helper-zero
     subspace, helpers are left dirty and must be retired by the caller.
 
@@ -80,7 +80,7 @@ def decompose_garbage(
 
 def decompose_clean(
     controls: Sequence[int], target: int, helpers: Sequence[int]
-) -> list[Gate]:
+) -> list[tuple]:
     """Exactly 2k-3 gates; equivalent on the subspace where the k-2 helpers
     start at 0, and every helper ends at 0 again: the garbage chain followed
     by its helper gates in reverse."""

@@ -65,6 +65,25 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="outside the basis"):
             Circuit(5, 5, (Gate((3, 0, 3), 1),), tuple(range(5)))
 
+    # Each is rejected by its index, also past the basis size (12 gates on 3
+    # lines), where the circuit is checked per distinct gate: a negative
+    # control, which the sweep would read as line m - 1; descending controls,
+    # whose written line parses back unequal; unhashable list controls.
+    @pytest.mark.parametrize("count", [0, 20])
+    @pytest.mark.parametrize(
+        "controls, reason",
+        [
+            ((2, -1), r"controls \(2, -1\) are not in ascending order"),
+            ((2, 1), r"controls \(2, 1\) are not in ascending order"),
+            ([1, 2], r"\(\[1, 2\], 0\) is not a tuple \(controls, target\) with tuple controls"),
+        ],
+        ids=["negative", "descending", "list"],
+    )
+    def test_malformed_controls_rejected_at_any_length(self, controls, reason, count):
+        gates = [((), 1)] * count + [(controls, 0)]
+        with pytest.raises(ValueError, match=f"^gate {count}: {reason}$"):
+            Circuit(3, 3, gates, (0, 1, 2))
+
     def test_controls_are_sorted_and_define_equality(self):
         assert Gate((2, 0), 1) == ((0, 2), 1)
         assert Gate((2, 0), 1) == Gate((0, 2), 1)

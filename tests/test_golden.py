@@ -37,6 +37,7 @@ def fingerprint(circuit):
         (5, "9cfc115ca78c174ee3c9e1c49dc0a797d75b4946cd1023cc0b5ce412742aca57", 332),
         (8, "2a2901f88c31ea39c1d7de62fdd38705ccd93221cb6b2f1528bac6758d1a0956", 5082),
     ],
+    ids=["n2", "n5", "n8"],
 )
 def test_basic(n, digest, gates):
     circuit, _ = synth_even_permutation(random_even_permutation(n, Random(n)))
@@ -49,6 +50,7 @@ def test_basic(n, digest, gates):
         (6, 8, "a29d0acad0420d0282dff4209dbfe32e01647ba4265c3076a1a82a27cb60498d", 768),
         (7, 16, "09537f7d6ebdc7eeed457ee8c06499fe26bd35c20177c0e88db2b7bb326e577b", 2214),
     ],
+    ids=["n6-k8", "n7-k16"],
 )
 def test_basic_forced_block_size(n, k, digest, gates):
     circuit, _ = synth_even_permutation(random_even_permutation(n, Random(n)), k=k)

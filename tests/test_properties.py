@@ -369,6 +369,16 @@ def basic_targets(draw):
     return p, k, budget
 
 
+def is_plain_gate(gate) -> bool:
+    """Whether gate is an exact (controls, target) tuple whose controls are
+    an exact tuple in strictly ascending order."""
+    controls = gate[0]
+    return (
+        type(gate) is tuple and len(gate) == 2 and type(controls) is tuple
+        and all(a < b for a, b in zip(controls, controls[1:]))
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(basic_targets())
 def test_basic_synthesis_matches_oracle_and_inverts(target):
@@ -378,8 +388,7 @@ def test_basic_synthesis_matches_oracle_and_inverts(target):
     except ParameterError:
         assume(False)
     assert naive_mapping(circuit) == list(p.images)
-    # Blocks build their gates from plain pairs; the circuit holds Gates only.
-    assert all(type(g) is Gate for g in circuit.gates)
+    assert all(map(is_plain_gate, circuit.gates))
     # c followed by its reversed gates fixes every state of all m lines.
     m = circuit.m
     round_trip = circuit.gates + tuple(reversed(circuit.gates))
@@ -407,3 +416,4 @@ def test_lupanov_synthesis_matches_oracle_on_fixed_lines(target):
     assert circuit.m == zero.m
     written = {target for _, target in circuit.gates}
     assert set(range(f.n, circuit.m)) - set(circuit.outputs) <= written
+    assert all(map(is_plain_gate, circuit.gates))

@@ -27,7 +27,7 @@ def values():
 def test_repr():
     assert repr(BooleanMapping(1, (0, 0))) == "BooleanMapping(n=1, images=(0, 0))"
     assert repr(Permutation(1, (1, 0))) == "Permutation(n=1, images=(1, 0))"
-    assert repr(ONE_GATE) == "Circuit(m=2, n=1, gates=(Gate((), 0),), outputs=(0,))"
+    assert repr(ONE_GATE) == "Circuit(m=2, n=1, gates=(((), 0),), outputs=(0,))"
     assert repr(count_gates(ONE_GATE)) == "GateCountReport(nots=1, cnots=0, toffolis=0)"
     assert repr(STAGES) == (
         "StageReport(k=1, s=2, p=1, gate_counts=(1, 2, 3, 4),"
