@@ -57,15 +57,17 @@ def Gate(controls: Iterable[int], target: int) -> tuple[tuple[int, ...], int]:
 def find_gate_fault(gates: Iterable[tuple], m: int) -> tuple[int, str] | None:
     """Index and reason of the first gate that is not a valid basis gate on
     m lines: not a tuple (controls, target) with tuple controls, more than
-    two controls, a line index outside [0, m), two controls out of
-    ascending order, a repeated control, or a target that is also a
-    control.  None when every gate is valid."""
+    two controls, a line that is not an int, a line outside [0, m), two
+    controls out of ascending order, a repeated control, or a target that
+    is also a control.  None when every gate is valid."""
     for i, gate in enumerate(gates):
         if type(gate) is not tuple or len(gate) != 2 or type(gate[0]) is not tuple:
             return i, f"{gate!r} is not a tuple (controls, target) with tuple controls"
         controls, target = gate
         if len(controls) > 2:
             return i, f"gate with {len(controls)} controls is outside the basis"
+        if type(target) is not int or controls and not type(controls[0]) is type(controls[-1]) is int:
+            return i, f"{gate!r} has a line that is not an int"
         if not 0 <= target < m:
             return i, f"target {target} out of range [0, {m})"
         if controls:
@@ -87,8 +89,9 @@ class Circuit(_Value):
     An immutable value: two circuits are equal when m, n, gates and outputs
     are.  A circuit with more gates than the basis on m lines has
     (`bounds.gate_set_size(m)`) must repeat some, so its gates are checked
-    once per distinct gate; a fault found that way is looked up again in
-    the full sequence, so the error names its first index."""
+    once per distinct value, a gate equal to an earlier one (((True,), 2)
+    after ((1,), 2)) as that one; a fault found that way is looked up again
+    in the full sequence, so the error names its first index."""
 
     __slots__ = _fields = ("m", "n", "gates", "outputs")
 

@@ -1,4 +1,4 @@
-"""No-ancilla synthesis of even permutations from transposition blocks.
+"""Synthesis of permutations from transposition blocks.
 
 Each block takes one group of K independent transpositions (k = 2K moved
 points) and conjugates it, gate by self-inverse gate, until it collapses to
@@ -6,8 +6,9 @@ a single generalized Toffoli.  Any transposition may become any pair the
 Toffoli swaps, in either orientation, so the block's rows are placed
 cheapest first; a sweep of the conjugators then checks that each
 transposition lands on one such pair.  Emitting the conjugators around the
-expanded core gate realizes the block; concatenated blocks realize the
-permutation.
+core gate realizes the block; concatenated blocks realize the permutation.
+Every gate with three or more controls is expanded into the basis through
+the n - 3 clean helpers if there are any, else through borrowed data lines.
 """
 from __future__ import annotations
 
@@ -149,34 +150,28 @@ def _canonicalize(
 
 class _Expansions(dict):
     """Gate -> its gates over NOT, CNOT and 2-CNOT, expanded on the first
-    lookup of the gate.  A basis gate is its own expansion.  A gate with
-    three or more controls is expanded through the clean helpers
-    `ancilla_lines` when `clean` is set and there are any, else through
-    borrowed lines: the data lines outside the gate, then the helpers."""
+    lookup of the gate.  A basis gate is its own expansion.  A wider gate is
+    expanded through the clean helpers `ancilla_lines` if there are any (it
+    has at most n - 1 controls, so n - 3 suffice), else through the data
+    lines outside it, borrowed."""
 
-    __slots__ = ("n", "ancilla_lines", "clean")
+    __slots__ = ("n", "ancilla_lines")
 
-    def __init__(self, n: int, ancilla_lines: tuple[int, ...], clean: bool = False) -> None:
-        self.n, self.ancilla_lines, self.clean = n, ancilla_lines, clean
+    def __init__(self, n: int, ancilla_lines: tuple[int, ...]) -> None:
+        self.n, self.ancilla_lines = n, ancilla_lines
 
     def __missing__(self, gate: tuple) -> list[tuple]:
         controls, target = gate
         if len(controls) <= 2:
             part = [gate]
-        elif self.clean and self.ancilla_lines:
+        elif self.ancilla_lines:
             part = decompose_clean(controls, target, self.ancilla_lines[: len(controls) - 2])
         else:
             used = set(controls) | {target}
             free = tuple(line for line in range(self.n) if line not in used)
-            part = decompose_borrowed(controls, target, free + self.ancilla_lines)
+            part = decompose_borrowed(controls, target, free)
         self[gate] = part
         return part
-
-
-def _new_memos(
-    n: int, ancilla_lines: tuple[int, ...]
-) -> tuple[_Positions, _Expansions, _Expansions]:
-    return _Positions(), _Expansions(n, ancilla_lines), _Expansions(n, ancilla_lines, clean=True)
 
 
 def synth_block(
@@ -184,40 +179,40 @@ def synth_block(
     n: int,
     ancilla_lines: tuple[int, ...] = (),
     *,
-    _memos: tuple[_Positions, _Expansions, _Expansions] | None = None,
+    _memos: tuple[_Positions, _Expansions] | None = None,
 ) -> list[tuple]:
     """Gates realizing exactly the permutation of one group of independent
     transpositions on 2^n states: expanded conjugators, expanded core gate,
-    the expanded conjugators again in reverse order.  With ancilla_lines the
-    core gate is expanded through clean helpers instead of borrowed data
-    lines.  `block_upper(n, k)` for the k = 2|group| moved points both
-    checks k and caps the gate count.
+    the expanded conjugators again in reverse order.  With ancilla_lines
+    every gate with three or more controls is expanded through them as
+    clean helpers instead of borrowed data lines.  `block_upper(n, k)` for
+    the k = 2|group| moved points both checks k and caps the gate count.
 
     Each distinct conjugator or core gate is expanded once;
-    `synth_even_permutation` passes one `_memos` triple (the bit positions
-    of `_canonicalize`, then the `_Expansions` of conjugators and of core
-    gates) to all its blocks on the same n and ancilla_lines."""
+    `synth_even_permutation` passes one `_memos` pair (the bit positions of
+    `_canonicalize`, then the `_Expansions` of every gate) to all its
+    blocks on the same n and ancilla_lines."""
     rows = [x for t in group for x in t]
     budget = block_upper(n, len(rows))
     if _memos is None:
-        _memos = _new_memos(n, ancilla_lines)
-    positions, borrowed, clean = _memos
+        _memos = _Positions(), _Expansions(n, ancilla_lines)
+    positions, expansions = _memos
     conjugators, core = _canonicalize(rows, n, positions)
-    parts = list(map(borrowed.__getitem__, conjugators))
-    gates = list(chain.from_iterable(parts + [clean[core]] + parts[::-1]))
+    parts = list(map(expansions.__getitem__, conjugators))
+    gates = list(chain.from_iterable(parts + [expansions[core]] + parts[::-1]))
     if len(gates) > budget:
         raise ContractError(f"block emitted {len(gates)} gates, budget {budget}")
     return gates
 
 
-def _default_block_size(n: int, ancilla_budget: int) -> int:
+def _default_block_size(n: int) -> int:
     """The block size k that gives the fewest gates on n lines, by
     measurement: gate totals of seeds 1-3 for every admissible k at
-    n = 2..16 and both budgets, under the row order `_canonicalize` chooses,
-    in BENCH_roworder.json.  k starts at 2 and doubles at each line count
-    listed; it passes `_validate_block_size` on every n >= 2."""
-    doublings = (3, 5, 8, 13) if ancilla_budget == 0 else (3, 5, 10)
-    return 2 << sum(n >= start for start in doublings)
+    n = 2..16, under the row order `_canonicalize` chooses, without helpers
+    (BENCH_roworder.json) and with n - 3 (BENCH_cleanhelpers.json).  k
+    starts at 2 and doubles at each line count listed; it passes
+    `_validate_block_size` on every n >= 2."""
+    return 2 << sum(n >= start for start in (3, 5, 8, 13))
 
 
 def _validate_block_size(k: int, n: int, ancilla_budget: int) -> None:
@@ -246,8 +241,8 @@ def synth_even_permutation(
 
     With ancilla_budget 0 the circuit uses exactly n lines, which is possible
     for even p when n >= 4 and for any p when n <= 3.  With ancilla_budget
-    n - 3 the core gates are expanded through clean helpers on n - 3 extra
-    lines, which also admits odd p.
+    n - 3 every gate with three or more controls is expanded through clean
+    helpers on n - 3 extra lines, which also admits odd p.
     """
     n = p.n
     if ancilla_budget not in (0, max(n - 3, 0)):
@@ -268,12 +263,12 @@ def synth_even_permutation(
         gates = () if p.is_identity() else (((), 0),)
     else:
         if k is None:
-            k = _default_block_size(n, ancilla_budget)
+            k = _default_block_size(n)
         if k == 2:
             groups = [(t,) for t in plain_transpositions(p)]
         else:
             groups = transposition_stream(p, k // 2)
-        memos = _new_memos(n, ancilla_lines)
+        memos = _Positions(), _Expansions(n, ancilla_lines)
         gates = tuple(chain.from_iterable(
             synth_block(group, n, ancilla_lines, _memos=memos) for group in groups
         ))

@@ -68,7 +68,8 @@ class TestGateValidation:
     # Each is rejected by its index, also past the basis size (12 gates on 3
     # lines), where the circuit is checked per distinct gate: a negative
     # control, which the sweep would read as line m - 1; descending controls,
-    # whose written line parses back unequal; unhashable list controls.
+    # whose written line parses back unequal; unhashable list controls;
+    # controls that are not ints, which serialize to lines that do not parse.
     @pytest.mark.parametrize("count", [0, 20])
     @pytest.mark.parametrize(
         "controls, reason",
@@ -76,13 +77,19 @@ class TestGateValidation:
             ((2, -1), r"controls \(2, -1\) are not in ascending order"),
             ((2, 1), r"controls \(2, 1\) are not in ascending order"),
             ([1, 2], r"\(\[1, 2\], 0\) is not a tuple \(controls, target\) with tuple controls"),
+            ((True,), r"\(\(True,\), 0\) has a line that is not an int"),
+            ((1, 2.0), r"\(\(1, 2\.0\), 0\) has a line that is not an int"),
         ],
-        ids=["negative", "descending", "list"],
+        ids=["negative", "descending", "list", "bool", "float"],
     )
     def test_malformed_controls_rejected_at_any_length(self, controls, reason, count):
         gates = [((), 1)] * count + [(controls, 0)]
         with pytest.raises(ValueError, match=f"^gate {count}: {reason}$"):
             Circuit(3, 3, gates, (0, 1, 2))
+
+    def test_non_int_target_rejected(self):
+        with pytest.raises(ValueError, match=r"^gate 0: \(\(0,\), 1\.5\) has a line that is not an int$"):
+            Circuit(3, 3, [((0,), 1.5)], (0, 1, 2))
 
     def test_controls_are_sorted_and_define_equality(self):
         assert Gate((2, 0), 1) == ((0, 2), 1)

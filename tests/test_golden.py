@@ -58,11 +58,12 @@ def test_basic_forced_block_size(n, k, digest, gates):
 
 
 def test_basic_with_ancillas():
-    # An odd permutation on 6 lines, realized through n - 3 clean helpers.
+    # An odd permutation on 6 lines, every wide gate expanded through the
+    # n - 3 clean helpers.
     circuit, _ = synth_even_permutation(random_permutation(6, Random(6)), ancilla_budget=3)
     assert fingerprint(circuit) == (
-        "8b8f06994b1025f470affbfe67ccd4c2b8de545da70d9be38869f36a8dab681c",
-        744,
+        "030e1c0be92bec39a724a28351b453092665970c5f0f66a13ecb07c8def3b413",
+        714,
     )
 
 

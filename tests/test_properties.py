@@ -387,7 +387,10 @@ def test_basic_synthesis_matches_oracle_and_inverts(target):
         circuit, _ = synth_even_permutation(p, k=k, ancilla_budget=budget)
     except ParameterError:
         assume(False)
-    assert naive_mapping(circuit) == list(p.images)
+    runs = [naive_run(circuit, w) for w in range(1 << p.n)]
+    assert [output for output, _ in runs] == list(p.images)
+    # Every helper line ends at 0 again on every input.
+    assert all(final >> p.n == 0 for _, final in runs)
     assert all(map(is_plain_gate, circuit.gates))
     # c followed by its reversed gates fixes every state of all m lines.
     m = circuit.m

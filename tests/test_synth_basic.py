@@ -41,25 +41,24 @@ def block_realizes_group(group, n, ancilla_lines=()):
 
 
 class TestChooseBlockSize:
-    """The default block size follows the measured rule: k = 2 on two lines,
-    4 on three and four, 8 from five, then 16 and 32 as n grows; with the
-    n - 3 clean helpers 16 comes later and 32 not up to sixteen lines (gate
-    totals in BENCH_roworder.json)."""
+    """The default block size follows the measured rule, with or without
+    the n - 3 clean helpers: k = 2 on two lines, 4 on three and four, 8
+    from five, 16 from eight and 32 from thirteen (gate totals in
+    BENCH_roworder.json and BENCH_cleanhelpers.json)."""
 
-    # Default k on n lines with ancilla budget 0 and n - 3.
+    # Default k on n lines, for ancilla budget 0 and n - 3 alike.
     MEASURED = {
-        3: (4, 4), 4: (4, 4), 5: (8, 8), 6: (8, 8), 7: (8, 8), 8: (16, 8), 9: (16, 8),
-        10: (16, 16), 11: (16, 16), 12: (16, 16), 13: (32, 16), 14: (32, 16), 15: (32, 16),
-        16: (32, 16),
+        3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 16, 9: 16, 10: 16, 11: 16, 12: 16, 13: 32, 14: 32,
+        15: 32, 16: 32,
     }
 
     def test_default_follows_measured_table(self):
         rng = Random(3)
-        for n, ks in self.MEASURED.items():
-            for budget, k in zip((0, n - 3), ks):
-                assert synth_basic._default_block_size(n, budget) == k, (n, budget)
-                if n > 9:
-                    continue  # synthesized up to n = 9 only, to keep the test fast
+        for n, k in self.MEASURED.items():
+            assert synth_basic._default_block_size(n) == k, n
+            if n > 9:
+                continue  # synthesized up to n = 9 only, to keep the test fast
+            for budget in (0, n - 3):
                 p = random_even_permutation(n, rng) if budget == 0 else random_permutation(n, rng)
                 default, _ = synth_even_permutation(p, ancilla_budget=budget)
                 forced, _ = synth_even_permutation(p, k=k, ancilla_budget=budget)
@@ -68,9 +67,7 @@ class TestChooseBlockSize:
     def test_default_admissible_on_every_line_count(self):
         for n in range(2, 65):
             for budget in {0, max(n - 3, 0)}:
-                synth_basic._validate_block_size(
-                    synth_basic._default_block_size(n, budget), n, budget
-                )
+                synth_basic._validate_block_size(synth_basic._default_block_size(n), n, budget)
 
     def test_default_no_more_gates_than_four(self):
         # Totals over seeds 1-2, the instances `rcsynth rand even-perm` (budget
@@ -137,17 +134,23 @@ class TestSynthBlock:
                 assert all(len(controls) <= 2 for controls, _ in gates)
 
     def test_clean_core_variant(self, rng):
+        # k = 8: conjugators with three controls go through the helpers too.
+        n = 6
+        ancillas = tuple(range(n, 2 * n - 3))
+        widest = 0
         for _ in range(8):
-            n = 6
-            group = random_group(n, 2, rng)
-            ancillas = tuple(range(n, 2 * n - 3))
+            group = random_group(n, 4, rng)
+            conjugators, _ = _canonicalize([x for t in group for x in t], n)
+            widest = max([widest] + [len(controls) for controls, _ in conjugators])
             ok, gates = block_realizes_group(group, n, ancillas)
             assert ok
+            assert len(gates) <= block_upper(n, 8)
             # clean helpers must be restored on every input
             circuit = Circuit(2 * n - 3, n, tuple(gates), tuple(range(n)))
             for w in range(1 << n):
                 _, final = simulate(circuit, w)
                 assert final >> n == 0
+        assert widest == 3
 
     def test_mirror_symmetry(self, rng):
         # With k = 4 every conjugator is a basis gate and is emitted as is:
@@ -225,11 +228,15 @@ class TestSynthEvenPermutation:
         assert report.nots + report.cnots + report.toffolis == len(circuit)
         assert all(len(controls) <= 2 for controls, _ in circuit.gates)
 
-    @pytest.mark.parametrize("n, k", [(6, 4), (8, 16)])
-    def test_each_distinct_gate_expanded_once(self, n, k, monkeypatch):
+    @pytest.mark.parametrize(
+        "n, k, budget", [(6, 4, 0), (8, 16, 0), (8, 16, 5)], ids=["6-4", "8-16", "8-16-helpers"]
+    )
+    def test_each_distinct_gate_expanded_once(self, n, k, budget, monkeypatch):
         # The core gate repeats in every block of one size; at k = 16 some
-        # conjugators have three or more controls too.
-        p = random_even_permutation(n, Random(n))
+        # conjugators have three or more controls too.  With n - 3 helpers
+        # every such gate, conjugator or core, goes through the first c - 2
+        # of them, and none borrows data lines.
+        p = (random_permutation if budget else random_even_permutation)(n, Random(n))
         generalized = set()
         for group in transposition_stream(p, k // 2):
             conjugators, core = _canonicalize([x for t in group for x in t], n)
@@ -237,14 +244,19 @@ class TestSynthEvenPermutation:
         if k == 16:
             assert any(len(controls) >= 3 and target != 0 for controls, target in generalized)
         calls = Counter()
-        expand = synth_basic.decompose_borrowed
+        names = ("decompose_clean", "decompose_borrowed")
+        used, unused = names if budget else names[::-1]
+        expand = getattr(synth_basic, used)
 
         def counting(controls, target, helpers):
+            if budget:
+                assert helpers == tuple(range(n, n + len(controls) - 2))
             calls[(tuple(controls), target)] += 1
             return expand(controls, target, helpers)
 
-        monkeypatch.setattr(synth_basic, "decompose_borrowed", counting)
-        circuit, _ = synth_even_permutation(p, k=k)
+        monkeypatch.setattr(synth_basic, used, counting)
+        monkeypatch.setattr(synth_basic, unused, None)  # any call fails
+        circuit, _ = synth_even_permutation(p, k=k, ancilla_budget=budget)
         assert calls == Counter(generalized)
         assert naive_mapping(circuit) == list(p.images)
 
@@ -261,7 +273,7 @@ class TestSynthEvenPermutation:
 
     def test_ancilla_budget_restores_helpers(self, rng):
         p = random_even_permutation(5, rng)
-        circuit, _ = synth_even_permutation(p, k=4, ancilla_budget=2)
+        circuit, _ = synth_even_permutation(p, k=8, ancilla_budget=2)
         assert circuit.m == 7
         assert realized_mapping(circuit).images == p.images
         for w in range(32):
