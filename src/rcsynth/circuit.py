@@ -25,6 +25,7 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import os
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -145,7 +146,7 @@ def columns_of(words: Sequence[int], width: int) -> list[int]:
     of words[x].  Each word must fit in width bits."""
     # Last word first, so each column zipped off the bit strings reads from
     # its most significant bit.
-    rows = [format(word, f"0{width}b") for word in reversed(words)]
+    rows = map(format, reversed(words), repeat(f"0{width}b"))
     return [int("".join(bits), 2) for bits in zip(*rows)][::-1]
 
 

@@ -3,16 +3,19 @@
 Each block takes one group of K independent transpositions (k = 2K moved
 points) and conjugates it, gate by self-inverse gate, until it collapses to
 a single generalized Toffoli.  Any transposition may become any pair the
-Toffoli swaps, in either orientation, so the block's rows are placed
-cheapest first; a sweep of the conjugators then checks that each
-transposition lands on one such pair.  Emitting the conjugators around the
-core gate realizes the block; concatenated blocks realize the permutation.
+Toffoli swaps, in either orientation, so each block places its rows by
+the cost of their pair: a row's own gates plus its partner's after them,
+scored for the rows within one bit of the cheapest, and the row takes the
+pivot line that leaves its partner cheapest.  A sweep of the conjugators
+then checks that each transposition lands on one such pair.  Emitting the
+conjugators around the core gate realizes the block; concatenated blocks
+realize the permutation.
 Every gate with three or more controls is expanded into the basis through
 the n - 3 clean helpers if there are any, else through borrowed data lines.
 """
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 
 from .bounds import block_upper
 from .circuit import Circuit, GateCountReport, _sweep, columns_of, count_gates, words_of
@@ -51,17 +54,23 @@ def _canonicalize(
     conjugators and the core gate.
 
     Any pair may take any slot pair, in either orientation, so the rows are
-    placed cheapest first.  Slot 0 takes the row with the fewest set bits
-    once the repeated columns are zeroed; at each later even slot r the
-    pending row v with the fewest bits in v ^ r takes r, ties in the given
-    order; rows that need the spill lift (no high bit, and not r already)
-    go last.  The partner of the row at slot r takes r + 1.  The pending
-    rows move by one whole-row update per gate group.  The emitted gates
-    are checked by one sweep over the columns of the given rows, which
-    raises ContractError unless they realize the block's transpositions:
-    every high column all ones, column 0 differing within each pair and
-    the other low columns agreeing.  Conjugation is a bijection, so the
-    rows stay distinct and no slot bookkeeping is needed.
+    placed by the cost of their pair.  A row's cost at slot s is the bit
+    count of v ^ s, plus n + 1 if it needs the spill lift (no high bit, and
+    not s already), which puts such rows last.  At slot 0 (once the
+    repeated columns are zeroed) and at each later even slot r, the rows
+    whose plain bit count of v ^ r is within 1 of the fewest are scored:
+    their own cost at r plus their partner's cost at r + 1 after their gate
+    group (spill lift, CNOT fan-out, control gate).  The lowest score takes
+    r, ties in the given order, and its partner takes r + 1.  The row at an
+    even slot pivots on the high bit that leaves its partner cheapest; a
+    row at an odd slot on its lowest high bit.  Any high bit serves, since
+    placed rows hold none.  The pending rows move by one whole-row update
+    per gate group.  The emitted gates are checked by one sweep over the
+    columns of the given rows, which raises ContractError unless they
+    realize the block's transpositions: every high column all ones, column
+    0 differing within each pair and the other low columns agreeing.
+    Conjugation is a bijection, so the rows stay distinct and no slot
+    bookkeeping is needed.
 
     The rows are the block's moved points, pairwise distinct n-bit points;
     their count k must be one that `block_upper(n, k)` admits.  `positions`
@@ -70,7 +79,7 @@ def _canonicalize(
     if len(set(rows)) != k:
         raise ParameterError("rows must be pairwise distinct")
     lgk = k.bit_length() - 1
-    if any(not 0 <= r < (1 << n) for r in rows):
+    if min(rows) < 0 or max(rows) >= 1 << n:
         raise ParameterError("rows must be n-bit points")
     if positions is None:
         positions = _Positions()
@@ -88,30 +97,78 @@ def _canonicalize(
             kept[pattern] = j
     repeated = sum(1 << j for _, j in conjugators)
 
-    # Slot 0: clear the row with the fewest set bits by NOTs on them.
+    # The cost of a row at slot s is the bit count of d = row ^ s, at most n.
+    # A row with 0 < d < k has no high bit and needs the spill lift: n + 1
+    # more puts it last.  A row with d = 0 costs no gate.
+    def cost(d: int) -> int:
+        return d.bit_count() + (0 < d < k) * (n + 1)
+
+    # Slot 0: clear a row by NOTs on its set bits.  A row scores those NOTs
+    # plus its partner's cost at slot 1 after them.
     pending = [x & ~repeated for x in rows]
     weights = [x.bit_count() for x in pending]
-    i = weights.index(min(weights))
+    least = min(weights) + 1
+    _, i = min(
+        (weight + cost(pending[i ^ 1] ^ pending[i] ^ 1), i)
+        for i, weight in enumerate(weights) if weight <= least
+    )
     first = pending[i]
-    conjugators += [((), j) for j in positions[first]]
+    conjugators += zip(repeat(()), positions[first])
     pending = [x ^ first for x in pending]
 
     # The row pending[i] must become the value r.  `pending` holds the rows
     # not yet placed, pairs side by side in the given order.  Rows are
     # pairwise distinct throughout (conjugation permutes points), so no gate
-    # below touches a placed row: it holds some r' < r and no high bit.
+    # below touches a placed row: it holds some r' < r and no high bit.  So
+    # any high bit of the row being placed may serve as its pivot.
     spill = 1 << lgk
     for r in range(1, k):
         if r & 1:
             i ^= 1  # the partner of the row at slot r - 1
+            value = pending[i]
+            pivot = value >> lgk << lgk
+            pivot &= -pivot  # the lowest high bit; the lift below sets it if 0
         else:
+            # Score each row v within one plain bit of the cheapest: its own
+            # cost at r plus its partner w's at r + 1 after v's gate group.
+            # The lift, if v needs it, moves w as it moves every row.  Then
+            # for a pivot p that w holds, the CNOTs XOR v ^ r ^ p into w and
+            # the control gate clears p again unless w ^ v meets r: w ends
+            # at d = w ^ v ^ 1 from r + 1, or one bit further.  A pivot that
+            # w lacks leaves w at d = w ^ r ^ 1, and the control gate sets p
+            # if w holds r.  Every pivot of a kind costs the same, so the
+            # lowest stands for its kind.  Ties take the earlier row, then
+            # the lower pivot.
             del pending[i & ~1 : (i | 1) + 1]
-            # The cost of row v is the bit count of d = v ^ r, at most n.
-            # A row with 0 < d < k has no high bit and needs the spill lift:
-            # n + 1 more puts it last.  A row with d = 0 costs no gate.
-            costs = [(d := v ^ r).bit_count() + (0 < d < k) * (n + 1) for v in pending]
-            i = costs.index(min(costs))
-        value = pending[i]
+            plain = [(v ^ r).bit_count() for v in pending]
+            least = min(plain) + 1
+            best = None
+            for t, bits in enumerate(plain):
+                if bits > least:
+                    continue
+                v, w = pending[t], pending[t ^ 1]
+                if v == r:
+                    option = cost(w ^ r ^ 1), t, 0
+                else:
+                    own = cost(v ^ r)
+                    if v < k:
+                        w ^= spill if w & v == v else 0
+                        v |= spill
+                    high = v & ~(k - 1)
+                    held, lacked = high & w, high & ~w
+                    if held:
+                        d = w ^ v ^ 1
+                        partner = d.bit_count() + 1 if d & r else cost(d)
+                        option = own + partner, t, held & -held
+                    if lacked:
+                        d = w ^ r ^ 1
+                        partner = d.bit_count() + 1 if w & r == r else cost(d)
+                        other = own + partner, t, lacked & -lacked
+                        option = min(option, other) if held else other
+                if best is None or option < best:
+                    best = option
+            _, i, pivot = best
+            value = pending[i]
         if value == r:
             continue
         if value < k:
@@ -119,14 +176,14 @@ def _canonicalize(
             conjugators.append((positions[value], lgk))
             pending = [x ^ spill if x & value == value else x for x in pending]
             value |= spill
-        j = lgk + ((value >> lgk) & -(value >> lgk)).bit_length() - 1
-        pivot = 1 << j
+            pivot = spill
+        j = pivot.bit_length() - 1
         # The CNOTs all have control j and none targets it, so together they
         # XOR mask into the rows with bit j set; then the gate with controls
         # on the bits of r flips bit j of the rows that hold every bit of r,
         # which clears it in pending[i].
         mask = (value ^ r) & ~pivot
-        conjugators += [((j,), t) for t in positions[mask]]
+        conjugators += zip(repeat((j,)), positions[mask])
         conjugators.append((positions[r], j))
         pending = [
             y ^ pivot if (y := x ^ mask if x & pivot else x) & r == r else y for x in pending
@@ -134,7 +191,7 @@ def _canonicalize(
 
     # Set every high column to all ones so a single gate matches the block.
     # Then bit 2i of (c ^ c >> 1) compares rows 2i and 2i + 1 in column c.
-    conjugators += [((), j) for j in range(lgk, n)]
+    conjugators += zip(repeat(()), range(lgk, n))
     full = (1 << k) - 1
     evens = full // 3
     tables = _sweep(conjugators, columns, full)

@@ -34,8 +34,8 @@ def fingerprint(circuit):
     "n, digest, gates",
     [
         (2, "6c9ca478db613511f8292047981d25c8bcb33936fe75bca8457c549e77a1f038", 12),
-        (5, "9cfc115ca78c174ee3c9e1c49dc0a797d75b4946cd1023cc0b5ce412742aca57", 332),
-        (8, "2a2901f88c31ea39c1d7de62fdd38705ccd93221cb6b2f1528bac6758d1a0956", 5082),
+        (5, "b8db3477e749ce4c97d77b122c43f1d1d0f9d4f8c5784b98c08bcf8f6efaa3c4", 332),
+        (8, "19c32aa1f1a90b0f8c7536777aaa233c3b81c4e22b2858e0ac12f8544cc03af1", 4862),
     ],
     ids=["n2", "n5", "n8"],
 )
@@ -47,8 +47,8 @@ def test_basic(n, digest, gates):
 @pytest.mark.parametrize(
     "n, k, digest, gates",
     [
-        (6, 8, "a29d0acad0420d0282dff4209dbfe32e01647ba4265c3076a1a82a27cb60498d", 768),
-        (7, 16, "09537f7d6ebdc7eeed457ee8c06499fe26bd35c20177c0e88db2b7bb326e577b", 2214),
+        (6, 8, "cf8c98c4caa360afc3935b0f28d23d67cf5c98485e279791667ee6a88b1412b5", 744),
+        (7, 16, "1a967e821a4777d6509c864e6c9792071bd45bea5e6407e451cf08d14792bb6c", 2136),
     ],
     ids=["n6-k8", "n7-k16"],
 )
@@ -62,8 +62,8 @@ def test_basic_with_ancillas():
     # n - 3 clean helpers.
     circuit, _ = synth_even_permutation(random_permutation(6, Random(6)), ancilla_budget=3)
     assert fingerprint(circuit) == (
-        "030e1c0be92bec39a724a28351b453092665970c5f0f66a13ecb07c8def3b413",
-        714,
+        "f145912f1da1fe7a27badb127d9504712291d2ec2a4859d842a52bcdcd599a55",
+        692,
     )
 
 
@@ -198,4 +198,4 @@ def test_canonicalize():
         conjugators, (controls, target) = _canonicalize(rows, n)
         pairs = [(tuple(cs), t) for cs, t in conjugators]
         text += repr((pairs, (tuple(controls), target))) + "\n"
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "c481ec0f3f9d16d1103cb4e5ca63209fe03fd9d2db836089f2b07a4ccfe3e0da"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "235234f487ccdd250d2023917671845823df2ae3e0da3a5a317e45865414e3d6"

@@ -71,8 +71,8 @@ class TestChooseBlockSize:
 
     def test_default_no_more_gates_than_four(self):
         # Totals over seeds 1-2, the instances `rcsynth rand even-perm` (budget
-        # 0) and `rand perm` (budget n - 3) write; one instance alone may
-        # favour k = 4 (n = 5, budget 0, seed 2: 388 gates against 376).
+        # 0) and `rand perm` (budget n - 3) write; the rule is measured on
+        # totals, so one instance alone may favour k = 4.
         for n in range(3, 9):
             for budget in {0, n - 3}:
                 totals = {None: 0, 4: 0}
@@ -192,6 +192,19 @@ class TestSynthBlock:
         )
         with pytest.raises(ContractError, match=r"rows \[12, 14, 15, 13\], not pairs"):
             synth_block(((0, 3), (5, 6)), 4)
+
+    def test_pair_score_halves_pinned_block(self):
+        # k = 8 on 5 lines.  Scoring each row together with its partner at
+        # the next slot places this block with 12 basis conjugators; placing
+        # each row by its own cost alone took 24, one with three controls,
+        # and 55 gates in all.
+        group = ((4, 9), (0, 31), (6, 7), (27, 26))
+        conjugators, _ = _canonicalize([x for t in group for x in t], 5)
+        assert len(conjugators) == 12
+        assert all(len(controls) <= 2 for controls, _ in conjugators)
+        ok, gates = block_realizes_group(group, 5)
+        assert ok
+        assert len(gates) == 2 * 12 + 1  # the core gate (3, 4) -> 0 is a 2-CNOT
 
     def test_eight_point_block(self, rng):
         # k = 8 exercises generalized conjugators through borrowed expansion.
