@@ -59,18 +59,20 @@ def _canonicalize(
     not s already), which puts such rows last.  At slot 0 (once the
     repeated columns are zeroed) and at each later even slot r, the rows
     whose plain bit count of v ^ r is within 1 of the fewest are scored:
-    their own cost at r plus their partner's cost at r + 1 after their gate
-    group (spill lift, CNOT fan-out, control gate).  The lowest score takes
-    r, ties in the given order, and its partner takes r + 1.  The row at an
-    even slot pivots on the high bit that leaves its partner cheapest; a
-    row at an odd slot on its lowest high bit.  Any high bit serves, since
-    placed rows hold none.  The pending rows move by one whole-row update
-    per gate group.  The emitted gates are checked by one sweep over the
-    columns of the given rows, which raises ContractError unless they
-    realize the block's transpositions: every high column all ones, column
-    0 differing within each pair and the other low columns agreeing.
-    Conjugation is a bijection, so the rows stay distinct and no slot
-    bookkeeping is needed.
+    their own cost at r plus their partner's cost at r + 1, the partner
+    moved by the row's gate group (spill lift, CNOT fan-out, control gate)
+    exactly as the update moves every row.  The lowest score takes r, ties
+    in the given order, and its partner takes r + 1.  The row at an even
+    slot pivots on the high bit that leaves its partner cheapest; a row at
+    an odd slot on its lowest high bit.  Any high bit serves, since placed
+    rows hold none.  Every pivot the partner holds moves it alike, and so
+    does every pivot it lacks, so only the lowest of each kind is scored.
+    The pending rows move by one whole-row update per gate group.  The
+    emitted gates are checked by one sweep over the columns of the given
+    rows, which raises ContractError unless they realize the block's
+    transpositions: every high column all ones, column 0 differing within
+    each pair and the other low columns agreeing.  Conjugation is a
+    bijection, so the rows stay distinct and no slot bookkeeping is needed.
 
     The rows are the block's moved points, pairwise distinct n-bit points;
     their count k must be one that `block_upper(n, k)` admits.  `positions`
@@ -130,15 +132,11 @@ def _canonicalize(
             pivot &= -pivot  # the lowest high bit; the lift below sets it if 0
         else:
             # Score each row v within one plain bit of the cheapest: its own
-            # cost at r plus its partner w's at r + 1 after v's gate group.
-            # The lift, if v needs it, moves w as it moves every row.  Then
-            # for a pivot p that w holds, the CNOTs XOR v ^ r ^ p into w and
-            # the control gate clears p again unless w ^ v meets r: w ends
-            # at d = w ^ v ^ 1 from r + 1, or one bit further.  A pivot that
-            # w lacks leaves w at d = w ^ r ^ 1, and the control gate sets p
-            # if w holds r.  Every pivot of a kind costs the same, so the
-            # lowest stands for its kind.  Ties take the earlier row, then
-            # the lower pivot.
+            # cost at r plus its partner w's at r + 1, once v's gate group
+            # has moved w by the expressions of the update below.  Every
+            # pivot that w holds moves w alike, and so does every pivot it
+            # lacks, so the lowest of each kind stands for its kind.  Ties
+            # take the earlier row, then the lower pivot.
             del pending[i & ~1 : (i | 1) + 1]
             plain = [(v ^ r).bit_count() for v in pending]
             least = min(plain) + 1
@@ -147,26 +145,22 @@ def _canonicalize(
                 if bits > least:
                     continue
                 v, w = pending[t], pending[t ^ 1]
-                if v == r:
-                    option = cost(w ^ r ^ 1), t, 0
-                else:
-                    own = cost(v ^ r)
+                own, pivots = cost(v ^ r), (0,)  # v at r: pivot 0 leaves w as is
+                if v != r:
                     if v < k:
-                        w ^= spill if w & v == v else 0
+                        w = w ^ spill if w & v == v else w
                         v |= spill
                     high = v & ~(k - 1)
                     held, lacked = high & w, high & ~w
-                    if held:
-                        d = w ^ v ^ 1
-                        partner = d.bit_count() + 1 if d & r else cost(d)
-                        option = own + partner, t, held & -held
-                    if lacked:
-                        d = w ^ r ^ 1
-                        partner = d.bit_count() + 1 if w & r == r else cost(d)
-                        other = own + partner, t, lacked & -lacked
-                        option = min(option, other) if held else other
-                if best is None or option < best:
-                    best = option
+                    pivots = (high & -high,)  # w holds every high bit of v, or none
+                    if held and lacked:
+                        pivots = held & -held, lacked & -lacked
+                for p in pivots:
+                    y = w ^ (v ^ r) & ~p if w & p else w
+                    y = y ^ p if y & r == r else y
+                    option = own + cost(y ^ r ^ 1), t, p
+                    if best is None or option < best:
+                        best = option
             _, i, pivot = best
             value = pending[i]
         if value == r:

@@ -49,8 +49,9 @@ def test_basic(n, digest, gates):
     [
         (6, 8, "cf8c98c4caa360afc3935b0f28d23d67cf5c98485e279791667ee6a88b1412b5", 744),
         (7, 16, "1a967e821a4777d6509c864e6c9792071bd45bea5e6407e451cf08d14792bb6c", 2136),
+        (8, 32, "e6f4da623751ecc25b85ee8c9400c0ffff64434eadb5ca12bdbe9749370cc02c", 5852),
     ],
-    ids=["n6-k8", "n7-k16"],
+    ids=["n6-k8", "n7-k16", "n8-k32"],
 )
 def test_basic_forced_block_size(n, k, digest, gates):
     circuit, _ = synth_even_permutation(random_even_permutation(n, Random(n)), k=k)

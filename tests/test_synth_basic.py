@@ -4,6 +4,8 @@ from itertools import permutations as all_orderings
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcsynth import (
     Circuit,
@@ -23,6 +25,7 @@ from conftest import (
     naive_mapping,
     random_even_permutation,
     random_permutation,
+    run_word,
     transpositions_product,
 )
 
@@ -205,6 +208,34 @@ class TestSynthBlock:
         ok, gates = block_realizes_group(group, 5)
         assert ok
         assert len(gates) == 2 * 12 + 1  # the core gate (3, 4) -> 0 is a 2-CNOT
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pivots_of_one_kind_move_the_partner_alike(self, data):
+        # The pair score tries only the lowest high bit of v that the
+        # partner w holds and the lowest that it lacks.  That rests on this
+        # premise, checked here on the gates themselves: every pivot p of
+        # one kind leaves w at the same cost from slot r + 1.  The gates of
+        # p are the CNOT fan-out of (v ^ r) & ~p from line p, then the gate
+        # with controls on the bits of r and target p.
+        n = data.draw(st.integers(3, 9), label="n")
+        lgk = data.draw(st.integers(2, n - 1), label="log2 k")
+        k = 1 << lgk
+        r = 2 * data.draw(st.integers(1, k // 2 - 1), label="r / 2")
+        v = data.draw(st.integers(k, (1 << n) - 1), label="v")
+        w = data.draw(st.integers(0, (1 << n) - 1).filter(lambda x: x != v), label="w")
+
+        def lines(x):
+            return tuple(b for b in range(n) if x >> b & 1)
+
+        costs = {True: set(), False: set()}
+        for j in lines(v >> lgk << lgk):
+            p = 1 << j
+            gates = [((j,), b) for b in lines((v ^ r) & ~p)] + [(lines(r), j)]
+            assert run_word(gates, v) == r
+            d = run_word(gates, w) ^ (r + 1)
+            costs[bool(w & p)].add(d.bit_count() + (0 < d < k) * (n + 1))
+        assert len(costs[True]) <= 1 and len(costs[False]) <= 1, costs
 
     def test_eight_point_block(self, rng):
         # k = 8 exercises generalized conjugators through borrowed expansion.
