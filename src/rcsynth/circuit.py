@@ -34,20 +34,27 @@ from .errors import CapacityError, FormatError
 from .perm import BooleanMapping, _Value
 
 DEFAULT_EXHAUSTIVE_CAP = 24
+# Largest cap: `rand` and the verify sweep hold about 120 bytes per point
+# (measured at n = 20), so 2^28 points take about 32 GiB.
+MAX_CAP = 28
 CAP_ENV_VAR = "RCSYNTH_CAP"
 # Most lines a circuit may have; no synthesizer builds more.
 MAX_LINES = 1 << 20
 
 
 def resolve_cap() -> int:
-    """Exhaustive-sweep cap: RCSYNTH_CAP, else 24."""
+    """Exhaustive-sweep cap: RCSYNTH_CAP, else 24.  A cap above MAX_CAP
+    raises CapacityError before anything builds a table that large."""
     env = os.environ.get(CAP_ENV_VAR)
     if env is None:
         return DEFAULT_EXHAUSTIVE_CAP
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
         raise FormatError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
+    if cap > MAX_CAP:
+        raise CapacityError(f"{CAP_ENV_VAR}={cap} exceeds its ceiling {MAX_CAP}")
+    return cap
 
 
 def Gate(controls: Iterable[int], target: int) -> tuple[tuple[int, ...], int]:

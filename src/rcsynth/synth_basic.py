@@ -259,11 +259,11 @@ def synth_block(
 def _default_block_size(n: int) -> int:
     """The block size k that gives the fewest gates on n lines, by
     measurement: gate totals of seeds 1-3 for every admissible k at
-    n = 2..16, under the row order `_canonicalize` chooses, without helpers
-    (BENCH_roworder.json) and with n - 3 (BENCH_cleanhelpers.json).  k
-    starts at 2 and doubles at each line count listed; it passes
-    `_validate_block_size` on every n >= 2."""
-    return 2 << sum(n >= start for start in (3, 5, 8, 13))
+    n = 2..16, without helpers and with n - 3, on the groups
+    `transposition_stream` builds around the lowest moving points
+    (BENCH_hubgroups.json).  k starts at 2 and doubles at each line count
+    listed; it passes `_validate_block_size` on every n >= 2."""
+    return 2 << sum(n >= start for start in (3, 5, 8, 14))
 
 
 def _validate_block_size(k: int, n: int, ancilla_budget: int) -> None:

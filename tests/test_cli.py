@@ -11,6 +11,7 @@ import pytest
 from rcsynth import Permutation, parse_circuit, parse_permutation, serialize_permutation
 from rcsynth import cli
 import rcsynth.io as rio
+from rcsynth.circuit import MAX_CAP
 from rcsynth.cli import build_parser, main
 from rcsynth.perm import is_even
 
@@ -160,6 +161,21 @@ class TestRand:
         assert code == 3
         assert out == ""
         assert err == f"error: need 1 <= n <= 4 (RCSYNTH_CAP), got n={n}\n"
+
+    @pytest.mark.parametrize("cap", [MAX_CAP + 1, 40])
+    def test_cap_over_ceiling_exits_3(self, capsys, monkeypatch, cap):
+        # The cap is read before rand draws a table; drawing one fails here.
+        monkeypatch.setattr(cli, "Random", lambda seed: pytest.fail("rand built a table"))
+        monkeypatch.setenv("RCSYNTH_CAP", str(cap))
+        code, out, err = run(capsys, "rand", "perm", "--n", str(cap))
+        assert (code, out) == (3, "")
+        assert err == f"error: RCSYNTH_CAP={cap} exceeds its ceiling {MAX_CAP}\n"
+
+    def test_cap_at_ceiling_accepted(self, capsys, monkeypatch):
+        monkeypatch.setenv("RCSYNTH_CAP", str(MAX_CAP))
+        code, out, _ = run(capsys, "rand", "perm", "--n", "3")
+        assert code == 0
+        assert parse_permutation(out).n == 3
 
 
 class TestSynthAndVerify:

@@ -34,8 +34,8 @@ def fingerprint(circuit):
     "n, digest, gates",
     [
         (2, "6c9ca478db613511f8292047981d25c8bcb33936fe75bca8457c549e77a1f038", 12),
-        (5, "b8db3477e749ce4c97d77b122c43f1d1d0f9d4f8c5784b98c08bcf8f6efaa3c4", 332),
-        (8, "19c32aa1f1a90b0f8c7536777aaa233c3b81c4e22b2858e0ac12f8544cc03af1", 4862),
+        (5, "01eda56369815f08074e65bc84e3b4fc1966997157da749e63418584fd5bbc03", 308),
+        (8, "89b77fe8c54e105b8ad3740c59366d6cb1fbf14d29c5659be1bcd31a345e0fda", 4754),
     ],
     ids=["n2", "n5", "n8"],
 )
@@ -47,9 +47,9 @@ def test_basic(n, digest, gates):
 @pytest.mark.parametrize(
     "n, k, digest, gates",
     [
-        (6, 8, "cf8c98c4caa360afc3935b0f28d23d67cf5c98485e279791667ee6a88b1412b5", 744),
-        (7, 16, "1a967e821a4777d6509c864e6c9792071bd45bea5e6407e451cf08d14792bb6c", 2136),
-        (8, 32, "e6f4da623751ecc25b85ee8c9400c0ffff64434eadb5ca12bdbe9749370cc02c", 5852),
+        (6, 8, "1adce050fceff8e957ec04c6a680f885b6f1a6b007ebebc9aa381e52e856873b", 786),
+        (7, 16, "9828993afef89f708de538cd4fe2ff12249a49f192dbbdadfd72ee02f6bcc4b9", 2114),
+        (8, 32, "5e102614f0fe22cb5ec823e55169bb225a66b57e08db5aad6ea370598c6fccf5", 5612),
     ],
     ids=["n6-k8", "n7-k16", "n8-k32"],
 )
@@ -63,8 +63,8 @@ def test_basic_with_ancillas():
     # n - 3 clean helpers.
     circuit, _ = synth_even_permutation(random_permutation(6, Random(6)), ancilla_budget=3)
     assert fingerprint(circuit) == (
-        "f145912f1da1fe7a27badb127d9504712291d2ec2a4859d842a52bcdcd599a55",
-        692,
+        "96434a10c314bd47dcbb5c8d02a7a7cb03ebaff254d5d26192dde74cc51fdcbb",
+        725,
     )
 
 
@@ -139,10 +139,11 @@ def _stream_inputs():
 @pytest.mark.parametrize(
     "K, digest",
     [
-        (2, "dfec4886a54dc4c7407bcc994f243a445dca240c3e6316a8efc4d6823c01e49c"),
-        (4, "6ae2e4de64634211fd7092d83e8e7e1745d6915c42a6c4885d721f781058b2aa"),
-        (8, "4b7c7e30d92903a0ae8cc2d1003b202178e09f3a3c73b3c901d7994bdb3fa7ff"),
+        (2, "8fc90893b531d73a8f1533226db7c9fe2b2a950a9fb688ac438b618ac9f48cf1"),
+        (4, "32a143d078960c02896ae9313bbc8162adb5ec4ba5c64e33a1fa88901560245a"),
+        (8, "8cd80cd14efa025ee0bb926c62d4db2fa99f5f9ccb883705b6c1eb2f97184c8e"),
     ],
+    ids=["K2", "K4", "K8"],
 )
 def test_transposition_stream(K, digest):
     text = "".join(repr(transposition_stream(p, K)) + "\n" for p in _stream_inputs())

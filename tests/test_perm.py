@@ -2,6 +2,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcsynth import CapacityError, ParameterError, Permutation
 from rcsynth.perm import (
@@ -141,6 +143,57 @@ class TestSplitDependentPair:
             split_dependent_pair((0, 1), (0, 2), 2)
 
 
+def _cycle_lengths(images):
+    """Lengths of every cycle of the image table, fixed points as 1."""
+    seen, lengths = set(), []
+    for start in range(len(images)):
+        x, length = start, 0
+        while x not in seen:
+            seen.add(x)
+            x, length = images[x], length + 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def _hub_group(images, K):
+    """The pairs (x, r(x)) for the K lowest x that r moves, skipping x when
+    x or r(x) is already taken, each as (min, max)."""
+    group, taken = [], set()
+    for x, y in enumerate(images):
+        if y != x and x not in taken and y not in taken and len(group) < K:
+            group.append((min(x, y), max(x, y)))
+            taken |= {x, y}
+    return tuple(group)
+
+
+def check_stream(p, K):
+    """The stream of p recomposes to p from groups of independent pairs, is
+    a minimal factorization (2^n - c(p) transpositions for c(p) the cycles
+    of p, fixed points included, 2 more when the stream ends in the 3-cycle
+    rewrite) and builds every group around the lowest moving points while
+    what is left of p still holds 2K disjoint pairs."""
+    groups = transposition_stream(p, K)
+    flat = [t for g in groups for t in g]
+    assert transpositions_product(flat, p.n) == p
+    for group in groups:
+        assert all(a < b for a, b in group)
+        assert len({x for t in group for x in t}) == 2 * len(group)
+    # The rewrite ends the stream with (t1, fresh), (fresh, t2), where t1
+    # and t2 share one point.
+    last = [g for g in groups[-2:] if len(g) == 2]
+    rewrite = len(last) == 2 and last[0][1] == last[1][0] and len(set(last[0][0]) & set(last[1][1])) == 1
+    assert len(flat) == p.size - len(_cycle_lengths(p.images)) + 2 * rewrite
+    rest = list(p.images)
+    for group in groups:
+        if sum(length // 2 for length in _cycle_lengths(rest)) < 2 * K:
+            break
+        assert group == _hub_group(rest, K)
+        swap = {a: b for t in group for a, b in (t, t[::-1])}
+        rest = [rest[swap.get(x, x)] for x in range(len(rest))]
+    return groups
+
+
 class TestTranspositionStream:
     def test_identity_is_empty(self):
         assert transposition_stream(Permutation.identity(3), 2) == []
@@ -161,16 +214,25 @@ class TestTranspositionStream:
         for trial in range(100):
             p = random_even_permutation(6, rng)
             for K in (2, 4):
-                groups = transposition_stream(p, K)
-                flat = [t for g in groups for t in g]
-                assert transpositions_product(flat, 6) == p, (trial, K)
+                check_stream(p, K)
 
     def test_recomposition_at_table_limit(self):
         rng = Random(55)
         p = random_even_permutation(10, rng)
         for K in (2, 4, 8):
-            flat = [t for g in transposition_stream(p, K) for t in g]
-            assert transpositions_product(flat, 10) == p
+            check_stream(p, K)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(3, 8).flatmap(lambda n: st.permutations(range(1 << n))),
+        st.sampled_from([2, 4, 8, 16]),
+        st.booleans(),
+    )
+    def test_minimal_hub_factorization(self, images, K, odd):
+        n = len(images).bit_length() - 1
+        if is_even(Permutation(n, images)) == odd:
+            images[0], images[1] = images[1], images[0]
+        check_stream(Permutation(n, images), K)
 
     def test_group_structure(self, rng):
         # full K-groups first, then pairs; a lone transposition only for odd p.
@@ -192,9 +254,7 @@ class TestTranspositionStream:
     def test_groups_are_internally_independent(self, rng):
         for _ in range(20):
             p = random_even_permutation(5, rng)
-            for group in transposition_stream(p, 3):
-                points = {x for t in group for x in t}
-                assert len(points) == 2 * len(group)
+            check_stream(p, 3)
 
     def test_odd_permutation_streams_with_singleton(self):
         p = Permutation.from_cycles(3, [(0, 1)])

@@ -46,12 +46,12 @@ def block_realizes_group(group, n, ancilla_lines=()):
 class TestChooseBlockSize:
     """The default block size follows the measured rule, with or without
     the n - 3 clean helpers: k = 2 on two lines, 4 on three and four, 8
-    from five, 16 from eight and 32 from thirteen (gate totals in
-    BENCH_roworder.json and BENCH_cleanhelpers.json)."""
+    from five, 16 from eight and 32 from fourteen (gate totals in
+    BENCH_hubgroups.json)."""
 
     # Default k on n lines, for ancilla budget 0 and n - 3 alike.
     MEASURED = {
-        3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 16, 9: 16, 10: 16, 11: 16, 12: 16, 13: 32, 14: 32,
+        3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 16, 9: 16, 10: 16, 11: 16, 12: 16, 13: 16, 14: 32,
         15: 32, 16: 32,
     }
 
