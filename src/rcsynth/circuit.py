@@ -106,6 +106,8 @@ class Circuit(_Value):
     def __init__(self, m: int, n: int, gates: Iterable[tuple], outputs: Iterable[int]) -> None:
         for name, value in zip(self._fields, (m, n, tuple(gates), tuple(outputs))):
             object.__setattr__(self, name, value)
+        if type(m) is not int or type(n) is not int:
+            raise ValueError(f"line counts m={m!r}, n={n!r} are not both ints")
         if self.n < 1 or self.m < self.n:
             raise ValueError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
         if self.m > MAX_LINES:
@@ -113,6 +115,8 @@ class Circuit(_Value):
         if len(self.outputs) != self.n or len(set(self.outputs)) != self.n:
             raise ValueError(f"outputs must name {self.n} distinct lines")
         for line in self.outputs:
+            if type(line) is not int:
+                raise ValueError(f"output line {line!r} is not an int")
             if not 0 <= line < self.m:
                 raise ValueError(f"output line {line} out of range [0, {self.m})")
         gates = self.gates

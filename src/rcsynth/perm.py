@@ -7,7 +7,6 @@ are applied.
 """
 from __future__ import annotations
 
-from collections import deque
 from itertools import compress
 from operator import ne
 from typing import Iterable, Sequence
@@ -55,17 +54,22 @@ class BooleanMapping(_Value):
     __slots__ = _fields = ("n", "images")
 
     def __init__(self, n: int, images: Iterable[int]) -> None:
-        object.__setattr__(self, "n", n)
-        if self.n < 1:
+        if type(n) is not int:
+            raise ValueError(f"bit count {n!r} is not an int")
+        if n < 1:
             raise ValueError("bit count must be at least 1")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "images", tuple(images))
         count = len(self.images)
         # Compare widths before shifting: a huge n must not build 2^n.
-        if count.bit_length() != self.n + 1 or count != 1 << self.n:
-            raise ValueError(f"expected 2^{self.n} images, got {count}")
-        for v in self.images:
-            if not 0 <= v < count:
-                raise ValueError(f"image {v} out of range [0, {count})")
+        if count.bit_length() != n + 1 or count != 1 << n:
+            raise ValueError(f"expected 2^{n} images, got {count}")
+        # C-level checks first; the offending image is sought only on a fault.
+        if set(map(type, self.images)) != {int} or min(self.images) < 0 or max(self.images) >= count:
+            v = next(v for v in self.images if type(v) is not int or not 0 <= v < count)
+            if type(v) is not int:
+                raise ValueError(f"image {v!r} is not an int")
+            raise ValueError(f"image {v} out of range [0, {count})")
 
     @property
     def size(self) -> int:
@@ -165,37 +169,41 @@ def transposition_stream(p: Permutation, K: int) -> list[tuple[Pair, ...]]:
     independent pairs, preserving the left-to-right product.  A group is a
     tuple of transpositions (a, b) with a < b and no point shared.
 
-    Let r be what is left of p.  A transposition (x, r(x)) splits x's cycle
-    and fixes r(x), so every stream below is a minimal factorization: one
-    transposition per point a cycle loses, 2^n - c(p) in all for c(p) the
-    cycles of p with fixed points counted, plus 2 when the 3-cycle rewrite
-    fires.
+    Let r be what is left of p.  Every group comes from one scan: visit the
+    points r moves in a given order, take the pair (x, r(x)) unless x or
+    r(x) is already in the group, and apply it to r at once, until the group
+    holds its pairs.  A pair (x, r(x)) splits x's cycle and fixes r(x), so
+    the stream is a minimal factorization: one transposition per point a
+    cycle loses, 2^n - c(p) in all for c(p) the cycles of p with fixed
+    points counted, plus 2 when the 3-cycle rewrite fires.
 
-    While r's cycles hold at least 2K disjoint pairs (the sum of floor(l/2)
-    over their lengths l), each group is built around the lowest points r
-    moves: x in ascending order takes the pair (x, r(x)) unless x or r(x) is
-    already in the group, until K pairs are taken, and the group is applied
-    to r.  Run over every point, these pairs would form a maximal matching
-    of r's cycles, which holds at least half the 2K pairs, so the group
-    fills.  The low hub points share their high bits, so half of each
-    block's rows start near their slots and the conjugators shrink: about
-    7% fewer gates at n = 12 than consecutive cycle points give
+    The scan runs in two orders.  While r's cycles hold at least 2K
+    disjoint pairs (the sum of floor(l/2) over their lengths l), it visits
+    the moving points in ascending order, so each group is built around the
+    lowest points r moves.  Run over every point, these pairs would form a
+    maximal matching of r's cycles, which holds at least half the 2K pairs,
+    so the group fills.  The low hub points share their high bits, so half
+    of each block's rows start near their slots and the conjugators shrink:
+    about 7% fewer gates at n = 12 than consecutive cycle points give
     (BENCH_hubgroups.json).
 
-    Below the guard the outstanding cycles are walked from the front, each
-    group taking as many pairs from each as it still needs: groups of K
-    while they fill, then of 2.  j pairs split (c0, c1, ..., c_{l-1}) as
-    (c0,c1)(c2,c3)...(c_{2j-2},c_{2j-1}) followed by the shorter cycle
-    (c0, c2, ..., c_{2j-2}, c_{2j}, ..., c_{l-1}).  The residual that cannot
-    fill a pair is either a lone transposition (odd p) or a 3-cycle, which
-    is rewritten through split_dependent_pair.
+    Below that guard the scan visits the outstanding cycles in the order of
+    their minima, each from its minimum, in groups of K while K pairs are
+    left and then of 2 while 2 are.  From (c0, c1, ..., c_{l-1}) it takes
+    (c0,c1), which sends c0 to c2 and fixes c1, then (c2,c3), and so on:
+    every other point, floor(l/2) pairs in all, since the last point of an
+    odd cycle maps back to the hub c0.  j pairs leave the shorter cycle
+    (c0, c2, ..., c_{2j-2}, c_{2j}, ..., c_{l-1}), which still starts at its
+    minimum and runs in the order of the scan, so a group takes every pair
+    the guard counts and the next group picks up where it stopped.  The
+    residual that cannot fill a pair is either a lone transposition (odd p)
+    or a 3-cycle, which is rewritten through split_dependent_pair.
 
-    The points r moves sit in one ascending list.  A group scans a prefix
-    of it: its K hubs, at most K points taken as images and K whose image
-    is a hub, and points fixed by earlier groups, which it drops.  The walk
-    consumes each cycle as a deque from its front.  So the stream takes
-    time linear in the number of moved points, but for a C-level shift of
-    the list when a group drops points.
+    The points r moves sit in one list, in the order of the scan.  A group
+    scans a prefix of it: its hubs, the points it takes as images, those
+    whose image is a hub, and points fixed by earlier groups, which it
+    drops.  So the stream takes time linear in the number of moved points,
+    but for a C-level shift of the list when a group drops points.
     """
     if K < 2:
         raise ParameterError("group size K must be at least 2")
@@ -210,55 +218,38 @@ def transposition_stream(p: Permutation, K: int) -> list[tuple[Pair, ...]]:
     pairs_left = sum(length // 2 for length in lengths)
     moving = list(compress(range(p.size), map(ne, images, range(p.size))))
 
-    while pairs_left >= 2 * K:
-        batch: list[Pair] = []
-        hubs: set[int] = set()
-        # Each pair is applied to r as it is taken, which fixes r(x).  So a
-        # point already taken as an image, or fixed by an earlier group and
-        # still past the prefix dropped so far, reads as its own image.  No
-        # two points share an image, so an image already in the group is a
-        # hub.
-        for end, x in enumerate(moving, 1):
-            y = images[x]
-            if y != x and y not in hubs:
-                images[x], images[y] = images[y], y
-                hubs.add(x)
-                batch.append(_pair(x, y))
-                c = cycle_of[x]
-                pairs_left -= lengths[c] % 2 == 0  # floor(l/2) falls iff l is even
-                lengths[c] -= 1
-                if len(batch) == K:
-                    break
-        else:
-            raise ContractError(f"{len(batch)} hub pairs, expected {K}")
-        moving[:end] = [x for x in moving[:end] if images[x] != x]
-        groups.append(tuple(batch))
-
-    work = deque(deque(c) for c in _cycles(images, moving))
-    for size in (K, 2):
-        while pairs_left >= size:
-            batch = []
-            walked = []
-            # Every outstanding cycle has at least 2 points, so each one
-            # walked gives at least one pair.
-            while len(batch) < size:
-                cycle = work.popleft()
-                pairs_left -= len(cycle) // 2
-                take = min(len(cycle) // 2, size - len(batch))
-                taken = [(cycle.popleft(), cycle.popleft()) for _ in range(take)]
-                batch.extend(_pair(a, b) for a, b in taken)
-                cycle.extendleft(a for a, _ in reversed(taken))
-                pairs_left += len(cycle) // 2
-                if len(cycle) >= 2:
-                    walked.append(cycle)
-            work.extendleft(reversed(walked))
+    for size, guard in ((K, 2 * K), (K, K), (2, 2)):
+        while pairs_left >= guard:
+            batch: list[Pair] = []
+            hubs: set[int] = set()
+            # Each pair is applied to r as it is taken, which fixes r(x).  So
+            # a point already taken as an image, or fixed by an earlier group
+            # and still past the prefix dropped so far, reads as its own
+            # image.  No two points share an image, so an image already in
+            # the group is a hub.
+            for end, x in enumerate(moving, 1):
+                y = images[x]
+                if y != x and y not in hubs:
+                    images[x], images[y] = images[y], y
+                    hubs.add(x)
+                    batch.append(_pair(x, y))
+                    c = cycle_of[x]
+                    pairs_left -= lengths[c] % 2 == 0  # floor(l/2) falls iff l is even
+                    lengths[c] -= 1
+                    if len(batch) == size:
+                        break
+            else:
+                raise ContractError(f"{len(batch)} pairs, expected {size}")
+            moving[:end] = [x for x in moving[:end] if images[x] != x]
             groups.append(tuple(batch))
+        if guard == 2 * K:  # below the hub guard, scan in cycle order
+            moving = [x for cycle in _cycles(images, moving) for x in cycle]
 
-    work = [list(c) for c in work]
-    if work:
-        if len(work) != 1 or len(work[0]) not in (2, 3):
-            raise ContractError(f"residual cycles {work}: expected one of length 2 or 3")
-        cycle = work[0]
+    residual = _cycles(images, moving)
+    if residual:
+        if len(residual) != 1 or len(residual[0]) not in (2, 3):
+            raise ContractError(f"residual cycles {residual}: expected one of length 2 or 3")
+        cycle = residual[0]
         if len(cycle) == 2:
             groups.append((_pair(cycle[0], cycle[1]),))
         else:

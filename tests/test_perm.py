@@ -167,12 +167,43 @@ def _hub_group(images, K):
     return tuple(group)
 
 
+def _cycles_by_minimum(images):
+    """The cycles of length >= 2 of the image table, in the order of their
+    minima, each a list read from its minimum."""
+    seen, cycles = set(), []
+    for start, image in enumerate(images):
+        if start in seen or image == start:
+            continue
+        cycle, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cycle.append(x)
+            x = images[x]
+        cycles.append(cycle)
+    return cycles
+
+
+def _walk_group(images, size):
+    """The first size pairs (c0,c1)(c2,c3)... of r's cycles, walked in the
+    order of their minima, each from its minimum, as (min, max)."""
+    pairs = [
+        (min(cycle[i], cycle[i + 1]), max(cycle[i], cycle[i + 1]))
+        for cycle in _cycles_by_minimum(images)
+        for i in range(0, len(cycle) - 1, 2)
+    ]
+    return tuple(pairs[:size])
+
+
 def check_stream(p, K):
     """The stream of p recomposes to p from groups of independent pairs, is
     a minimal factorization (2^n - c(p) transpositions for c(p) the cycles
     of p, fixed points included, 2 more when the stream ends in the 3-cycle
-    rewrite) and builds every group around the lowest moving points while
-    what is left of p still holds 2K disjoint pairs."""
+    rewrite), and takes its groups, with r what is left of p holding P
+    disjoint pairs:
+    - while P >= 2K, K pairs around the lowest points r moves;
+    - then K pairs while P >= K and 2 while P >= 2, walked from r's cycles
+      in the order of their minima;
+    - then the residual, one group for a 2-cycle and two for a 3-cycle."""
     groups = transposition_stream(p, K)
     flat = [t for g in groups for t in g]
     assert transpositions_product(flat, p.n) == p
@@ -185,10 +216,18 @@ def check_stream(p, K):
     rewrite = len(last) == 2 and last[0][1] == last[1][0] and len(set(last[0][0]) & set(last[1][1])) == 1
     assert len(flat) == p.size - len(_cycle_lengths(p.images)) + 2 * rewrite
     rest = list(p.images)
-    for group in groups:
-        if sum(length // 2 for length in _cycle_lengths(rest)) < 2 * K:
+    for i, group in enumerate(groups):
+        pairs = sum(length // 2 for length in _cycle_lengths(rest))
+        if pairs >= 2 * K:
+            assert group == _hub_group(rest, K)
+        elif pairs >= K:
+            assert group == _walk_group(rest, K)
+        elif pairs >= 2:
+            assert group == _walk_group(rest, 2)
+        else:
+            residual = [len(c) for c in _cycles_by_minimum(rest)]
+            assert residual in ([2], [3]) and len(groups) - i == residual[0] - 1
             break
-        assert group == _hub_group(rest, K)
         swap = {a: b for t in group for a, b in (t, t[::-1])}
         rest = [rest[swap.get(x, x)] for x in range(len(rest))]
     return groups
@@ -225,7 +264,7 @@ class TestTranspositionStream:
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(3, 8).flatmap(lambda n: st.permutations(range(1 << n))),
-        st.sampled_from([2, 4, 8, 16]),
+        st.sampled_from([2, 3, 4, 5, 8, 16]),
         st.booleans(),
     )
     def test_minimal_hub_factorization(self, images, K, odd):

@@ -90,6 +90,17 @@ def test_copy_and_pickle_round_trip(a):
         (Circuit, (2, 2, (), (1, 1)), "outputs must name 2 distinct lines"),
         (Circuit, (2, 1, [Gate([], 5)], (2,)), r"output line 2 out of range \[0, 2\)"),
         (Circuit, (2, 1, [Gate([], 0), Gate([], 5)], (0,)), r"gate 1: target 5 out of range \[0, 2\)"),
+        # Bit counts, images and lines must be exactly int: a float image
+        # used to fail later in synth_mapping, a bool passed as 0 or 1.
+        (BooleanMapping, (3, (0, 1.5, 2, 3, 4, 5, 6, 7)), r"image 1\.5 is not an int"),
+        (BooleanMapping, (1, (0, 2.0)), r"image 2\.0 is not an int"),
+        (Permutation, (3, (True, False, 2, 3, 4, 5, 6, 7)), "image True is not an int"),
+        (BooleanMapping, (True, (0, 1)), "bit count True is not an int"),
+        (BooleanMapping, (2.0, (0, 1, 2, 3)), r"bit count 2\.0 is not an int"),
+        (Circuit, (2, 2, (), (0.0, 1)), r"output line 0\.0 is not an int"),
+        (Circuit, (2, 2, (), (0, True)), "output line True is not an int"),
+        (Circuit, (2.0, 2, (), (0, 1)), r"line counts m=2\.0, n=2 are not both ints"),
+        (Circuit, (3, 2.0, (), (0, 1)), r"line counts m=3, n=2\.0 are not both ints"),
     ],
 )
 def test_validation_messages(cls, args, message):
