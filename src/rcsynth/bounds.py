@@ -87,8 +87,8 @@ def no_ancilla_upper(n: int, phi_id: str = "one") -> float:
 def block_upper(n: int, k: int) -> float:
     """Gate budget of one transposition block:
     12n + k 2^(k+1) + 32 k log2 k - 10 log2 k."""
-    if k < 2 or k & (k - 1):
-        raise ParameterError(f"k={k} must be a power of two >= 2")
+    if type(k) is not int or k < 2 or k & (k - 1):
+        raise ParameterError(f"k={k!r} must be an int power of two >= 2")
     lgk = k.bit_length() - 1
     if lgk >= n:
         raise ParameterError(f"k={k} needs log2 k < n={n}")

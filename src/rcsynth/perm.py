@@ -47,6 +47,13 @@ class _Value:
         return type(self), self._values()
 
 
+def _check_bit_count(n: int) -> None:
+    if type(n) is not int:
+        raise ValueError(f"bit count {n!r} is not an int")
+    if n < 1:
+        raise ValueError("bit count must be at least 1")
+
+
 class BooleanMapping(_Value):
     """Arbitrary function {0,...,2^n-1} -> {0,...,2^n-1} as an image table;
     an immutable value, equal to a mapping of its own class and same fields."""
@@ -54,10 +61,7 @@ class BooleanMapping(_Value):
     __slots__ = _fields = ("n", "images")
 
     def __init__(self, n: int, images: Iterable[int]) -> None:
-        if type(n) is not int:
-            raise ValueError(f"bit count {n!r} is not an int")
-        if n < 1:
-            raise ValueError("bit count must be at least 1")
+        _check_bit_count(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "images", tuple(images))
         count = len(self.images)
@@ -88,14 +92,18 @@ class Permutation(BooleanMapping):
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        _check_bit_count(n)
         return cls(n, tuple(range(1 << n)))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
+        _check_bit_count(n)
         images = list(range(1 << n))
         seen: set[int] = set()
         for cycle in cycles:
             for i, point in enumerate(cycle):
+                if type(point) is not int:
+                    raise ValueError(f"cycle point {point!r} is not an int")
                 if not 0 <= point < len(images):
                     raise ValueError(f"cycle point {point} out of range [0, {len(images)})")
                 if point in seen:
@@ -145,29 +153,10 @@ def _pair(a: int, b: int) -> Pair:
     return (a, b) if a < b else (b, a)
 
 
-def split_dependent_pair(
-    t1: Pair, t2: Pair, n: int
-) -> tuple[tuple[Pair, Pair], tuple[Pair, Pair]]:
-    """Rewrite a product of two transpositions sharing one point as two
-    independent pairs, using a fresh transposition (r, s) on the two smallest
-    free points: t1 * t2 == (t1 * (r,s)) * ((r,s) * t2).  The two pairs use
-    three points, so the first five points hold two free ones."""
-    if len(set(t1) & set(t2)) != 1:
-        raise ParameterError("transpositions must share exactly one point")
-    used = set(t1) | set(t2)
-    free = [x for x in range(min(5, 1 << n)) if x not in used]
-    if len(free) < 2:
-        raise CapacityError(
-            f"no room for a fresh transposition on {1 << n} points"
-        )
-    fresh = (free[0], free[1])
-    return (t1, fresh), (fresh, t2)
-
-
 def transposition_stream(p: Permutation, K: int) -> list[tuple[Pair, ...]]:
-    """Decompose p into groups of K independent transpositions followed by
-    independent pairs, preserving the left-to-right product.  A group is a
-    tuple of transpositions (a, b) with a < b and no point shared.
+    """Decompose p into groups of K >= 1 independent transpositions followed
+    by independent pairs, preserving the left-to-right product.  A group is
+    a tuple of transpositions (a, b) with a < b and no point shared.
 
     Let r be what is left of p.  Every group comes from one scan: visit the
     points r moves in a given order, take the pair (x, r(x)) unless x or
@@ -195,9 +184,19 @@ def transposition_stream(p: Permutation, K: int) -> list[tuple[Pair, ...]]:
     odd cycle maps back to the hub c0.  j pairs leave the shorter cycle
     (c0, c2, ..., c_{2j-2}, c_{2j}, ..., c_{l-1}), which still starts at its
     minimum and runs in the order of the scan, so a group takes every pair
-    the guard counts and the next group picks up where it stopped.  The
-    residual that cannot fill a pair is either a lone transposition (odd p)
-    or a 3-cycle, which is rewritten through split_dependent_pair.
+    the guard counts and the next group picks up where it stopped.
+
+    What cannot fill a pair is left over: nothing, a lone transposition
+    (odd p), or a 3-cycle (c0 c1 c2) = (c0,c1)(c0,c2).  The stream rewrites
+    the 3-cycle as the two groups ((c0,c1), (r,s)) and ((r,s), (c0,c2)),
+    where r < s are the two smallest points the cycle does not move: (r,s)
+    cancels in the product, and the three cycle points leave two of the
+    first five free once n >= 3.
+
+    At K = 1 a group is the first pair the scan meets.  In either order that
+    is (c0, r(c0)) for c0 the minimum of the first cycle left, so the stream
+    is each cycle's star (c0,c1)(c0,c2)...(c0,c_{l-1}), cycles in the order
+    of their minima, and no pair is left over.
 
     The points r moves sit in one list, in the order of the scan.  A group
     scans a prefix of it: its hubs, the points it takes as images, those
@@ -205,8 +204,8 @@ def transposition_stream(p: Permutation, K: int) -> list[tuple[Pair, ...]]:
     drops.  So the stream takes time linear in the number of moved points,
     but for a C-level shift of the list when a group drops points.
     """
-    if K < 2:
-        raise ParameterError("group size K must be at least 2")
+    if K < 1:
+        raise ParameterError("group size K must be at least 1")
     groups: list[tuple[Pair, ...]] = []
     images = list(p.images)
     cycles = cycle_decomposition(p)
@@ -249,21 +248,20 @@ def transposition_stream(p: Permutation, K: int) -> list[tuple[Pair, ...]]:
     if residual:
         if len(residual) != 1 or len(residual[0]) not in (2, 3):
             raise ContractError(f"residual cycles {residual}: expected one of length 2 or 3")
-        cycle = residual[0]
-        if len(cycle) == 2:
-            groups.append((_pair(cycle[0], cycle[1]),))
+        c0, *rest = residual[0]
+        if len(rest) == 1:
+            groups.append((_pair(c0, rest[0]),))
         else:
-            t1 = _pair(cycle[0], cycle[1])
-            t2 = _pair(cycle[0], cycle[2])
-            groups.extend(split_dependent_pair(t1, t2, p.n))
+            free = [x for x in range(min(5, p.size)) if x not in residual[0]]
+            if len(free) < 2:
+                raise CapacityError(f"no room for a fresh transposition on {p.size} points")
+            fresh = (free[0], free[1])
+            groups += [(_pair(c0, rest[0]), fresh), (fresh, _pair(c0, rest[1]))]
     return groups
 
 
 def plain_transpositions(p: Permutation) -> list[Pair]:
-    """Left-to-right transposition decomposition without independence:
-    each cycle (c0, ..., c_{l-1}) becomes (c0,c1)(c0,c2)...(c0,c_{l-1}),
-    c0 being the cycle's minimum."""
-    out: list[Pair] = []
-    for cycle in cycle_decomposition(p):
-        out.extend((cycle[0], cycle[i]) for i in range(1, len(cycle)))
-    return out
+    """The stream's groups of one: each cycle (c0, ..., c_{l-1}) becomes
+    (c0,c1)(c0,c2)...(c0,c_{l-1}), c0 being the cycle's minimum, cycles in
+    the order of their minima.  No two transpositions need be independent."""
+    return [t for (t,) in transposition_stream(p, 1)]

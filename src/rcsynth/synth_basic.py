@@ -296,8 +296,8 @@ def synth_even_permutation(
     helpers on n - 3 extra lines, which also admits odd p.
     """
     n = p.n
-    if ancilla_budget not in (0, max(n - 3, 0)):
-        raise ParameterError(f"ancilla budget must be 0 or n-3, got {ancilla_budget}")
+    if type(ancilla_budget) is not int or ancilla_budget not in (0, max(n - 3, 0)):
+        raise ParameterError(f"ancilla budget must be the int 0 or n-3, got {ancilla_budget!r}")
     if n >= 4 and ancilla_budget == 0 and not is_even(p):
         raise ParityError(
             f"odd permutations on n={n} >= 4 lines need ancillas"

@@ -141,8 +141,8 @@ def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
     i of coordinate column j, columns_of(f.images, n)[j].
     """
     n = f.n
-    if not 1 <= k < n / 2:
-        raise ParameterError(f"need 1 <= k < n/2, got k={k}, n={n}")
+    if type(k) is not int or not 1 <= k < n / 2:
+        raise ParameterError(f"need an int 1 <= k < n/2, got k={k!r}, n={n}")
     s = n - 2 * k
     starts = range(0, 1 << k, s)
     widths = [min(s, (1 << k) - start) for start in starts]

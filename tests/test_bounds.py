@@ -145,6 +145,9 @@ class TestBlockUpper:
             block_upper(8, 6)
         with pytest.raises(ParameterError):
             block_upper(2, 4)
+        for k in (4.0, True):
+            with pytest.raises(ParameterError, match=f"^k={k!r} must be an int power of two >= 2$"):
+                block_upper(8, k)
 
 
 class TestBuildReport:

@@ -10,7 +10,6 @@ from rcsynth.perm import (
     cycle_decomposition,
     is_even,
     plain_transpositions,
-    split_dependent_pair,
     transposition_stream,
 )
 from rcsynth.synth_basic import synth_block
@@ -54,6 +53,17 @@ class TestMovedPoints:
             assert touched == {x for x in range(16) if p.images[x] != x}
             assert transpositions_product(plain_transpositions(p), 4) == p
 
+    def test_star_order(self):
+        # Each cycle's star (c0,c1)(c0,c2)... from its minimum, cycles in
+        # the order of their minima: the stream's groups of one.
+        rng = Random(27)
+        for n in range(1, 9):
+            for _ in range(10):
+                p = random_permutation(n, rng)
+                star = [(c[0], x) for c in _cycles_by_minimum(p.images) for x in c[1:]]
+                assert plain_transpositions(p) == star
+                assert transposition_stream(p, 1) == [(t,) for t in star]
+
 
 class TestCycles:
     def test_identity_has_no_cycles(self):
@@ -82,11 +92,20 @@ class TestCycles:
             (3, [(1, -7), (2, 3)], r"cycle point -7 out of range \[0, 8\)"),
             (2, [(0, 5)], r"cycle point 5 out of range \[0, 4\)"),
             (2, [(0, 1), (1, 0)], "cycle point 1 appears twice"),
+            (2, [(0, 1.0)], "cycle point 1.0 is not an int"),
+            (2, [(True, 0)], "cycle point True is not an int"),
+            (2.0, [(0, 1)], "bit count 2.0 is not an int"),
         ],
     )
     def test_from_cycles_rejects_bad_points(self, n, cycles, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Permutation.from_cycles(n, cycles)
+
+    @pytest.mark.parametrize("n, message", [(2.0, "bit count 2.0 is not an int"),
+                                            (-1, "bit count must be at least 1")])
+    def test_identity_rejects_bad_bit_count(self, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Permutation.identity(n)
 
     def test_from_cycles_rejects_point_repeated_in_one_cycle(self):
         with pytest.raises(ValueError, match="^cycle point 0 appears twice$"):
@@ -118,29 +137,26 @@ class TestTranspositionGroup:
 
 
 class TestSplitDependentPair:
+    """The stream's 3-cycle rewrite: a 3-cycle (c0 c1 c2) = (c0,c1)(c0,c2)
+    left after the groups of 2 is split into two groups of independent
+    pairs through a fresh pair on the two smallest points it does not move."""
+
     def test_spec_points(self):
-        first, second = split_dependent_pair((0, 1), (0, 2), 3)
-        assert first == ((0, 1), (3, 4))
-        assert second == ((3, 4), (0, 2))
+        p = Permutation.from_cycles(3, [(0, 1, 2)])
+        assert transposition_stream(p, 2) == [((0, 1), (3, 4)), ((3, 4), (0, 2))]
 
     def test_product_is_preserved(self):
-        t1, t2 = (0, 1), (0, 2)
-        first, second = split_dependent_pair(t1, t2, 3)
-        direct = transpositions_product([t1, t2], 3)
-        rewritten = transpositions_product(first + second, 3)
-        assert direct == rewritten
+        for cycle in ((0, 1, 2), (1, 5, 6), (3, 7, 4)):
+            check_stream(Permutation.from_cycles(3, [cycle]), 2)
 
     def test_four_transpositions_total(self):
-        first, second = split_dependent_pair((1, 5), (5, 6), 3)
-        assert len(first) + len(second) == 4
-
-    def test_requires_shared_point(self):
-        with pytest.raises(ParameterError):
-            split_dependent_pair((0, 1), (2, 3), 3)
+        groups = check_stream(Permutation.from_cycles(3, [(1, 5, 6)]), 2)
+        assert groups == [((1, 5), (0, 2)), ((0, 2), (1, 6))]
 
     def test_requires_room(self):
-        with pytest.raises(CapacityError):
-            split_dependent_pair((0, 1), (0, 2), 2)
+        p = Permutation.from_cycles(2, [(0, 1, 2)])
+        with pytest.raises(CapacityError, match="^no room for a fresh transposition on 4 points$"):
+            transposition_stream(p, 2)
 
 
 def _cycle_lengths(images):
@@ -246,7 +262,7 @@ class TestTranspositionStream:
 
     def test_group_size_validation(self):
         with pytest.raises(ParameterError):
-            transposition_stream(Permutation.identity(3), 1)
+            transposition_stream(Permutation.identity(3), 0)
 
     def test_recomposition_seeded(self):
         rng = Random(101)
@@ -264,7 +280,7 @@ class TestTranspositionStream:
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(3, 8).flatmap(lambda n: st.permutations(range(1 << n))),
-        st.sampled_from([2, 3, 4, 5, 8, 16]),
+        st.sampled_from([1, 2, 3, 4, 5, 8, 16]),
         st.booleans(),
     )
     def test_minimal_hub_factorization(self, images, K, odd):

@@ -328,6 +328,19 @@ class TestSynthEvenPermutation:
         with pytest.raises(ParameterError):
             synth_even_permutation(Permutation.identity(5), ancilla_budget=1)
 
+    @pytest.mark.parametrize(
+        "n, kwargs, message",
+        [
+            (5, {"k": 4.0}, r"k=4\.0 must be an int power of two >= 2"),
+            (5, {"ancilla_budget": 2.0}, r"ancilla budget must be the int 0 or n-3, got 2\.0"),
+            (4, {"ancilla_budget": True}, "ancilla budget must be the int 0 or n-3, got True"),
+        ],
+        ids=["k-float", "budget-float", "budget-bool"],
+    )
+    def test_parameters_must_be_ints(self, n, kwargs, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            synth_even_permutation(Permutation.identity(n), **kwargs)
+
     def test_undecomposable_k_rejected(self):
         with pytest.raises(ParameterError):
             synth_even_permutation(Permutation.identity(4), k=8)

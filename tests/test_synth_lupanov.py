@@ -187,6 +187,12 @@ class TestSynthMapping:
         with pytest.raises(ParameterError):
             synth_mapping(f, 2)  # k >= n/2
 
+    @pytest.mark.parametrize("k", [1.0, True])
+    def test_k_must_be_an_int(self, k):
+        f = BooleanMapping(4, tuple(range(16)))
+        with pytest.raises(ParameterError, match=f"^need an int 1 <= k < n/2, got k={k!r}, n=4$"):
+            synth_mapping(f, k)
+
     def test_permutations_are_mappings_too(self, rng):
         images = list(range(16))
         rng.shuffle(images)
