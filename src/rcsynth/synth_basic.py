@@ -2,20 +2,21 @@
 
 Each block takes one group of K independent transpositions (k = 2K moved
 points) and conjugates it, gate by self-inverse gate, until it collapses to
-a single generalized Toffoli.  Any transposition may become any pair the
-Toffoli swaps, in either orientation, so each block places its rows by
-the cost of their pair: a row's own gates plus its partner's after them,
-scored for the rows within one bit of the cheapest, and the row takes the
-pivot line that leaves its partner cheapest.  A sweep of the conjugators
-then checks that each transposition lands on one such pair.  Emitting the
-conjugators around the core gate realizes the block; concatenated blocks
-realize the permutation.
+a single generalized Toffoli.  The Toffoli's target is the line on which
+the most of the block's pairs differ.  Any transposition may become any
+pair the Toffoli swaps, in either orientation, so each block places its
+rows by the cost of their pair: every row is scored by its own gates plus
+its partner's after them, and the row takes the pivot line that leaves
+its partner cheapest.  A sweep of the conjugators then checks that each
+transposition lands on one such pair.  Emitting the conjugators around the
+core gate realizes the block; concatenated blocks realize the permutation.
 Every gate with three or more controls is expanded into the basis through
 the n - 3 clean helpers if there are any, else through borrowed data lines.
 """
 from __future__ import annotations
 
 from itertools import chain, repeat
+from math import inf
 
 from .bounds import block_upper
 from .circuit import Circuit, GateCountReport, _sweep, columns_of, count_gates, words_of
@@ -44,53 +45,86 @@ class _Positions(dict):
         return positions
 
 
-def _canonicalize(
-    rows: list[int], n: int, positions: _Positions | None = None
-) -> tuple[list[tuple], tuple]:
+class _Costs(dict):
+    """Block size k -> the list whose entry d is the cost of a row at distance
+    d = row ^ s from its slot s: the bit count of d, plus n + 1 if the row
+    needs the spill lift (0 < d < k, no high bit), which puts such rows
+    last.  Built on the first lookup of k."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __missing__(self, k: int) -> list[int]:
+        cost = self[k] = list(map(int.bit_count, range(1 << self.n)))
+        cost[1:k] = [c + self.n + 1 for c in cost[1:k]]
+        return cost
+
+
+def _canonicalize(rows: list[int], n: int, memos: _Memos | None = None) -> tuple[list[tuple], int]:
     """Conjugate the block until its transpositions are those of the single
-    gate with controls on lines log2 k .. n-1 and target 0: every high
-    column reads 1, and the low log2 k columns place rows 2i and 2i + 1, one
-    transposition, on v and v ^ 1 for some even v.  It returns the
-    conjugators and the core gate.
+    gate with controls on lines log2 k .. n-1 and target 0 of its frame:
+    every high column reads 1, and the low log2 k columns place rows 2i and
+    2i + 1, one transposition, on v and v ^ 1 for some even v.  It returns
+    the conjugators and the frame.
+
+    The frame is the line t on which the most of the block's pairs differ,
+    the lowest such line on a tie, so a block whose pairs differ on line 0
+    as often as on any other keeps line 0.  Lines 0 and t swap places in
+    the rows before they are conjugated, and the conjugators and the core
+    gate are those of the swapped rows: swapping lines 0 and t in each of
+    their gates gives the block's own.
 
     Any pair may take any slot pair, in either orientation, so the rows are
-    placed by the cost of their pair.  A row's cost at slot s is the bit
-    count of v ^ s, plus n + 1 if it needs the spill lift (no high bit, and
-    not s already), which puts such rows last.  At slot 0 (once the
-    repeated columns are zeroed) and at each later even slot r, the rows
-    whose plain bit count of v ^ r is within 1 of the fewest are scored:
-    their own cost at r plus their partner's cost at r + 1, the partner
-    moved by the row's gate group (spill lift, CNOT fan-out, control gate)
-    exactly as the update moves every row.  The lowest score takes r, ties
-    in the given order, and its partner takes r + 1.  The row at an even
-    slot pivots on the high bit that leaves its partner cheapest; a row at
-    an odd slot on its lowest high bit.  Any high bit serves, since placed
-    rows hold none.  Every pivot the partner holds moves it alike, and so
-    does every pivot it lacks, so only the lowest of each kind is scored.
-    The pending rows move by one whole-row update per gate group.  The
-    emitted gates are checked by one sweep over the columns of the given
-    rows, which raises ContractError unless they realize the block's
-    transpositions: every high column all ones, column 0 differing within
-    each pair and the other low columns agreeing.  Conjugation is a
-    bijection, so the rows stay distinct and no slot bookkeeping is needed.
+    placed by the cost of their pair (`_Costs`).  At slot 0 (once the
+    repeated columns are zeroed) and at each later even slot r, every row
+    is scored: its own cost at r plus its partner's cost at r + 1, the
+    partner moved by the row's gate group (spill lift, CNOT fan-out,
+    control gate) exactly as the update moves every row.  The lowest score
+    takes r, ties in the given order, and its partner takes r + 1.  The row
+    at an even slot pivots on the high bit that leaves its partner
+    cheapest; a row at an odd slot on its lowest high bit.  Any high bit
+    serves, since placed rows hold none.  Every pivot the partner holds
+    moves it alike, and so does every pivot it lacks, so only the lowest of
+    each kind is scored.  The pending rows move by one whole-row update per
+    gate group.  The emitted gates are checked by one sweep over the
+    columns of the swapped rows, which raises ContractError unless they
+    realize the block's transpositions: every high column all ones, column
+    0 differing within each pair and the other low columns agreeing.
+    Conjugation is a bijection, so the rows stay distinct and no slot
+    bookkeeping is needed.
 
     The rows are the block's moved points, pairwise distinct n-bit points;
-    their count k must be one that `block_upper(n, k)` admits.  `positions`
-    memoizes `_bit_positions`; a call without one builds its own."""
+    their count k must be one that `block_upper(n, k)` admits.  `memos`
+    holds the bit positions and cost lists; a call without it builds its
+    own."""
     k = len(rows)
     if len(set(rows)) != k:
         raise ParameterError("rows must be pairwise distinct")
     lgk = k.bit_length() - 1
     if min(rows) < 0 or max(rows) >= 1 << n:
         raise ParameterError("rows must be n-bit points")
-    if positions is None:
-        positions = _Positions()
+    if memos is None:
+        memos = _Memos(n)
+    positions, cost = memos.positions, memos.costs[k]
     conjugators: list[tuple] = []
+
+    # Bit 2i of (c ^ c >> 1) compares rows 2i and 2i + 1 in column c.  The
+    # frame is the first column with the most such differences.
+    columns = columns_of(rows, n)
+    full = (1 << k) - 1
+    evens = full // 3
+    differ = [((c ^ c >> 1) & evens).bit_count() for c in columns]
+    frame = differ.index(max(differ))
+    if frame:
+        columns[0], columns[frame] = columns[frame], columns[0]
+        swap = 1 | 1 << frame
+        rows = [x ^ swap if (x ^ x >> frame) & 1 else x for x in rows]
 
     # Zero every column that repeats an earlier one; first occurrences stay.
     # The CNOT ((kept,), j) zeroes column j and leaves the others as they
     # were, so the columns of the rows as given serve for the whole pass.
-    columns = columns_of(rows, n)
     kept: dict[int, int] = {}
     for j, pattern in enumerate(columns):
         if pattern in kept:
@@ -99,21 +133,11 @@ def _canonicalize(
             kept[pattern] = j
     repeated = sum(1 << j for _, j in conjugators)
 
-    # The cost of a row at slot s is the bit count of d = row ^ s, at most n.
-    # A row with 0 < d < k has no high bit and needs the spill lift: n + 1
-    # more puts it last.  A row with d = 0 costs no gate.
-    def cost(d: int) -> int:
-        return d.bit_count() + (0 < d < k) * (n + 1)
-
     # Slot 0: clear a row by NOTs on its set bits.  A row scores those NOTs
     # plus its partner's cost at slot 1 after them.
     pending = [x & ~repeated for x in rows]
-    weights = [x.bit_count() for x in pending]
-    least = min(weights) + 1
-    _, i = min(
-        (weight + cost(pending[i ^ 1] ^ pending[i] ^ 1), i)
-        for i, weight in enumerate(weights) if weight <= least
-    )
+    scores = [v.bit_count() + cost[pending[i ^ 1] ^ v ^ 1] for i, v in enumerate(pending)]
+    i = scores.index(min(scores))
     first = pending[i]
     conjugators += zip(repeat(()), positions[first])
     pending = [x ^ first for x in pending]
@@ -123,45 +147,41 @@ def _canonicalize(
     # pairwise distinct throughout (conjugation permutes points), so no gate
     # below touches a placed row: it holds some r' < r and no high bit.  So
     # any high bit of the row being placed may serve as its pivot.
-    spill = 1 << lgk
+    spill, high_bits = 1 << lgk, -k
     for r in range(1, k):
         if r & 1:
             i ^= 1  # the partner of the row at slot r - 1
             value = pending[i]
-            pivot = value >> lgk << lgk
+            pivot = value & high_bits
             pivot &= -pivot  # the lowest high bit; the lift below sets it if 0
         else:
-            # Score each row v within one plain bit of the cheapest: its own
-            # cost at r plus its partner w's at r + 1, once v's gate group
-            # has moved w by the expressions of the update below.  Every
-            # pivot that w holds moves w alike, and so does every pivot it
-            # lacks, so the lowest of each kind stands for its kind.  Ties
-            # take the earlier row, then the lower pivot.
+            # Score each row v: its own cost at r plus its partner w's at
+            # r + 1, once v's gate group has moved w by the expressions of
+            # the update below.  Every pivot that w holds moves w alike, and
+            # so does every pivot it lacks, so the lowest of each kind
+            # stands for its kind.  Ties take the earlier row, then the
+            # lower pivot.
             del pending[i & ~1 : (i | 1) + 1]
-            plain = [(v ^ r).bit_count() for v in pending]
-            least = min(plain) + 1
-            best = None
-            for t, bits in enumerate(plain):
-                if bits > least:
-                    continue
-                v, w = pending[t], pending[t ^ 1]
-                own, pivots = cost(v ^ r), (0,)  # v at r: pivot 0 leaves w as is
+            least = inf
+            for t, v in enumerate(pending):
+                w = pending[t ^ 1]
+                own, pivots = cost[v ^ r], (0,)  # v at r: pivot 0 leaves w as is
                 if v != r:
                     if v < k:
                         w = w ^ spill if w & v == v else w
                         v |= spill
-                    high = v & ~(k - 1)
-                    held, lacked = high & w, high & ~w
-                    pivots = (high & -high,)  # w holds every high bit of v, or none
-                    if held and lacked:
-                        pivots = held & -held, lacked & -lacked
+                    high = v & high_bits
+                    p = high & -high
+                    pivots = (p,)  # w holds every high bit of v, or none
+                    if high & w and high & ~w:
+                        other = high & (~w if w & p else w)
+                        pivots = p, other & -other
                 for p in pivots:
                     y = w ^ (v ^ r) & ~p if w & p else w
                     y = y ^ p if y & r == r else y
-                    option = own + cost(y ^ r ^ 1), t, p
-                    if best is None or option < best:
-                        best = option
-            _, i, pivot = best
+                    score = own + cost[y ^ r ^ 1]
+                    if score < least:
+                        least, i, pivot = score, t, p
             value = pending[i]
         if value == r:
             continue
@@ -184,10 +204,7 @@ def _canonicalize(
         ]
 
     # Set every high column to all ones so a single gate matches the block.
-    # Then bit 2i of (c ^ c >> 1) compares rows 2i and 2i + 1 in column c.
     conjugators += zip(repeat(()), range(lgk, n))
-    full = (1 << k) - 1
-    evens = full // 3
     tables = _sweep(conjugators, columns, full)
     low = [(c ^ c >> 1) & evens for c in tables[:lgk]]
     if low != [evens] + [0] * (lgk - 1) or tables[lgk:] != [full] * (n - lgk):
@@ -196,7 +213,7 @@ def _canonicalize(
             f"v, v ^ 1 with every bit of {(1 << n) - spill} set"
         )
 
-    return conjugators, (tuple(range(lgk, n)), 0)
+    return conjugators, frame
 
 
 class _Expansions(dict):
@@ -225,12 +242,52 @@ class _Expansions(dict):
         return part
 
 
+class _Relabeled(dict):
+    """Gate of frame t -> its expansion in `expansions` with lines 0 and t
+    swapped, on the first lookup of the gate.  A line permutation maps the
+    free lines of a gate to those of its image and fixes the helpers, so
+    the relabeled gates expand the gate's image.  Each relabeled basis gate
+    is looked up in `expansions` too, which holds it as its own expansion,
+    so equal gates of every frame are one object."""
+
+    __slots__ = ("expansions", "swap")
+
+    def __init__(self, expansions: _Expansions, t: int) -> None:
+        self.expansions, self.swap = expansions, {0: t, t: 0}
+
+    def __missing__(self, gate: tuple) -> list[tuple]:
+        get = self.swap.get
+        part = self[gate] = [
+            self.expansions[tuple(sorted(map(get, controls, controls))), get(target, target)][0]
+            for controls, target in self.expansions[gate]
+        ]
+        return part
+
+
+class _Memos:
+    """What the blocks of one synthesis on n lines share: the bit positions
+    and cost lists of `_canonicalize`, and one expansion table per frame
+    (frame 0 the `_Expansions`, frame t its `_Relabeled`)."""
+
+    __slots__ = ("positions", "costs", "frames")
+
+    def __init__(self, n: int, ancilla_lines: tuple[int, ...] = ()) -> None:
+        self.positions, self.costs = _Positions(), _Costs(n)
+        self.frames: dict[int, dict] = {0: _Expansions(n, ancilla_lines)}
+
+    def expansions(self, frame: int) -> dict:
+        table = self.frames.get(frame)
+        if table is None:
+            table = self.frames[frame] = _Relabeled(self.frames[0], frame)
+        return table
+
+
 def synth_block(
     group: tuple[Pair, ...],
     n: int,
     ancilla_lines: tuple[int, ...] = (),
     *,
-    _memos: tuple[_Positions, _Expansions] | None = None,
+    _memos: _Memos | None = None,
 ) -> list[tuple]:
     """Gates realizing exactly the permutation of one group of independent
     transpositions on 2^n states: expanded conjugators, expanded core gate,
@@ -239,16 +296,18 @@ def synth_block(
     clean helpers instead of borrowed data lines.  `block_upper(n, k)` for
     the k = 2|group| moved points both checks k and caps the gate count.
 
-    Each distinct conjugator or core gate is expanded once;
-    `synth_even_permutation` passes one `_memos` pair (the bit positions of
-    `_canonicalize`, then the `_Expansions` of every gate) to all its
-    blocks on the same n and ancilla_lines."""
+    The conjugators and the core gate come in the block's frame t
+    (`_canonicalize`); each distinct gate is expanded once, and its
+    expansion relabeled once per frame, lines 0 and t swapped.
+    `synth_even_permutation` passes one `_Memos` to all its blocks on the
+    same n and ancilla_lines."""
     rows = [x for t in group for x in t]
     budget = block_upper(n, len(rows))
     if _memos is None:
-        _memos = _Positions(), _Expansions(n, ancilla_lines)
-    positions, expansions = _memos
-    conjugators, core = _canonicalize(rows, n, positions)
+        _memos = _Memos(n, ancilla_lines)
+    conjugators, frame = _canonicalize(rows, n, _memos)
+    expansions = _memos.expansions(frame)
+    core = tuple(range(len(rows).bit_length() - 1, n)), 0
     parts = list(map(expansions.__getitem__, conjugators))
     gates = list(chain.from_iterable(parts + [expansions[core]] + parts[::-1]))
     if len(gates) > budget:
@@ -260,8 +319,8 @@ def _default_block_size(n: int) -> int:
     """The block size k that gives the fewest gates on n lines, by
     measurement: gate totals of seeds 1-3 for every admissible k at
     n = 2..16, without helpers and with n - 3, on the groups
-    `transposition_stream` builds around the lowest moving points
-    (BENCH_hubgroups.json).  k starts at 2 and doubles at each line count
+    `transposition_stream` builds, each block in its own frame
+    (BENCH_framechoice.json).  k starts at 2 and doubles at each line count
     listed; it passes `_validate_block_size` on every n >= 2."""
     return 2 << sum(n >= start for start in (3, 5, 8, 14))
 
@@ -319,7 +378,7 @@ def synth_even_permutation(
             groups = [(t,) for t in plain_transpositions(p)]
         else:
             groups = transposition_stream(p, k // 2)
-        memos = _Positions(), _Expansions(n, ancilla_lines)
+        memos = _Memos(n, ancilla_lines)
         gates = tuple(chain.from_iterable(
             synth_block(group, n, ancilla_lines, _memos=memos) for group in groups
         ))

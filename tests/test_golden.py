@@ -33,9 +33,9 @@ def fingerprint(circuit):
 @pytest.mark.parametrize(
     "n, digest, gates",
     [
-        (2, "6c9ca478db613511f8292047981d25c8bcb33936fe75bca8457c549e77a1f038", 12),
-        (5, "01eda56369815f08074e65bc84e3b4fc1966997157da749e63418584fd5bbc03", 308),
-        (8, "89b77fe8c54e105b8ad3740c59366d6cb1fbf14d29c5659be1bcd31a345e0fda", 4754),
+        (2, "4daa75039e01bd92f7168044b277083d2bc9223db255313400c090f72ce61e20", 8),
+        (5, "54733e13c849849988435a961d2a03e82b6e2a3a36f04f7419e5174b9a6799e4", 286),
+        (8, "b554d61bd7a3d4e9a20e1f3fbb211cb6be6f1d4c925da5a8d6c770e790db055e", 4382),
     ],
     ids=["n2", "n5", "n8"],
 )
@@ -47,9 +47,9 @@ def test_basic(n, digest, gates):
 @pytest.mark.parametrize(
     "n, k, digest, gates",
     [
-        (6, 8, "1adce050fceff8e957ec04c6a680f885b6f1a6b007ebebc9aa381e52e856873b", 786),
-        (7, 16, "9828993afef89f708de538cd4fe2ff12249a49f192dbbdadfd72ee02f6bcc4b9", 2114),
-        (8, 32, "5e102614f0fe22cb5ec823e55169bb225a66b57e08db5aad6ea370598c6fccf5", 5612),
+        (6, 8, "3773d73694f94dcfa03ee27e23d72c1d2a3e78965c4b7401f35f82ab0da0b3fd", 738),
+        (7, 16, "0c18ecac57f49bef7f0875ba1365e9ceb0cc00558324eaae6b4a99f01c87a128", 1958),
+        (8, 32, "8167d3244e9e564da5e3ab4f32f1b6ba760b22543acb3a036c08f662a3796553", 5412),
     ],
     ids=["n6-k8", "n7-k16", "n8-k32"],
 )
@@ -63,8 +63,8 @@ def test_basic_with_ancillas():
     # n - 3 clean helpers.
     circuit, _ = synth_even_permutation(random_permutation(6, Random(6)), ancilla_budget=3)
     assert fingerprint(circuit) == (
-        "96434a10c314bd47dcbb5c8d02a7a7cb03ebaff254d5d26192dde74cc51fdcbb",
-        725,
+        "2d0ca618b9ff9db149061deeec9e835e7f487a3678ff0f8d6135d730abc71cb0",
+        679,
     )
 
 
@@ -194,10 +194,10 @@ def _canonicalize_inputs():
 
 def test_canonicalize():
     # Gates are written as plain (controls, target) pairs, so the pin reads
-    # the same whatever type holds them.
+    # the same whatever type holds them; each block's frame follows them.
     text = ""
     for rows, n in _canonicalize_inputs():
-        conjugators, (controls, target) = _canonicalize(rows, n)
+        conjugators, frame = _canonicalize(rows, n)
         pairs = [(tuple(cs), t) for cs, t in conjugators]
-        text += repr((pairs, (tuple(controls), target))) + "\n"
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "235234f487ccdd250d2023917671845823df2ae3e0da3a5a317e45865414e3d6"
+        text += repr((pairs, frame)) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "a43de92fb88d837e15c08dd674305ce075838cbc6ff1a3fc0f00d258bba6b0f6"

@@ -339,19 +339,25 @@ def block_rows(draw):
 @settings(max_examples=100, deadline=None)
 @given(block_rows())
 def test_canonicalize_gates_move_each_row_to_its_slot(case):
-    # The conjugators run one at a time on each given row through run_word,
-    # which shares no code with the sweep that the package's own check runs.
-    # They take the rows onto the subcube of the core gate, and rows 2i and
+    # The frame is the lowest line on which the most pairs differ, counted
+    # here bit by bit.  With lines 0 and that line swapped in each row, the
+    # conjugators run one at a time on each row through run_word, which
+    # shares no code with the sweep that the package's own check runs.  They
+    # take the rows onto the subcube of the core gate, and rows 2i and
     # 2i + 1, one transposition, onto two points that differ in bit 0 alone.
+    # The swapped rows keep line 0 and give the same conjugators.
     rows, n = case
-    conjugators, core = _canonicalize(rows, n)
+    conjugators, frame = _canonicalize(rows, n)
+    differ = [sum((a ^ b) >> j & 1 for a, b in zip(rows[::2], rows[1::2])) for j in range(n)]
+    assert frame == differ.index(max(differ))
+    swapped = [x ^ (1 | 1 << frame) if (x ^ x >> frame) & 1 else x for x in rows]
     lgk = len(rows).bit_length() - 1
     high = (1 << n) - (1 << lgk)
-    images = [run_word(conjugators, r) for r in rows]
+    images = [run_word(conjugators, r) for r in swapped]
     assert sorted(images) == [i | high for i in range(len(rows))]
     assert all(a ^ b == 1 for a, b in zip(images[::2], images[1::2]))
     assert all(list(cs) == sorted(set(cs)) and t not in cs for cs, t in conjugators)
-    assert core == (tuple(range(lgk, n)), 0)
+    assert _canonicalize(swapped, n) == (conjugators, 0)
 
 
 @st.composite

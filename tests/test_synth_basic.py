@@ -47,7 +47,7 @@ class TestChooseBlockSize:
     """The default block size follows the measured rule, with or without
     the n - 3 clean helpers: k = 2 on two lines, 4 on three and four, 8
     from five, 16 from eight and 32 from fourteen (gate totals in
-    BENCH_hubgroups.json)."""
+    BENCH_framechoice.json)."""
 
     # Default k on n lines, for ancilla budget 0 and n - 3 alike.
     MEASURED = {
@@ -198,16 +198,33 @@ class TestSynthBlock:
 
     def test_pair_score_halves_pinned_block(self):
         # k = 8 on 5 lines.  Scoring each row together with its partner at
-        # the next slot places this block with 12 basis conjugators; placing
-        # each row by its own cost alone took 24, one with three controls,
-        # and 55 gates in all.
+        # the next slot places this block with 13 conjugators, one with
+        # three controls, and 33 gates in all; placing each row by its own
+        # cost alone took 24 conjugators, one with three controls, and 55
+        # gates.  (Scoring only the rows within one bit of the cheapest took
+        # 12 basis conjugators here.)
         group = ((4, 9), (0, 31), (6, 7), (27, 26))
-        conjugators, _ = _canonicalize([x for t in group for x in t], 5)
-        assert len(conjugators) == 12
+        conjugators, frame = _canonicalize([x for t in group for x in t], 5)
+        assert (len(conjugators), frame) == (13, 0)
+        assert sorted(len(controls) for controls, _ in conjugators)[-2:] == [2, 3]
+        ok, gates = block_realizes_group(group, 5)
+        assert ok
+        # The three-control conjugator expands to 4 gates; the core gate
+        # (3, 4) -> 0 is a 2-CNOT.
+        assert len(gates) == 2 * (12 + 4) + 1
+
+    def test_every_row_scored(self):
+        # k = 8 on 5 lines.  At slot 4 the row that scores best lies 4 bits
+        # from the slot while the cheapest lies 1 bit from it.  Scoring only
+        # the rows within one bit of the cheapest placed this block with 22
+        # conjugators, two with three controls, and 57 gates in all.
+        group = ((13, 30), (27, 15), (9, 1), (12, 3))
+        conjugators, frame = _canonicalize([x for t in group for x in t], 5)
+        assert (len(conjugators), frame) == (16, 0)
         assert all(len(controls) <= 2 for controls, _ in conjugators)
         ok, gates = block_realizes_group(group, 5)
         assert ok
-        assert len(gates) == 2 * 12 + 1  # the core gate (3, 4) -> 0 is a 2-CNOT
+        assert len(gates) == 2 * 16 + 1
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -245,6 +262,46 @@ class TestSynthBlock:
         assert len(gates) <= block_upper(6, 8)
 
 
+class TestFrame:
+    """Each block's core gate targets the lowest line on which the most of
+    its pairs differ."""
+
+    @pytest.mark.parametrize(
+        "n, group, conjugators",
+        [
+            # Both pairs differ on lines 0 and 1: the tie keeps line 0.
+            (4, ((0, 3), (5, 6)), [
+                ((0, 1), 2), ((2,), 1), ((0,), 2), ((2,), 1), ((1,), 2), ((0, 1), 2),
+                ((), 2), ((), 3),
+            ]),
+            # Every pair differs on line 0, one on line 1: line 0 leads.
+            (5, ((4, 9), (0, 31), (6, 7), (27, 26)), [
+                ((), 1), ((), 2), ((3,), 2), ((0, 1), 3), ((3,), 2), ((3,), 4), ((2,), 3),
+                ((1, 2), 3), ((3,), 1), ((3,), 2), ((0, 1, 2), 3), ((), 3), ((), 4),
+            ]),
+        ],
+        ids=["tie", "lead"],
+    )
+    def test_line_0_kept(self, n, group, conjugators):
+        # The conjugators are those of the rows as given, core target 0.
+        assert _canonicalize([x for t in group for x in t], n) == (conjugators, 0)
+        ok, gates = block_realizes_group(group, n)
+        assert ok
+        assert gates[len(gates) // 2] == (tuple(range(len(group).bit_length(), n)), 0)
+
+    def test_line_where_all_pairs_differ(self):
+        # Every pair differs on line 2 alone.  With the core gate on line 2
+        # the block takes 6 conjugators and 13 gates; on line 0 it took 12
+        # conjugators and 25 gates.
+        group = ((1, 5), (10, 14), (16, 20), (27, 31))
+        conjugators, frame = _canonicalize([x for t in group for x in t], 5)
+        assert (len(conjugators), frame) == (6, 2)
+        ok, gates = block_realizes_group(group, 5)
+        assert ok
+        assert len(gates) == 13 < 25
+        assert gates[6] == ((3, 4), 2)  # the core gate, relabeled to target line 2
+
+
 class TestSynthEvenPermutation:
     def test_identity_yields_empty_circuit(self):
         circuit, report = synth_even_permutation(Permutation.identity(4))
@@ -280,10 +337,13 @@ class TestSynthEvenPermutation:
         # conjugators have three or more controls too.  With n - 3 helpers
         # every such gate, conjugator or core, goes through the first c - 2
         # of them, and none borrows data lines.
+        # Each block's gates are expanded in its own frame, then relabeled,
+        # so the gates decomposed are those `_canonicalize` emits in it.
         p = (random_permutation if budget else random_even_permutation)(n, Random(n))
         generalized = set()
         for group in transposition_stream(p, k // 2):
-            conjugators, core = _canonicalize([x for t in group for x in t], n)
+            conjugators, _ = _canonicalize([x for t in group for x in t], n)
+            core = tuple(range((2 * len(group)).bit_length() - 1, n)), 0
             generalized.update(g for g in conjugators + [core] if len(g[0]) >= 3)
         if k == 16:
             assert any(len(controls) >= 3 and target != 0 for controls, target in generalized)
