@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 from .bounds import gate_set_size
 from .circuit import Circuit, find_gate_fault
 from .errors import FormatError
-from .perm import BooleanMapping, Permutation
+from .perm import BooleanMapping, Permutation, _Memo
 
 # Argument count of each gate letter: target plus 0, 1 or 2 controls.
 _ARITY = {"n": 1, "c": 2, "t": 3}
@@ -102,7 +102,9 @@ def _parse_gate(lineno: int, line: str) -> tuple:
 class _GateLines(dict):
     """Raw gate line -> its gate, or None for a blank or comment-only
     line; a line is parsed on its first lookup and kept while fewer than
-    `_MAX_KNOWN_GATES` lines are.  Its parse errors say line 0."""
+    `_MAX_KNOWN_GATES` lines are.  Its parse errors say line 0.  It is not a
+    `_Memo` because of that cap: a file whose lines are all distinct, such
+    as a lupanov circuit on thousands of lines, would keep every line."""
 
     __slots__ = ()
 
@@ -160,22 +162,12 @@ def _gate_lines(gates: Iterable[tuple]) -> list[str]:
     ]
 
 
-class _GateText(dict):
-    """Gate -> its line, formatted on the first lookup of the gate."""
-
-    __slots__ = ()
-
-    def __missing__(self, gate: tuple) -> str:
-        line = self[gate] = _gate_lines((gate,))[0]
-        return line
-
-
 def serialize_circuit(circuit: Circuit, header_comments: Iterable[str] = ()) -> str:
     out = [f"lines {circuit.m}", f"inputs {circuit.n}"]
     out.append("outputs " + " ".join(str(i) for i in circuit.outputs))
     gates = circuit.gates
     if len(gates) > gate_set_size(circuit.m):
-        out += map(_GateText().__getitem__, gates)
+        out += map(_Memo(lambda gate: _gate_lines((gate,))[0]).__getitem__, gates)
     else:
         out += _gate_lines(gates)
     return _text(header_comments, out)

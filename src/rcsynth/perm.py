@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import ne
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, ContractError, ParameterError
 
@@ -45,6 +45,20 @@ class _Value:
 
     def __reduce__(self) -> tuple:
         return type(self), self._values()
+
+
+class _Memo(dict):
+    """Key -> `function(key)`, computed and stored on the first lookup of the
+    key; every later lookup is a plain dict lookup."""
+
+    __slots__ = ("function",)
+
+    def __init__(self, function: Callable) -> None:
+        self.function = function
+
+    def __missing__(self, key: object) -> object:
+        value = self[key] = self.function(key)
+        return value
 
 
 def _check_bit_count(n: int) -> None:

@@ -15,13 +15,14 @@ the n - 3 clean helpers if there are any, else through borrowed data lines.
 """
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain, repeat
 from math import inf
 
 from .bounds import block_upper
 from .circuit import Circuit, GateCountReport, _sweep, columns_of, count_gates, words_of
 from .errors import ContractError, ParameterError, ParityError
-from .perm import Pair, Permutation, is_even, plain_transpositions, transposition_stream
+from .perm import Pair, Permutation, _Memo, is_even, plain_transpositions, transposition_stream
 from .toffoli import decompose_borrowed, decompose_clean
 
 
@@ -34,32 +35,14 @@ def _bit_positions(value: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _Positions(dict):
-    """Value -> `_bit_positions(value)`, computed on the first lookup of the
-    value."""
-
-    __slots__ = ()
-
-    def __missing__(self, value: int) -> tuple[int, ...]:
-        positions = self[value] = _bit_positions(value)
-        return positions
-
-
-class _Costs(dict):
-    """Block size k -> the list whose entry d is the cost of a row at distance
-    d = row ^ s from its slot s: the bit count of d, plus n + 1 if the row
-    needs the spill lift (0 < d < k, no high bit), which puts such rows
-    last.  Built on the first lookup of k."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-
-    def __missing__(self, k: int) -> list[int]:
-        cost = self[k] = list(map(int.bit_count, range(1 << self.n)))
-        cost[1:k] = [c + self.n + 1 for c in cost[1:k]]
-        return cost
+def _costs(n: int, k: int) -> list[int]:
+    """The list whose entry d is the cost of a row at distance d = row ^ s
+    from its slot s in a block of size k: the bit count of d, plus n + 1 if
+    the row needs the spill lift (0 < d < k, no high bit), which puts such
+    rows last."""
+    cost = list(map(int.bit_count, range(1 << n)))
+    cost[1:k] = [c + n + 1 for c in cost[1:k]]
+    return cost
 
 
 def _canonicalize(rows: list[int], n: int, memos: _Memos | None = None) -> tuple[list[tuple], int]:
@@ -77,7 +60,7 @@ def _canonicalize(rows: list[int], n: int, memos: _Memos | None = None) -> tuple
     their gates gives the block's own.
 
     Any pair may take any slot pair, in either orientation, so the rows are
-    placed by the cost of their pair (`_Costs`).  At slot 0 (once the
+    placed by the cost of their pair (`_costs`).  At slot 0 (once the
     repeated columns are zeroed) and at each later even slot r, every row
     is scored: its own cost at r plus its partner's cost at r + 1, the
     partner moved by the row's gate group (spill lift, CNOT fan-out,
@@ -216,70 +199,48 @@ def _canonicalize(rows: list[int], n: int, memos: _Memos | None = None) -> tuple
     return conjugators, frame
 
 
-class _Expansions(dict):
-    """Gate -> its gates over NOT, CNOT and 2-CNOT, expanded on the first
-    lookup of the gate.  A basis gate is its own expansion.  A wider gate is
-    expanded through the clean helpers `ancilla_lines` if there are any (it
-    has at most n - 1 controls, so n - 3 suffice), else through the data
-    lines outside it, borrowed."""
-
-    __slots__ = ("n", "ancilla_lines")
-
-    def __init__(self, n: int, ancilla_lines: tuple[int, ...]) -> None:
-        self.n, self.ancilla_lines = n, ancilla_lines
-
-    def __missing__(self, gate: tuple) -> list[tuple]:
-        controls, target = gate
-        if len(controls) <= 2:
-            part = [gate]
-        elif self.ancilla_lines:
-            part = decompose_clean(controls, target, self.ancilla_lines[: len(controls) - 2])
-        else:
-            used = set(controls) | {target}
-            free = tuple(line for line in range(self.n) if line not in used)
-            part = decompose_borrowed(controls, target, free)
-        self[gate] = part
-        return part
+def _expand(n: int, ancilla_lines: tuple[int, ...], gate: tuple) -> list[tuple]:
+    """The gates of `gate` over NOT, CNOT and 2-CNOT.  A basis gate is its
+    own expansion.  A wider gate is expanded through the clean helpers
+    `ancilla_lines` if there are any (it has at most n - 1 controls, so
+    n - 3 suffice), else through the data lines outside it, borrowed."""
+    controls, target = gate
+    if len(controls) <= 2:
+        return [gate]
+    if ancilla_lines:
+        return decompose_clean(controls, target, ancilla_lines[: len(controls) - 2])
+    used = set(controls) | {target}
+    free = tuple(line for line in range(n) if line not in used)
+    return decompose_borrowed(controls, target, free)
 
 
-class _Relabeled(dict):
-    """Gate of frame t -> its expansion in `expansions` with lines 0 and t
-    swapped, on the first lookup of the gate.  A line permutation maps the
-    free lines of a gate to those of its image and fixes the helpers, so
-    the relabeled gates expand the gate's image.  Each relabeled basis gate
-    is looked up in `expansions` too, which holds it as its own expansion,
-    so equal gates of every frame are one object."""
-
-    __slots__ = ("expansions", "swap")
-
-    def __init__(self, expansions: _Expansions, t: int) -> None:
-        self.expansions, self.swap = expansions, {0: t, t: 0}
-
-    def __missing__(self, gate: tuple) -> list[tuple]:
-        get = self.swap.get
-        part = self[gate] = [
-            self.expansions[tuple(sorted(map(get, controls, controls))), get(target, target)][0]
-            for controls, target in self.expansions[gate]
-        ]
-        return part
+def _relabel(expansions: _Memo, t: int, gate: tuple) -> list[tuple]:
+    """The expansion of `gate` of frame t: its expansion in `expansions`
+    (frame 0) with lines 0 and t swapped.  A line permutation maps the free
+    lines of a gate to those of its image and fixes the helpers, so the
+    relabeled gates expand the gate's image.  Each relabeled basis gate is
+    looked up in `expansions` too, which holds it as its own expansion, so
+    equal gates of every frame are one object."""
+    get = {0: t, t: 0}.get
+    return [
+        expansions[tuple(sorted(map(get, controls, controls))), get(target, target)][0]
+        for controls, target in expansions[gate]
+    ]
 
 
 class _Memos:
     """What the blocks of one synthesis on n lines share: the bit positions
-    and cost lists of `_canonicalize`, and one expansion table per frame
-    (frame 0 the `_Expansions`, frame t its `_Relabeled`)."""
+    and the cost list of each block size for `_canonicalize`, and the
+    expansion table of each frame, all filled on first lookup.  Frame 0 is
+    the `_expand` memo, and frame t the `_relabel` memo over it."""
 
     __slots__ = ("positions", "costs", "frames")
 
     def __init__(self, n: int, ancilla_lines: tuple[int, ...] = ()) -> None:
-        self.positions, self.costs = _Positions(), _Costs(n)
-        self.frames: dict[int, dict] = {0: _Expansions(n, ancilla_lines)}
-
-    def expansions(self, frame: int) -> dict:
-        table = self.frames.get(frame)
-        if table is None:
-            table = self.frames[frame] = _Relabeled(self.frames[0], frame)
-        return table
+        self.positions, self.costs = _Memo(_bit_positions), _Memo(partial(_costs, n))
+        expansions = _Memo(partial(_expand, n, ancilla_lines))
+        self.frames = _Memo(lambda t: _Memo(partial(_relabel, expansions, t)))
+        self.frames[0] = expansions
 
 
 def synth_block(
@@ -297,16 +258,16 @@ def synth_block(
     the k = 2|group| moved points both checks k and caps the gate count.
 
     The conjugators and the core gate come in the block's frame t
-    (`_canonicalize`); each distinct gate is expanded once, and its
-    expansion relabeled once per frame, lines 0 and t swapped.
-    `synth_even_permutation` passes one `_Memos` to all its blocks on the
-    same n and ancilla_lines."""
+    (`_canonicalize`) and are expanded through `_memos.frames[t]`: each
+    distinct gate is expanded once, and its expansion relabeled once per
+    frame, lines 0 and t swapped.  `synth_even_permutation` passes one
+    `_Memos` to all its blocks on the same n and ancilla_lines."""
     rows = [x for t in group for x in t]
     budget = block_upper(n, len(rows))
     if _memos is None:
         _memos = _Memos(n, ancilla_lines)
     conjugators, frame = _canonicalize(rows, n, _memos)
-    expansions = _memos.expansions(frame)
+    expansions = _memos.frames[frame]
     core = tuple(range(len(rows).bit_length() - 1, n)), 0
     parts = list(map(expansions.__getitem__, conjugators))
     gates = list(chain.from_iterable(parts + [expansions[core]] + parts[::-1]))
