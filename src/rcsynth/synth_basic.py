@@ -22,6 +22,7 @@ from math import inf
 from .bounds import block_upper
 from .circuit import Circuit, GateCountReport, _sweep, columns_of, count_gates, words_of
 from .errors import ContractError, ParameterError, ParityError
+# plain_transpositions is unused here; bench/layers.py traces it by patching this name.
 from .perm import Pair, Permutation, _Memo, is_even, plain_transpositions, transposition_stream
 from .toffoli import decompose_borrowed, decompose_clean
 
@@ -335,10 +336,7 @@ def synth_even_permutation(
     else:
         if k is None:
             k = _default_block_size(n)
-        if k == 2:
-            groups = [(t,) for t in plain_transpositions(p)]
-        else:
-            groups = transposition_stream(p, k // 2)
+        groups = transposition_stream(p, k // 2)
         memos = _Memos(n, ancilla_lines)
         gates = tuple(chain.from_iterable(
             synth_block(group, n, ancilla_lines, _memos=memos) for group in groups

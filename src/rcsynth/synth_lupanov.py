@@ -3,16 +3,19 @@
 The circuit is built from four stages: a conjunction bank over the first k
 input lines (S1), one over the remaining n - k lines (S2), subset-XOR banks
 over groups of at most s first-bank lines (S3), and the n output lines (S4),
-each the XOR of 2-CNOTs of a second-bank line with a group line.  The line
-layout depends only on n and k and is computed in closed form before any
-gate is built: a conjunction bank over v variables takes v + C(v) fresh
-lines, an XOR bank of width w takes 2^w - 1 - w, and the outputs take n.
+each the XOR of 2-CNOTs of a second-bank line with a group line.  Both kinds
+of bank are one halving product over a leaf list per line: a bank is a list
+whose entry a is the line for sign assignment or subset mask a, with None at
+entry 0 of an XOR bank (the empty subset).  The line layout depends only on
+n and k and is computed in closed form before any gate is built: a
+conjunction bank over v variables takes v + C(v) fresh lines, an XOR bank of
+width w takes 2^w - 1 - w, and the outputs take n.
 """
 from __future__ import annotations
 
 import math
 from itertools import count
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .circuit import MAX_LINES, Circuit, Gate, columns_of
 from .errors import CapacityError, ContractError, ParameterError
@@ -44,51 +47,54 @@ def conjunction_gate_count(v: int) -> int:
     return 2 * v + c(v)
 
 
+def _halving_bank(leaves: list[list], combine: Callable) -> list:
+    """Entry a combines leaves[i][bit i of a] over every i: the banks over the
+    first ceil(v/2) leaves and over the rest, combined pairwise in ascending
+    order of the entry, which is the order the combines draw fresh lines in."""
+    if len(leaves) == 1:
+        return leaves[0]
+    mid = (len(leaves) + 1) // 2
+    low = _halving_bank(leaves[:mid], combine)
+    high = _halving_bank(leaves[mid:], combine)
+    return [combine(a, b) for b in high for a in low]
+
+
 def conjunction_bank(
     var_lines: tuple[int, ...], fresh: Iterator[int]
-) -> tuple[list[tuple], dict[int, int]]:
+) -> tuple[list[tuple], list[int]]:
     """Expose x_0^{a_0} & ... & x_{v-1}^{a_v-1} for every sign assignment a
-    (bit i of a chooses x_i itself over its negation).
+    (bit i of a chooses x_i itself over its negation) on line bank[a].
 
-    One negation line per variable, then banks over both halves combined
-    pairwise with one 2-CNOT each; gate count is exactly 2v + C(v).
+    One negation line per variable, then one 2-CNOT per combine of the
+    halving product; gate count is exactly 2v + C(v).
     """
     v = len(var_lines)
     if v < 1:
         raise ParameterError("conjunction bank needs at least one variable")
     if len(set(var_lines)) != v:
         raise ParameterError("variable lines must be distinct")
+    leaves = [[next(fresh), line] for line in var_lines]
     gates: list[tuple] = []
-    negated: dict[int, int] = {}
-    for line in var_lines:
-        negated[line] = target = next(fresh)
-        gates += [Gate((), target), Gate((line,), target)]
+    for negated, line in leaves:
+        gates += [Gate((), negated), Gate((line,), negated)]
 
-    def build(lines: tuple[int, ...]) -> dict[int, int]:
-        if len(lines) == 1:
-            return {1: lines[0], 0: negated[lines[0]]}
-        mid = (len(lines) + 1) // 2
-        low = build(lines[:mid])
-        high = build(lines[mid:])
-        bank: dict[int, int] = {}
-        for a_high in range(1 << (len(lines) - mid)):
-            for a_low in range(1 << mid):
-                bank[a_low | (a_high << mid)] = target = next(fresh)
-                gates.append(Gate((low[a_low], high[a_high]), target))
-        return bank
+    def conjunction(a: int, b: int) -> int:
+        target = next(fresh)
+        gates.append(Gate((a, b), target))
+        return target
 
-    return gates, build(tuple(var_lines))
+    return gates, _halving_bank(leaves, conjunction)
 
 
 def xor_bank(
     group_lines: tuple[int, ...], fresh: Iterator[int]
-) -> tuple[list[tuple], dict[int, int]]:
+) -> tuple[list[tuple], list[int | None]]:
     """Expose the XOR of every nonempty subset of the group lines (bit i of
-    the subset mask selects group_lines[i]); singletons map to the group
-    lines themselves.
+    the subset mask selects group_lines[i]) on line bank[mask]; singletons
+    are the group lines themselves, and bank[0] is None.
 
-    Same halving recursion as the conjunction bank with each combine of two
-    nonempty halves done by two CNOTs into a fresh line, so s lines take
+    In the halving product, a combine with the empty subset passes the other
+    side through; any other is two CNOTs into a fresh line, so s lines take
     2^s - 1 - s fresh lines and twice as many gates.
     """
     if len(group_lines) < 1:
@@ -97,21 +103,14 @@ def xor_bank(
         raise ParameterError("group lines must be distinct")
     gates: list[tuple] = []
 
-    def build(lines: tuple[int, ...]) -> dict[int, int]:
-        if len(lines) == 1:
-            return {1: lines[0]}
-        mid = (len(lines) + 1) // 2
-        low = build(lines[:mid])
-        high = build(lines[mid:])
-        bank = dict(low)
-        for m_high, high_line in high.items():
-            bank[m_high << mid] = high_line
-            for m_low, low_line in low.items():
-                bank[m_low | (m_high << mid)] = target = next(fresh)
-                gates.extend((Gate((low_line,), target), Gate((high_line,), target)))
-        return bank
+    def xor(a: int | None, b: int | None) -> int | None:
+        if a is None or b is None:
+            return b if a is None else a
+        target = next(fresh)
+        gates.extend((Gate((a,), target), Gate((b,), target)))
+        return target
 
-    return gates, build(tuple(group_lines))
+    return gates, _halving_bank([[None, line] for line in group_lines], xor)
 
 
 def choose_params(n: int) -> int:
@@ -163,9 +162,9 @@ def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
 
     # S3: subset-XOR bank per group of at most s first-bank lines.
     s3: list[tuple] = []
-    groups: list[tuple[int, int, dict[int, int]]] = []  # (start, width, bank)
+    groups: list[tuple[int, int, list[int | None]]] = []  # (start, width, bank)
     for start, width in zip(starts, widths):
-        bank_gates, bank = xor_bank(tuple(first_bank[start + i] for i in range(width)), fresh)
+        bank_gates, bank = xor_bank(tuple(first_bank[start : start + width]), fresh)
         s3 += bank_gates
         groups.append((start, width, bank))
 

@@ -239,7 +239,7 @@ class TestBasisGadget:
 
     def test_xor(self):
         gates, bank = xor_bank((0, 1), count(2))
-        assert gates == [Gate((0,), 2), Gate((1,), 2)] and bank == {1: 0, 2: 1, 3: 2}
+        assert gates == [Gate((0,), 2), Gate((1,), 2)] and bank == [None, 0, 1, 2]
         for a in (0, 1):
             for b in (0, 1):
                 bits, value = self.value_on_fresh(gates, [a, b], 3, 2)

@@ -43,16 +43,27 @@ class TestConjunctionGateCount:
 
 
 class TestConjunctionBank:
-    @pytest.mark.parametrize("v", [1, 2, 3, 4, 6, 8, 10])
-    def test_lines_hold_every_minterm(self, v):
+    # An int v stands for the lines 0..v-1 in order; a tuple is a permuted
+    # line order, whose bit i of an assignment sets input line lines[i].
+    @pytest.mark.parametrize("lines", [1, 2, 3, 4, 6, 8, 10, (2, 0, 1), (3, 1, 0, 2)])
+    def test_lines_hold_every_minterm(self, lines):
+        if type(lines) is int:
+            lines = tuple(range(lines))
+        v = len(lines)
         fresh = count(v)
-        gates, bank = conjunction_bank(tuple(range(v)), fresh)
+        gates, bank = conjunction_bank(lines, fresh)
         assert len(gates) == conjunction_gate_count(v)
         assert len(bank) == 1 << v
         tables = sweep_tables(next(fresh), v, gates)
-        for assignment, line in bank.items():
-            expected = 1 << assignment  # minterm truth table
-            assert tables[line] == expected, (v, assignment)
+        for assignment, line in enumerate(bank):
+            w = sum(((assignment >> i) & 1) << lines[i] for i in range(v))
+            expected = 1 << w  # minterm truth table
+            assert tables[line] == expected, (lines, assignment)
+
+    @pytest.mark.parametrize("lines", [(), (0, 1, 0)], ids=["empty", "repeated"])
+    def test_rejects_empty_or_repeated_lines(self, lines):
+        with pytest.raises(ParameterError):
+            conjunction_bank(lines, count(3))
 
     def test_base_case_reuses_input_line(self):
         gates, bank = conjunction_bank((0,), count(1))
@@ -71,25 +82,35 @@ class TestXorBank:
         fresh = count(2)
         gates, bank = xor_bank((0,), fresh)
         assert gates == []
-        assert bank == {1: 0}
+        assert bank == [None, 0]
         assert next(fresh) == 2
 
-    @pytest.mark.parametrize("s", [1, 2, 3, 4])
-    def test_subset_lines_exhaustive(self, s):
+    # An int s stands for the lines 0..s-1 in order; a tuple is a permuted
+    # line order, whose bit i of a subset mask selects line lines[i].
+    @pytest.mark.parametrize("lines", [1, 2, 3, 4, (2, 0, 1), (3, 1, 0, 2)])
+    def test_subset_lines_exhaustive(self, lines):
+        if type(lines) is int:
+            lines = tuple(range(lines))
+        s = len(lines)
         fresh = count(s)
-        gates, bank = xor_bank(tuple(range(s)), fresh)
-        assert sorted(bank) == list(range(1, 1 << s))  # every nonempty subset
+        gates, bank = xor_bank(lines, fresh)
+        assert len(bank) == 1 << s and bank[0] is None  # every subset, empty first
         m = next(fresh)
         assert m - s == (1 << s) - 1 - s
         assert len(gates) == 2 * ((1 << s) - 1 - s)
         tables = sweep_tables(m, s, gates)
         masks = sweep_tables(s, s, [])
-        for subset, line in bank.items():
+        for subset, line in enumerate(bank[1:], start=1):
             expected = 0
             for i in range(s):
                 if (subset >> i) & 1:
-                    expected ^= masks[i]
-            assert tables[line] == expected, (s, subset)
+                    expected ^= masks[lines[i]]
+            assert tables[line] == expected, (lines, subset)
+
+    @pytest.mark.parametrize("lines", [(), (0, 1, 0)], ids=["empty", "repeated"])
+    def test_rejects_empty_or_repeated_lines(self, lines):
+        with pytest.raises(ParameterError):
+            xor_bank(lines, count(3))
 
     def test_frozen_counts(self):
         counts = {}
