@@ -123,12 +123,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"ancillas {circuit.q}",
         ]
     else:
-        k = args.k if args.k is not None else choose_params(target.n)
-        circuit, stage = synth_mapping(target, k)
+        k, s = choose_params(target, args.k)
+        circuit, stage = synth_mapping(target, k, s)
         report_lines = [
             f"synthesized lupanov circuit: lines {circuit.m}, gates {len(circuit)}",
-            f"parameters: k {stage.k}, s {stage.s}, p {stage.p}"
-            + (", psi constraint waived" if stage.psi_waived else ""),
+            f"parameters: k {stage.k}, s {stage.s}, p {stage.p}",
             "stage gates " + " ".join(f"L{i}={v}" for i, v in enumerate(stage.gate_counts, 1)),
             "stage ancillas " + " ".join(f"q{i}={v}" for i, v in enumerate(stage.ancilla_counts, 1)),
         ]

@@ -1,39 +1,41 @@
 """Ancilla-rich synthesis of arbitrary mappings f: Z_2^n -> Z_2^n.
 
 The circuit is built from four stages: a conjunction bank over the first k
-input lines (S1), one over the remaining n - k lines (S2), subset-XOR banks
-over groups of at most s first-bank lines (S3), and the n output lines (S4),
-each the XOR of 2-CNOTs of a second-bank line with a group line.  Both kinds
-of bank are one halving product over a leaf list per line: a bank is a list
-whose entry a is the line for sign assignment or subset mask a, with None at
-entry 0 of an XOR bank (the empty subset).  The line layout depends only on
-n and k and is computed in closed form before any gate is built: a
-conjunction bank over v variables takes v + C(v) fresh lines, an XOR bank of
-width w takes 2^w - 1 - w, and the outputs take n.
+input lines (S1), one over the remaining n - k lines (S2), and, for each
+group of at most s first-bank lines, a walk of one accumulator line through
+the XORs of the group's nonempty subsets (S3), with the output gates (S4)
+fired along it: 2-CNOTs of a second-bank line with the accumulator onto the
+n output lines.  A group of one line is read directly and takes no walk.
+A conjunction bank is a list whose entry a is the line for sign assignment a,
+built by a halving product.  The line layout is computed in closed form
+before any gate is built: a conjunction bank over v variables takes
+v + C(v) fresh lines, the walks share one accumulator line (none when
+s = 1), and the outputs take n.  choose_params picks (k, s) by the gates
+counted exactly for the mapping at hand.
 """
 from __future__ import annotations
 
 import math
-from itertools import count
-from typing import Callable, Iterator, NamedTuple
+import sys
+from array import array
+from itertools import count, repeat
+from typing import Iterator, NamedTuple
 
-from .circuit import MAX_LINES, Circuit, Gate, columns_of
+from .circuit import MAX_LINES, Circuit, Gate
 from .errors import CapacityError, ContractError, ParameterError
-from .perm import BooleanMapping
+from .perm import BooleanMapping, _Memo
 
 
 class StageReport(NamedTuple):
     """Per-stage gate and ancilla accounting plus the chosen parameters.
-    psi_waived is set when the growth condition 2^k / s >= log2 n fails;
-    the circuit is built either way.  A named tuple, so immutable and equal
-    to any tuple of the same fields."""
+    Stage 3 is the walks on their one accumulator line.  A named tuple, so
+    immutable and equal to any tuple of the same fields."""
 
     k: int
     s: int
     p: int
     gate_counts: tuple[int, int, int, int]
     ancilla_counts: tuple[int, int, int, int]
-    psi_waived: bool
 
 
 def conjunction_gate_count(v: int) -> int:
@@ -47,26 +49,16 @@ def conjunction_gate_count(v: int) -> int:
     return 2 * v + c(v)
 
 
-def _halving_bank(leaves: list[list], combine: Callable) -> list:
-    """Entry a combines leaves[i][bit i of a] over every i: the banks over the
-    first ceil(v/2) leaves and over the rest, combined pairwise in ascending
-    order of the entry, which is the order the combines draw fresh lines in."""
-    if len(leaves) == 1:
-        return leaves[0]
-    mid = (len(leaves) + 1) // 2
-    low = _halving_bank(leaves[:mid], combine)
-    high = _halving_bank(leaves[mid:], combine)
-    return [combine(a, b) for b in high for a in low]
-
-
 def conjunction_bank(
     var_lines: tuple[int, ...], fresh: Iterator[int]
 ) -> tuple[list[tuple], list[int]]:
     """Expose x_0^{a_0} & ... & x_{v-1}^{a_v-1} for every sign assignment a
     (bit i of a chooses x_i itself over its negation) on line bank[a].
 
-    One negation line per variable, then one 2-CNOT per combine of the
-    halving product; gate count is exactly 2v + C(v).
+    One negation line per variable, then a halving product: the banks over
+    the first ceil(v/2) variables and over the rest, combined pairwise by
+    one 2-CNOT into a fresh line each, in ascending order of the entry.
+    Gate count is exactly 2v + C(v).
     """
     v = len(var_lines)
     if v < 1:
@@ -78,56 +70,166 @@ def conjunction_bank(
     for negated, line in leaves:
         gates += [Gate((), negated), Gate((line,), negated)]
 
-    def conjunction(a: int, b: int) -> int:
-        target = next(fresh)
-        gates.append(Gate((a, b), target))
-        return target
+    def product(leaves: list[list[int]]) -> list[int]:
+        if len(leaves) == 1:
+            return leaves[0]
+        mid = (len(leaves) + 1) // 2
+        low, high = product(leaves[:mid]), product(leaves[mid:])
+        bank = []
+        for b in high:
+            for a in low:
+                bank.append(next(fresh))
+                gates.append(Gate((a, b), bank[-1]))
+        return bank
 
-    return gates, _halving_bank(leaves, conjunction)
+    return gates, product(leaves)
 
 
-def xor_bank(
-    group_lines: tuple[int, ...], fresh: Iterator[int]
-) -> tuple[list[tuple], list[int | None]]:
-    """Expose the XOR of every nonempty subset of the group lines (bit i of
-    the subset mask selects group_lines[i]) on line bank[mask]; singletons
-    are the group lines themselves, and bank[0] is None.
-
-    In the halving product, a combine with the empty subset passes the other
-    side through; any other is two CNOTs into a fresh line, so s lines take
-    2^s - 1 - s fresh lines and twice as many gates.
-    """
-    if len(group_lines) < 1:
-        raise ParameterError("xor bank needs at least one line")
-    if len(set(group_lines)) != len(group_lines):
+def xor_walk(group_lines: tuple[int, ...], acc: int) -> list[tuple[int, tuple]]:
+    """(mask, gate) per step of a walk of line acc through the nonempty
+    subsets of the group lines in reflected Gray order: after the gate, acc
+    holds the XOR of the lines that bit i of the mask selects
+    (group_lines[i]).  Step g is a CNOT from group_lines[lowest set bit of
+    g]; the last subset is {group_lines[-1]}, so one more CNOT clears acc
+    (mask 0).  w lines take 2^w gates."""
+    w = len(group_lines)
+    if w < 1:
+        raise ParameterError("xor walk needs at least one line")
+    if len(set(group_lines)) != w:
         raise ParameterError("group lines must be distinct")
-    gates: list[tuple] = []
-
-    def xor(a: int | None, b: int | None) -> int | None:
-        if a is None or b is None:
-            return b if a is None else a
-        target = next(fresh)
-        gates.extend((Gate((a,), target), Gate((b,), target)))
-        return target
-
-    return gates, _halving_bank([[None, line] for line in group_lines], xor)
+    steps = [
+        (g ^ g >> 1, ((group_lines[(g & -g).bit_length() - 1],), acc)) for g in range(1, 1 << w)
+    ]
+    steps.append((0, ((group_lines[-1],), acc)))
+    return steps
 
 
-def choose_params(n: int) -> int:
-    """Bank width k = ceil(log2 n) + 1, which is ceil(n / phi(n)) with
-    phi(n) = n / (log2 n + 1), clamped so that s = n - 2k >= 1."""
-    if n < 3:
+def _walk_gate_count(k: int, s: int) -> int:
+    """Stage 3 in closed form: 2^w gates per group of width w >= 2, over the
+    groups of s first-bank lines (the last one holds what remains)."""
+    full, last = divmod(1 << k, s)
+    walk = 1 << s if s > 1 else 0
+    return full * walk + (1 << last if last > 1 else 0)
+
+
+def _ancilla_counts(n: int, k: int, s: int) -> tuple[int, int, int, int]:
+    """Fresh lines per stage: a conjunction bank over v inputs takes v + C(v),
+    the walks one accumulator line (none when s = 1) and the outputs n."""
+    return (conjunction_gate_count(k) - k, conjunction_gate_count(n - k) - (n - k), int(s > 1), n)
+
+
+def _check_k(k: object, n: int) -> int:
+    if type(k) is not int or not 1 <= k <= n - 1:
+        raise ParameterError(f"need an int 1 <= k <= n - 1, got k={k!r}, n={n}")
+    return k
+
+
+class _OutputGates:
+    """Stage-4 gate counts of one mapping at any (k, s): one gate per
+    nonzero restriction of a coordinate function to a group.
+
+    The images are packed into one int, image x in field x.  The OR-fold
+    over w fields, by doubling, has in field x the OR of images x..x+w-1,
+    whatever k is; AND'ed with a mask of the group starts, one bit count
+    sums the coordinates that are nonzero on each group."""
+
+    def __init__(self, f: BooleanMapping) -> None:
+        self.n = f.n
+        packed = array(next(t for t in "BHILQ" if array(t).itemsize * 8 >= f.n), f.images)
+        if sys.byteorder == "big":
+            packed.byteswap()
+        self.field = packed.itemsize  # bytes
+        table = int.from_bytes(packed.tobytes(), "little")
+        self.ones = table.bit_count()
+        self.folds = _Memo(lambda w: table if w == 1 else self._fold(w))
+        self.zero_blocks = _Memo(self._zero_blocks)
+
+    def _fold(self, w: int) -> int:
+        half = 1 << (w.bit_length() - 1)
+        if half == w:
+            half //= 2
+        return self.folds[half] | self.folds[half] >> ((w - half) * self.field * 8)
+
+    def _starts(self, period: int, first: int, step: int, number: int) -> int:
+        """Fields first, first + step, ... (number of them) of every run of
+        period fields, over all 2^n fields."""
+        field = self.field
+        run = bytearray(field * period)
+        for b in range(field):
+            run[first * field + b : (first + step * number) * field : step * field] = (
+                b"\xff" * number
+            )
+        return int.from_bytes((bytes(run) * -(-(1 << self.n) // period))[: field << self.n], "little")
+
+    def _zero_blocks(self, u: int) -> int:
+        # (block, coordinate) pairs zero on a block of u fields from a multiple of u.
+        blocks = -(-(1 << self.n) // u)
+        return self.n * blocks - (self.folds[u] & self._starts(u, 0, 1, 1)).bit_count()
+
+    def exact(self, k: int, s: int) -> int:
+        full, last = divmod(1 << k, s)
+        nonzero = self.folds[s] & self._starts(1 << k, 0, s, full)
+        if last:
+            nonzero |= self.folds[last] & self._starts(1 << k, full * s, 1, 1)
+        return nonzero.bit_count()
+
+    def lower(self, k: int, s: int) -> int:
+        """A lower bound on exact(k, s).  A group holds at most s ones of a
+        coordinate.  And a group of width w on which a coordinate is zero
+        holds a whole block of u = (w + 1) // 2 fields from a multiple of u
+        on which it is zero too, a different block for each group."""
+        rows = self.n << (self.n - k)
+        full, last = divmod(1 << k, s)
+        nonzero = rows * full - self.zero_blocks[(s + 1) // 2]
+        if last:
+            nonzero += max(0, rows - self.zero_blocks[(last + 1) // 2])
+        return max(nonzero, -(-self.ones // s))
+
+
+def choose_params(f: BooleanMapping, k: int | None = None) -> tuple[int, int]:
+    """The (k, s) whose circuit for f has the fewest gates, over
+    1 <= k <= n - 1 (or the k given) and 1 <= s <= 2^k.  Ties go to fewer
+    lines, then to the larger k, then to the smaller s.
+
+    Stages 1-3 and the lines are closed forms.  Stage 4 is counted exactly,
+    in ascending order of a lower bound on the total, until the bound can no
+    longer win."""
+    n = f.n
+    if n < 2:
         raise ParameterError(
-            f"lupanov mode needs n >= 3, got n={n}: n = 1 and n = 2 admit no k "
-            "with 1 <= k < n/2"
+            f"lupanov mode needs n >= 2, got n={n}: its two conjunction banks "
+            "each need at least one input line"
         )
-    return min((n - 1).bit_length() + 1, (n - 1) // 2)
+    ks = range(1, n) if k is None else (_check_k(k, n),)
+    outputs = _OutputGates(f)
+    candidates = []  # (lower bound, lines, -k, s, stages 1-3)
+    most = math.inf  # gates that some candidate is known not to exceed
+    for k in ks:
+        banks = conjunction_gate_count(k) + conjunction_gate_count(n - k)
+        for s in range(1, (1 << k) + 1):
+            if s > 1 and banks + (1 << s) > most:
+                break  # stage 3 takes 2^s gates or more from here on
+            closed = banks + _walk_gate_count(k, s)
+            groups = -(-(1 << k) // s)
+            most = min(most, closed + min(outputs.ones, (groups * n) << (n - k)))
+            lines = n + sum(_ancilla_counts(n, k, s))
+            candidates.append((closed + outputs.lower(k, s), lines, -k, s, closed))
+    best = None  # (gates, lines, -k, s)
+    for bound, lines, minus_k, s, closed in sorted(candidates):
+        if best is not None and (bound, lines, minus_k, s) >= best:
+            break
+        key = (closed + outputs.exact(-minus_k, s), lines, minus_k, s)
+        best = key if best is None else min(best, key)
+    return -best[2], best[3]
 
 
-def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
+def synth_mapping(
+    f: BooleanMapping, k: int | None = None, s: int | None = None
+) -> tuple[Circuit, StageReport]:
     """Synthesize a circuit realizing the arbitrary mapping f with ancillas,
     from banks over k and n - k variables and p = ceil(2^k / s) groups of at
-    most s = n - 2k first-bank lines.
+    most s first-bank lines.  Without s, (k, s) come from choose_params: the
+    fewest gates, for the k given or over every k.
 
     The fresh lines of each stage are counted in closed form first (see the
     module docstring), so a layout over MAX_LINES raises CapacityError
@@ -136,21 +238,20 @@ def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
     Output stage budget: L4 <= p n 2^(n-k), one 2-CNOT per nonzero group
     restriction of each coordinate function, with q4 = n output lines; all
     gates have at most two controls by construction.  The support of f_ij,
-    bit sigma set iff bit j of f(sigma | i << k) is 1, is the 2^k-bit window
-    i of coordinate column j, columns_of(f.images, n)[j].
+    bit sigma set iff bit j of f(sigma | i << k) is 1, is the 2^k bits of
+    coordinate column j from input i << k.
     """
     n = f.n
-    if type(k) is not int or not 1 <= k < n / 2:
-        raise ParameterError(f"need an int 1 <= k < n/2, got k={k!r}, n={n}")
-    s = n - 2 * k
-    starts = range(0, 1 << k, s)
-    widths = [min(s, (1 << k) - start) for start in starts]
-    ancilla_counts = (
-        conjunction_gate_count(k) - k,
-        conjunction_gate_count(n - k) - (n - k),
-        sum((1 << w) - 1 - w for w in widths),
-        n,
-    )
+    if s is None:
+        k, s = choose_params(f, k)
+    _check_k(k, n)
+    if type(s) is not int or not 1 <= s <= 1 << k:
+        raise ParameterError(f"need an int 1 <= s <= 2^k, got s={s!r}, k={k}")
+    walked = _walk_gate_count(k, s)
+    if walked > n << n:
+        # s = 1 takes no walk and at most n 2^n output gates.
+        raise ParameterError(f"s={s} at k={k} walks {walked} gates, more than n 2^n = {n << n}")
+    ancilla_counts = _ancilla_counts(n, k, s)
     m = n + sum(ancilla_counts)
     if m > MAX_LINES:
         raise CapacityError(f"k={k} on n={n} needs {m} lines, more than {MAX_LINES}")
@@ -159,39 +260,42 @@ def synth_mapping(f: BooleanMapping, k: int) -> tuple[Circuit, StageReport]:
     # S1 and S2: conjunctions of the first k and the remaining n - k inputs.
     s1, first_bank = conjunction_bank(tuple(range(k)), fresh)
     s2, second_bank = conjunction_bank(tuple(range(k, n)), fresh)
-
-    # S3: subset-XOR bank per group of at most s first-bank lines.
-    s3: list[tuple] = []
-    groups: list[tuple[int, int, list[int | None]]] = []  # (start, width, bank)
-    for start, width in zip(starts, widths):
-        bank_gates, bank = xor_bank(tuple(first_bank[start : start + width]), fresh)
-        s3 += bank_gates
-        groups.append((start, width, bank))
-
-    # S4: m_i & f_ij is the XOR over groups t of m_i & (f_ij restricted to
-    # group t), so each nonzero restriction is one 2-CNOT onto output j.
+    acc = next(fresh) if s > 1 else None
     out_lines = tuple(next(fresh) for _ in range(n))
-    s4: list[tuple] = []
-    columns = columns_of(f.images, n)
-    window = (1 << (1 << k)) - 1
-    for j in range(n):
-        for i in range(1 << (n - k)):
-            support = (columns[j] >> (i << k)) & window
-            for start, width, bank in groups:
-                mask = (support >> start) & ((1 << width) - 1)
-                if mask:
-                    a, b = second_bank[i], bank[mask]
-                    s4.append(((a, b) if a < b else (b, a), out_lines[j]))
     drawn = next(fresh)
     if drawn != m:
         raise ContractError(f"lupanov stages use {drawn} lines, their layout has {m}")
 
+    # S4: m_i & f_ij is the XOR over groups t of m_i & (f_ij restricted to
+    # group t), so each nonzero restriction is one 2-CNOT onto output j,
+    # filed under its mask: the subset whose XOR it reads.  Column j is a
+    # bit string, most significant input first.
+    size = 1 << n
+    columns = ["".join(bits) for bits in zip(*map(format, reversed(f.images), repeat(f"0{n}b")))]
+    gates = s1 + s2
+    for start in range(0, 1 << k, s):
+        lines = tuple(first_bank[start : start + s])
+        width = len(lines)
+        read = lines[0] if width == 1 else acc
+        pairs = [(a, read) if a < read else (read, a) for a in second_bank]
+        fires: list[list[tuple]] = [[] for _ in range(1 << width)]
+        for out, column in zip(out_lines, reversed(columns)):
+            for end, pair in zip(range(size - start, 0, -(1 << k)), pairs):
+                mask = int(column[end - width : end], 2)
+                if mask:
+                    fires[mask].append((pair, out))
+        # S3: walk acc through the group's subsets, firing each mask's gates.
+        if width == 1:
+            gates += fires[1]
+            continue
+        for mask, step in xor_walk(lines, acc):
+            gates.append(step)
+            gates += fires[mask]
     report = StageReport(
         k=k,
         s=s,
-        p=len(groups),  # ceil(2^k / s)
-        gate_counts=(len(s1), len(s2), len(s3), len(s4)),
+        p=-(-(1 << k) // s),
+        gate_counts=(len(s1), len(s2), walked, len(gates) - len(s1) - len(s2) - walked),
         ancilla_counts=ancilla_counts,
-        psi_waived=(1 << k) / s < math.log2(n),
     )
-    return Circuit(m, n, (*s1, *s2, *s3, *s4), out_lines), report
+    return Circuit(m, n, gates, out_lines), report

@@ -12,7 +12,7 @@ from rcsynth.circuit import (
     truth_table_masks,
 )
 from rcsynth.perm import is_even
-from rcsynth.synth_lupanov import conjunction_bank, xor_bank
+from rcsynth.synth_lupanov import conjunction_bank, xor_walk
 from conftest import all_basis_gates, naive_mapping, random_circuit, run_bits, run_word
 
 
@@ -223,7 +223,8 @@ class TestCountGates:
 
 
 class TestBasisGadget:
-    """The {not, xor, and} gadgets the banks build on fresh zero lines."""
+    """The {not, xor, and} gadgets the banks and the walk build on fresh zero
+    lines."""
 
     def value_on_fresh(self, gates, sources_bits, m, fresh):
         bits = run_bits(gates, list(sources_bits) + [0] * (m - len(sources_bits)))
@@ -238,8 +239,9 @@ class TestBasisGadget:
             assert bits[0] == a
 
     def test_xor(self):
-        gates, bank = xor_bank((0, 1), count(2))
-        assert gates == [Gate((0,), 2), Gate((1,), 2)] and bank == [None, 0, 1, 2]
+        steps = xor_walk((0, 1), 2)
+        assert steps[:2] == [(1, Gate((0,), 2)), (3, Gate((1,), 2))]
+        gates = [gate for _, gate in steps[:2]]
         for a in (0, 1):
             for b in (0, 1):
                 bits, value = self.value_on_fresh(gates, [a, b], 3, 2)

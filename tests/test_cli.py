@@ -304,8 +304,9 @@ class TestSynthAndVerify:
     def test_bad_lupanov_params_exit_3(self, tmp_path, capsys):
         f = tmp_path / "f.map"
         run(capsys, "rand", "map", "--n", "4", "-o", str(f))
-        code, _, err = run(capsys, "synth", "lupanov", str(f), "--k", "2")
+        code, _, err = run(capsys, "synth", "lupanov", str(f), "--k", "4")
         assert code == 3
+        assert err == "error: need an int 1 <= k <= n - 1, got k=4, n=4\n"
 
     def test_lupanov_k_alone_derives_s_and_p(self, tmp_path, capsys):
         f = tmp_path / "f.map"
@@ -313,7 +314,7 @@ class TestSynthAndVerify:
         out_path = str(tmp_path / "f.circ")
         code, out, _ = run(capsys, "synth", "lupanov", str(f), "--k", "1", "-o", out_path)
         assert code == 0
-        assert "parameters: k 1, s 3, p 1" in out
+        assert "parameters: k 1, s 2, p 1" in out
 
     @pytest.mark.parametrize("k", ["2", "3"])
     def test_basic_k_on_one_line_exits_3(self, tmp_path, capsys, k):
@@ -348,12 +349,27 @@ class TestSynthAndVerify:
         assert code == 2
         assert err.startswith("error: expected 2^") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("n,expected", [(3, 0), (2, 3)])
+    @pytest.mark.parametrize("n,expected", [(3, 0)])
     def test_lupanov_default_params_from_three_lines(self, tmp_path, capsys, n, expected):
         f = tmp_path / "f.map"
         run(capsys, "rand", "map", "--n", str(n), "--seed", "1", "-o", str(f))
         code, _, err = run(capsys, "synth", "lupanov", str(f), "-o", str(tmp_path / "f.circ"))
         assert code == expected, err
+
+    def test_lupanov_two_lines_admitted_one_refused(self, tmp_path, capsys):
+        # n = 2 splits into banks over one input each; n = 1 cannot split.
+        f = tmp_path / "f.map"
+        run(capsys, "rand", "map", "--n", "2", "--seed", "1", "-o", str(f))
+        code, out, err = run(capsys, "synth", "lupanov", str(f), "-o", str(tmp_path / "f.circ"))
+        assert code == 0, err
+        assert "synthesized lupanov circuit: lines 6, gates 6" in out
+        run(capsys, "rand", "map", "--n", "1", "--seed", "1", "-o", str(f))
+        code, out, err = run(capsys, "synth", "lupanov", str(f))
+        assert code == 3 and out == ""
+        assert err == (
+            "error: lupanov mode needs n >= 2, got n=1: its two conjunction banks "
+            "each need at least one input line\n"
+        )
 
     def test_line_count_over_limit_exits_2(self, tmp_path, capsys):
         circ = tmp_path / "wide.circ"
@@ -424,7 +440,8 @@ class TestSynthAndVerify:
 
     @pytest.mark.parametrize("flag", ["--phi", "--phi-lupanov", "--psi", "--s"])
     def test_phi_and_psi_are_not_synth_options(self, capsys, flag):
-        # --k sets any bank width these flags could select; s = n - 2k follows.
+        # --k sets any bank width these flags could select, and the group
+        # size s is then the one with the fewest gates for it.
         with pytest.raises(SystemExit) as info:
             main(["synth", "basic", "p.perm", flag, "log2"])
         assert info.value.code == 2

@@ -71,12 +71,12 @@ def test_basic_with_ancillas():
 def test_lupanov():
     rng = Random(6)
     f = BooleanMapping(6, tuple(rng.randrange(64) for _ in range(64)))
-    k = choose_params(6)
-    assert k == 2
-    circuit, _ = synth_mapping(f, k)
+    k, s = choose_params(f)
+    assert (k, s) == (2, 4)
+    circuit, _ = synth_mapping(f, k, s)
     assert fingerprint(circuit) == (
-        "a2d6241d4c1b17c605dca6e9c737c8f66a8105abbf467b8640352cc399b9d391",
-        185,
+        "8dda665bf911b5dab811e3a447375143cc07d793fa4c6e9c401fb395f97a4adc",
+        147,
     )
 
 
@@ -85,22 +85,22 @@ def test_lupanov_forced_params():
     f = BooleanMapping(8, tuple(rng.randrange(256) for _ in range(256)))
     circuit, _ = synth_mapping(f, 1)
     assert fingerprint(circuit) == (
-        "4923544bb62a37e1b5cd63d053a34b9c0f81fbd09e35e43ed22b8d98e8b88b7d",
-        959,
+        "afa0d248ca5f69582ad79e3fdc5a6b1f098b20b5442dc46750855359c1796c2f",
+        961,
     )
 
 
 def test_lupanov_every_k():
-    # One map per n = 3..12 from Random(n), synthesized at every admissible k:
-    # the circuit text and the stage report.
+    # One map per n = 3..12 from Random(n), synthesized at every admissible k
+    # with the s of fewest gates for it: the circuit text and the stage report.
     text = ""
     for n in range(3, 13):
         rng = Random(n)
         f = BooleanMapping(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
-        for k in range(1, (n + 1) // 2):
+        for k in range(1, n):
             circuit, report = synth_mapping(f, k)
             text += serialize_circuit(circuit) + repr(report) + "\n"
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "25182484ba0821d4d125b55da66bde350e1091002d99b455187e664d9910ae98"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == "b6cd4eb2eb632432e707cb625bd666af6f3c82a502bbc43d094c5bfdb81b7533"
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from rcsynth import (
     synth_mapping,
 )
 import rcsynth.io as rio
+from rcsynth import synth_lupanov
 from rcsynth.circuit import _sweep, columns_of, simulate, truth_table_masks, words_of
 from rcsynth.perm import is_even
 from rcsynth.synth_basic import _canonicalize
@@ -406,23 +407,31 @@ def test_basic_synthesis_matches_oracle_and_inverts(target):
 
 @st.composite
 def lupanov_targets(draw):
-    """(mapping, k) with n = 3..8 and any bank width 1 <= k < n/2."""
-    n = draw(st.integers(3, 8))
-    k = draw(st.integers(1, (n - 1) // 2))
+    """(mapping, k, s) with n = 2..8, any bank width 1 <= k <= n - 1 and any
+    group size 1 <= s <= 2^k whose walks take at most n 2^n gates."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    sizes = [s for s in range(1, (1 << k) + 1) if synth_lupanov._walk_gate_count(k, s) <= n << n]
+    s = draw(st.sampled_from(sizes))
     images = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1 << n, max_size=1 << n))
-    return BooleanMapping(n, tuple(images)), k
+    return BooleanMapping(n, tuple(images)), k, s
 
 
 @settings(max_examples=60, deadline=None)
 @given(lupanov_targets())
 def test_lupanov_synthesis_matches_oracle_on_fixed_lines(target):
-    f, k = target
-    circuit, report = synth_mapping(f, k)
-    assert naive_mapping(circuit) == list(f.images)
-    # The lines depend only on (n, k), and every ancilla but the outputs is
-    # written by some gate.
-    zero, _ = synth_mapping(BooleanMapping(f.n, (0,) * (1 << f.n)), k)
-    assert circuit.m == zero.m
+    f, k, s = target
+    circuit, report = synth_mapping(f, k, s)
+    runs = [naive_run(circuit, w) for w in range(1 << f.n)]
+    assert [output for output, _ in runs] == list(f.images)
+    # The accumulator, drawn just before the outputs, ends at 0 on every
+    # input: each walk clears it.
+    acc = circuit.m - f.n - 1
+    assert s == 1 or all((final >> acc) & 1 == 0 for _, final in runs)
+    # The lines are the closed-form layout, and every ancilla but the
+    # outputs is written by some gate.
+    banks = synth_lupanov.conjunction_gate_count(k) + synth_lupanov.conjunction_gate_count(f.n - k)
+    assert circuit.m == banks + f.n + (s > 1) == f.n + sum(report.ancilla_counts)
     written = {target for _, target in circuit.gates}
     assert set(range(f.n, circuit.m)) - set(circuit.outputs) <= written
     assert all(map(is_plain_gate, circuit.gates))

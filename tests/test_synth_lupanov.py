@@ -1,5 +1,6 @@
-"""Conjunction banks, XOR banks and the staged mapping synthesis."""
-import math
+"""Conjunction banks, the accumulator walk, the (k, s) chooser and the
+staged mapping synthesis."""
+from collections import Counter
 from itertools import count
 from random import Random
 
@@ -14,14 +15,23 @@ from rcsynth import (
     synth_mapping,
 )
 from rcsynth import synth_lupanov
-from rcsynth.bounds import PHI_REGISTRY
 from rcsynth.synth_lupanov import (
     choose_params,
     conjunction_bank,
     conjunction_gate_count,
-    xor_bank,
+    xor_walk,
 )
 from conftest import sweep_tables
+
+
+def random_mapping(n, rng):
+    return BooleanMapping(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
+
+
+def admissible(n, k):
+    """Every s whose walks take at most n 2^n gates, for which
+    synth_mapping builds the circuit."""
+    return [s for s in range(1, (1 << k) + 1) if synth_lupanov._walk_gate_count(k, s) <= n << n]
 
 
 class TestConjunctionGateCount:
@@ -78,12 +88,17 @@ class TestConjunctionBank:
 
 
 class TestXorBank:
+    """The XORs of a group's subsets, one at a time on the accumulator."""
+
     def test_single_line_needs_no_gates(self):
-        fresh = count(2)
-        gates, bank = xor_bank((0,), fresh)
-        assert gates == []
-        assert bank == [None, 0]
-        assert next(fresh) == 2
+        # A group of one first-bank line is read directly: s = 1 walks
+        # nothing and draws no accumulator, and at k = 2, s = 3 the second
+        # group (one line) adds nothing to the first one's 2^3 walk gates.
+        f = BooleanMapping(4, tuple(range(16)))
+        _, report = synth_mapping(f, 2, 1)
+        assert (report.gate_counts[2], report.ancilla_counts[2]) == (0, 0)
+        _, report = synth_mapping(f, 2, 3)
+        assert (report.p, report.gate_counts[2], report.ancilla_counts[2]) == (2, 8, 1)
 
     # An int s stands for the lines 0..s-1 in order; a tuple is a permuted
     # line order, whose bit i of a subset mask selects line lines[i].
@@ -92,57 +107,87 @@ class TestXorBank:
         if type(lines) is int:
             lines = tuple(range(lines))
         s = len(lines)
-        fresh = count(s)
-        gates, bank = xor_bank(lines, fresh)
-        assert len(bank) == 1 << s and bank[0] is None  # every subset, empty first
-        m = next(fresh)
-        assert m - s == (1 << s) - 1 - s
-        assert len(gates) == 2 * ((1 << s) - 1 - s)
-        tables = sweep_tables(m, s, gates)
-        masks = sweep_tables(s, s, [])
-        for subset, line in enumerate(bank[1:], start=1):
+        steps = xor_walk(lines, s)  # the accumulator is line s
+        masks = [mask for mask, _ in steps]
+        assert len(steps) == 1 << s
+        assert sorted(masks[:-1]) == list(range(1, 1 << s)) and masks[-1] == 0
+        inputs = sweep_tables(s, s, [])
+        for g, mask in enumerate(masks):
+            tables = sweep_tables(s + 1, s, [gate for _, gate in steps[: g + 1]])
             expected = 0
             for i in range(s):
-                if (subset >> i) & 1:
-                    expected ^= masks[lines[i]]
-            assert tables[line] == expected, (lines, subset)
+                if (mask >> i) & 1:
+                    expected ^= inputs[lines[i]]
+            assert tables[s] == expected, (lines, g)
+            assert tables[:s] == inputs  # the group lines are only read
 
     @pytest.mark.parametrize("lines", [(), (0, 1, 0)], ids=["empty", "repeated"])
     def test_rejects_empty_or_repeated_lines(self, lines):
         with pytest.raises(ParameterError):
-            xor_bank(lines, count(3))
+            xor_walk(lines, 3)
 
     def test_frozen_counts(self):
-        counts = {}
-        for s in (2, 4):
-            gates, _ = xor_bank(tuple(range(s)), count(s))
-            counts[s] = len(gates)
-        assert counts == {2: 2, 4: 22}
+        counts = {s: len(xor_walk(tuple(range(s)), s)) for s in (2, 4)}
+        assert counts == {2: 4, 4: 16}
 
 
 class TestChooseParams:
     def test_n12_example(self):
-        assert choose_params(12) == 5
+        # `rand map --n 12 --seed 2`: the README's trade of gates for lines.
+        f = random_mapping(12, Random(2))
+        assert choose_params(f) == (4, 8)
+        results = {}
+        for k in (None, 5, 6):
+            circuit, report = synth_mapping(f, k)
+            results[report.k, report.s] = (len(circuit), circuit.m)
+        assert results == {(4, 8): (6981, 365), (5, 8): (7377, 249), (6, 8): (8365, 213)}
 
-    def test_s_is_n_minus_2k(self):
-        for n in range(3, 11):
-            k = choose_params(n)
-            assert 1 <= k < n / 2
-            _, report = synth_mapping(BooleanMapping(n, (0,) * (1 << n)), k)
-            assert (report.k, report.s) == (k, n - 2 * k)
-            assert report.p == -((1 << k) // -report.s)
+    def test_report_echoes_the_choice(self):
+        for n in range(2, 11):
+            f = random_mapping(n, Random(n))
+            k, s = choose_params(f)
+            assert 1 <= k <= n - 1 and 1 <= s <= 1 << k
+            _, report = synth_mapping(f)
+            assert (report.k, report.s) == (k, s)
+            assert report.p == -((1 << k) // -s)
 
-    def test_matches_phi_formula(self):
-        # k = ceil(n / phi(n)) with the lupanov phi, clamped to s = n - 2k >= 1.
-        phi = PHI_REGISTRY["lupanov"]
-        for n in range(3, 1 << 12):
-            assert choose_params(n) == min(math.ceil(n / phi(n)), (n - 1) // 2), n
+    @pytest.mark.parametrize("kind", ["random", "sparse", "zero"])
+    def test_fewest_gates_then_fewer_lines_then_larger_k(self, kind):
+        # Every admissible (k, s), built: the chooser's pick, over all k and
+        # for each k alone, is the least (gates, lines, -k, s).
+        rng = Random(len(kind))
+        for n in range(2, 7):
+            images = [rng.randrange(1 << n) for _ in range(1 << n)]
+            if kind != "random":
+                images = [x if kind == "sparse" and rng.random() < 0.1 else 0 for x in images]
+            f = BooleanMapping(n, tuple(images))
+            keys = {}
+            for k in range(1, n):
+                for s in admissible(n, k):
+                    circuit, _ = synth_mapping(f, k, s)
+                    keys[k, s] = (len(circuit), circuit.m, -k, s)
+            best = min(keys.values())
+            assert choose_params(f) == (-best[2], best[3]), (n, best)
+            for k in range(1, n):
+                best = min(key for (kk, _), key in keys.items() if kk == k)
+                assert choose_params(f, k) == (k, best[3]), (n, k)
+
+    @pytest.mark.parametrize("kind", ["random", "sparse"])
+    def test_output_gate_bound_never_exceeds_the_count(self, kind):
+        rng = Random(7)
+        for n in (3, 5, 7):
+            images = [rng.randrange(1 << n) for _ in range(1 << n)]
+            if kind == "sparse":
+                images = [x if rng.random() < 0.2 else 0 for x in images]
+            outputs = synth_lupanov._OutputGates(BooleanMapping(n, tuple(images)))
+            for k in range(1, n):
+                for s in range(1, (1 << k) + 1):
+                    assert outputs.lower(k, s) <= outputs.exact(k, s), (n, k, s)
 
     def test_small_n_rejected(self):
-        assert choose_params(3) == 1
-        for n in (1, 2):
-            with pytest.raises(ParameterError):
-                choose_params(n)
+        assert choose_params(BooleanMapping(2, (0, 1, 2, 3)))[0] == 1
+        with pytest.raises(ParameterError, match="^lupanov mode needs n >= 2, got n=1: "):
+            choose_params(BooleanMapping(1, (0, 1)))
 
 
 class TestSynthMapping:
@@ -157,7 +202,7 @@ class TestSynthMapping:
         f = BooleanMapping(4, tuple(range(16)))
         circuit, report = synth_mapping(f, 1)
         assert realized_mapping(circuit).images == tuple(range(16))
-        assert report.p == 1
+        assert (report.s, report.p) == (2, 1)
 
     def test_forced_k2_on_n8_has_single_group(self):
         rng = Random(5)
@@ -171,7 +216,7 @@ class TestSynthMapping:
         rng = Random(1000 + n)
         for trial in range(15):
             f = BooleanMapping(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
-            circuit, report = synth_mapping(f, k)
+            circuit, report = synth_mapping(f, k, s)
             assert realized_mapping(circuit).images == f.images, trial
             assert report.s == s
             assert report.gate_counts[3] <= report.p * n * (1 << (n - k))
@@ -185,33 +230,45 @@ class TestSynthMapping:
         assert sum(report.ancilla_counts) == circuit.q
 
     def test_line_limit_checked_before_building(self, monkeypatch):
-        # k = 1 on n = 21 lays out 1,050,880 lines, more than MAX_LINES.
+        # k = 1, s = 2 on n = 21 lays out 1,050,880 lines, more than MAX_LINES.
         def unreachable(*args):
             raise AssertionError("a bank was built before the line limit was checked")
 
         monkeypatch.setattr(synth_lupanov, "conjunction_bank", unreachable)
         with pytest.raises(CapacityError, match="needs 1050880 lines"):
-            synth_mapping(BooleanMapping(21, tuple(range(1 << 21))), 1)
+            synth_mapping(BooleanMapping(21, tuple(range(1 << 21))), 1, 2)
 
     def test_wrong_stage_line_count_raises(self, monkeypatch):
-        def one_line_too_many(lines, fresh):
-            next(fresh)
-            return xor_bank(lines, fresh)
+        bank = synth_lupanov.conjunction_bank
 
-        monkeypatch.setattr(synth_lupanov, "xor_bank", one_line_too_many)
+        def one_line_too_many(lines, fresh):
+            if lines == (0,):
+                next(fresh)
+            return bank(lines, fresh)
+
+        monkeypatch.setattr(synth_lupanov, "conjunction_bank", one_line_too_many)
         message = "^lupanov stages use 26 lines, their layout has 25$"
         with pytest.raises(ContractError, match=message):
-            synth_mapping(BooleanMapping(4, tuple(range(16))), 1)
+            synth_mapping(BooleanMapping(4, tuple(range(16))), 1, 2)
 
-    def test_parameter_validation(self):
+    @pytest.mark.parametrize(
+        "k, s, message",
+        [
+            (4, None, "^need an int 1 <= k <= n - 1, got k=4, n=4$"),
+            (1, 3, "^need an int 1 <= s <= 2\\^k, got s=3, k=1$"),
+            (2, 0, "^need an int 1 <= s <= 2\\^k, got s=0, k=2$"),
+            (3, 8, "^s=8 at k=3 walks 256 gates, more than n 2\\^n = 64$"),
+        ],
+    )
+    def test_parameter_validation(self, k, s, message):
         f = BooleanMapping(4, tuple(range(16)))
-        with pytest.raises(ParameterError):
-            synth_mapping(f, 2)  # k >= n/2
+        with pytest.raises(ParameterError, match=message):
+            synth_mapping(f, k, s)
 
     @pytest.mark.parametrize("k", [1.0, True])
     def test_k_must_be_an_int(self, k):
         f = BooleanMapping(4, tuple(range(16)))
-        with pytest.raises(ParameterError, match=f"^need an int 1 <= k < n/2, got k={k!r}, n=4$"):
+        with pytest.raises(ParameterError, match=f"^need an int 1 <= k <= n - 1, got k={k!r}, n=4$"):
             synth_mapping(f, k)
 
     def test_permutations_are_mappings_too(self, rng):
@@ -221,39 +278,42 @@ class TestSynthMapping:
         circuit, _ = synth_mapping(f, 1)
         assert realized_mapping(circuit).images == tuple(images)
 
-    def test_psi_waiver_reported(self):
-        f = BooleanMapping(4, tuple(range(16)))
-        _, report = synth_mapping(f, 1)
-        # 2^1 / 2 = 1 < log2(4): unsatisfiable at this scale, waived.
-        assert report.psi_waived is True
-
 
 class TestStageBoundaries:
     def test_coordinate_lines_match_ring_sums(self, rng):
         # Every nonzero restriction of a coordinate function f_{i,j} to a
-        # group of s first-bank minterms, lifted over all n-bit inputs, is the
-        # truth table of its XOR-bank line before the output stage starts.
-        n, k = 6, 2
+        # group of first-bank minterms, lifted over all n-bit inputs, is the
+        # truth table of the line each output gate reads it from (the
+        # accumulator, or the group's one line) when it fires, paired with
+        # second-bank minterm i.  Groups of 3 and 1 at k = 2, s = 3.
+        n, k, s = 6, 2, 3
         f = BooleanMapping(n, tuple(rng.randrange(64) for _ in range(64)))
-        circuit, report = synth_mapping(f, k)
+        circuit, report = synth_mapping(f, k, s)
         assert report.p == 2
-        before_s4 = circuit.gates[: len(circuit) - report.gate_counts[3]]
-        tables = set(sweep_tables(circuit.m, n, before_s4))
-        checked = 0
+        expected = Counter()
         for i in range(1 << (n - k)):
-            for j in range(n):
-                for start in range(0, 1 << k, report.s):
-                    expected = 0
+            minterm = sum(1 << w for w in range(1 << n) if w >> k == i)
+            for j, out in enumerate(circuit.outputs):
+                for start in range(0, 1 << k, s):
+                    restriction = 0
                     for w in range(1 << n):
                         sigma = w & ((1 << k) - 1)
-                        if start <= sigma < start + report.s and (
-                            f.images[sigma | (i << k)] >> j
-                        ) & 1:
-                            expected |= 1 << w
-                    if expected:
-                        assert expected in tables, (i, j, start)
-                        checked += 1
-        assert checked == report.gate_counts[3]  # one output gate per restriction
+                        if start <= sigma < start + s and (f.images[sigma | (i << k)] >> j) & 1:
+                            restriction |= 1 << w
+                    if restriction:
+                        expected[out, frozenset((minterm, restriction))] += 1
+        tables = sweep_tables(circuit.m, n, [])
+        full = (1 << (1 << n)) - 1
+        fired = Counter()
+        for controls, target in circuit.gates:
+            if target in circuit.outputs:
+                fired[target, frozenset(tables[c] for c in controls)] += 1
+            value = full
+            for c in controls:
+                value &= tables[c]
+            tables[target] ^= value
+        assert fired == expected
+        assert sum(fired.values()) == report.gate_counts[3]  # one per restriction
 
     def test_controls_are_written_before_read(self, rng):
         f = BooleanMapping(4, tuple(rng.randrange(16) for _ in range(16)))
@@ -265,8 +325,11 @@ class TestStageBoundaries:
             written.add(target)
 
     def test_outputs_never_retargeted_after_final_write(self, rng):
+        # Only the output gates write the outputs, and nothing reads them.
         f = BooleanMapping(4, tuple(rng.randrange(16) for _ in range(16)))
-        circuit, report = synth_mapping(f, 1)
-        stage4_start = len(circuit) - report.gate_counts[3]
-        for _, target in circuit.gates[:stage4_start]:
-            assert target not in circuit.outputs
+        circuit, report = synth_mapping(f, 1, 2)
+        outputs = set(circuit.outputs)
+        writes = [controls for controls, target in circuit.gates if target in outputs]
+        assert len(writes) == report.gate_counts[3]
+        assert all(len(controls) == 2 for controls in writes)
+        assert not any(outputs & set(controls) for controls, _ in circuit.gates)

@@ -9,7 +9,7 @@ from rcsynth import BooleanMapping, Circuit, Gate, GateCountReport, Permutation,
 from rcsynth.circuit import MAX_LINES, count_gates
 
 ONE_GATE = Circuit(2, 1, [Gate([], 0)], [0])
-STAGES = StageReport(1, 2, 1, (1, 2, 3, 4), (5, 6, 7, 8), False)
+STAGES = StageReport(1, 2, 1, (1, 2, 3, 4), (5, 6, 7, 8))
 
 
 def values():
@@ -20,7 +20,7 @@ def values():
         (ONE_GATE, Circuit(m=2, n=1, gates=(Gate((), 0),), outputs=(0,))),
         (count_gates(ONE_GATE), GateCountReport(nots=1, cnots=0, toffolis=0)),
         (STAGES, StageReport(k=1, s=2, p=1, gate_counts=(1, 2, 3, 4),
-                             ancilla_counts=(5, 6, 7, 8), psi_waived=False)),
+                             ancilla_counts=(5, 6, 7, 8))),
     ]
 
 
@@ -31,7 +31,7 @@ def test_repr():
     assert repr(count_gates(ONE_GATE)) == "GateCountReport(nots=1, cnots=0, toffolis=0)"
     assert repr(STAGES) == (
         "StageReport(k=1, s=2, p=1, gate_counts=(1, 2, 3, 4),"
-        " ancilla_counts=(5, 6, 7, 8), psi_waived=False)"
+        " ancilla_counts=(5, 6, 7, 8))"
     )
 
 
@@ -53,7 +53,7 @@ def test_equality_is_class_exact():
 
 @pytest.mark.parametrize("a, _", values())
 def test_fields_cannot_be_assigned_or_deleted(a, _):
-    for name in ("n", "images", "m", "gates", "outputs", "nots", "k", "psi_waived"):
+    for name in ("n", "images", "m", "gates", "outputs", "nots", "k"):
         if hasattr(a, name):
             with pytest.raises(AttributeError):
                 setattr(a, name, 0)
