@@ -172,13 +172,18 @@ class TestChooseParams:
                 best = min(key for (kk, _), key in keys.items() if kk == k)
                 assert choose_params(f, k) == (k, best[3]), (n, k)
 
-    @pytest.mark.parametrize("kind", ["random", "sparse"])
+    @pytest.mark.parametrize("kind", ["random", "sparse", "periodic"])
     def test_output_gate_bound_never_exceeds_the_count(self, kind):
+        # Periodic: points 2 and 3 of every 6 map to all ones, which leaves
+        # zero groups of 4 between ones spaced so that no block of 3 fits
+        # in them: a block wider than (w + 1) // 2 would break the bound.
         rng = Random(7)
-        for n in (3, 5, 7):
+        for n in (3, 4, 5, 7):
             images = [rng.randrange(1 << n) for _ in range(1 << n)]
             if kind == "sparse":
                 images = [x if rng.random() < 0.2 else 0 for x in images]
+            if kind == "periodic":
+                images = [(1 << n) - 1 if x % 6 in (2, 3) else 0 for x in range(1 << n)]
             outputs = synth_lupanov._OutputGates(BooleanMapping(n, tuple(images)))
             for k in range(1, n):
                 for s in range(1, (1 << k) + 1):
