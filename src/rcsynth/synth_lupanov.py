@@ -203,7 +203,7 @@ def choose_params(f: BooleanMapping, k: int | None = None) -> tuple[int, int]:
     ks = range(1, n) if k is None else (_check_k(k, n),)
     outputs = _OutputGates(f)
     candidates = []  # (lower bound, lines, -k, s, stages 1-3)
-    most = math.inf  # gates that some candidate is known not to exceed
+    most = math.inf  # an upper bound on the fewest gates
     for k in ks:
         banks = conjunction_gate_count(k) + conjunction_gate_count(n - k)
         for s in range(1, (1 << k) + 1):
