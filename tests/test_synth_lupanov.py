@@ -256,19 +256,17 @@ class TestSynthMapping:
         with pytest.raises(ContractError, match=message):
             synth_mapping(BooleanMapping(4, tuple(range(16))), 1, 2)
 
-    @pytest.mark.parametrize(
-        "k, s, message",
-        [
+    def test_parameter_validation(self):
+        f = BooleanMapping(4, tuple(range(16)))
+        cases = [
             (4, None, "^need an int 1 <= k <= n - 1, got k=4, n=4$"),
             (1, 3, "^need an int 1 <= s <= 2\\^k, got s=3, k=1$"),
             (2, 0, "^need an int 1 <= s <= 2\\^k, got s=0, k=2$"),
             (3, 8, "^s=8 at k=3 walks 256 gates, more than n 2\\^n = 64$"),
-        ],
-    )
-    def test_parameter_validation(self, k, s, message):
-        f = BooleanMapping(4, tuple(range(16)))
-        with pytest.raises(ParameterError, match=message):
-            synth_mapping(f, k, s)
+        ]
+        for k, s, message in cases:
+            with pytest.raises(ParameterError, match=message):
+                synth_mapping(f, k, s)
 
     @pytest.mark.parametrize("k", [1.0, True])
     def test_k_must_be_an_int(self, k):
