@@ -15,9 +15,13 @@ the n - 3 clean helpers if there are any, else through borrowed data lines.
 """
 from __future__ import annotations
 
+import marshal
+import os
+import threading
 from functools import partial
 from itertools import chain, repeat
 from math import inf
+from typing import BinaryIO, Callable
 
 from .bounds import block_upper
 from .circuit import Circuit, GateCountReport, _sweep, columns_of, count_gates, words_of
@@ -66,18 +70,20 @@ def _canonicalize(rows: list[int], n: int, memos: _Memos | None = None) -> tuple
     is scored: its own cost at r plus its partner's cost at r + 1, the
     partner moved by the row's gate group (spill lift, CNOT fan-out,
     control gate) exactly as the update moves every row.  The lowest score
-    takes r, ties in the given order, and its partner takes r + 1.  The row
-    at an even slot pivots on the high bit that leaves its partner
-    cheapest; a row at an odd slot on its lowest high bit.  Any high bit
-    serves, since placed rows hold none.  Every pivot the partner holds
-    moves it alike, and so does every pivot it lacks, so only the lowest of
-    each kind is scored.  The pending rows move by one whole-row update per
-    gate group.  The emitted gates are checked by one sweep over the
-    columns of the swapped rows, which raises ContractError unless they
-    realize the block's transpositions: every high column all ones, column
-    0 differing within each pair and the other low columns agreeing.
-    Conjugation is a bijection, so the rows stay distinct and no slot
-    bookkeeping is needed.
+    takes r, ties in the given order, and its partner takes r + 1.  A row
+    whose own cost already reaches the lowest score so far is not scored:
+    its partner's cost is never negative and only a strictly lower score
+    wins, so skipping it changes no choice.  The row at an even slot pivots
+    on the high bit that leaves its partner cheapest; a row at an odd slot
+    on its lowest high bit.  Any high bit serves, since placed rows hold
+    none.  Every pivot the partner holds moves it alike, and so does every
+    pivot it lacks, so only the lowest of each kind is scored.  The pending
+    rows move by one whole-row update per gate group.  The emitted gates are
+    checked by one sweep over the columns of the swapped rows, which raises
+    ContractError unless they realize the block's transpositions: every high
+    column all ones, column 0 differing within each pair and the other low
+    columns agreeing.  Conjugation is a bijection, so the rows stay distinct
+    and no slot bookkeeping is needed.
 
     The rows are the block's moved points, pairwise distinct n-bit points;
     their count k must be one that `block_upper(n, k)` admits.  `memos`
@@ -150,6 +156,8 @@ def _canonicalize(rows: list[int], n: int, memos: _Memos | None = None) -> tuple
             for t, v in enumerate(pending):
                 w = pending[t ^ 1]
                 own, pivots = cost[v ^ r], (0,)  # v at r: pivot 0 leaves w as is
+                if own >= least:
+                    continue  # w's cost is never negative, and a tie keeps the best
                 if v != r:
                     if v < k:
                         w = w ^ spill if w & v == v else w
@@ -304,6 +312,84 @@ def _validate_block_size(k: int, n: int, ancilla_budget: int) -> None:
             )
 
 
+# The fewest groups whose second half one forked helper builds.  Timed in
+# process at the default k, forking lost at n = 6 and 7 (17 and 32 groups),
+# was near even at n = 8 (37) and won from n = 9 (67) on
+# (BENCH_forkblocks.json `break_even`).
+_FORK_MIN_GROUPS = 64
+
+
+def _may_fork(groups: int) -> bool:
+    """Whether a helper may build half of `groups` blocks: there are enough
+    of them to pay for the fork, this process may run on two CPUs, `os.fork`
+    exists, and no other thread runs that the fork could leave holding a
+    lock in the helper."""
+    if groups < _FORK_MIN_GROUPS or not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) >= 2
+
+
+def _fork_helper(build: Callable, groups: list) -> tuple[int, BinaryIO] | None:
+    """The pid of a forked helper that writes the gates of the blocks of
+    `groups`, marshalled as one list, to a pipe, and the pipe's read end;
+    None if the pipe or the fork fails.  The helper leaves through
+    `os._exit`, 0 once the list is written and 1 on any exception, so it
+    flushes no stdio and runs no atexit handler."""
+    fds: tuple[int, ...] = ()
+    try:
+        fds = read_fd, write_fd = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                marshal.dump(list(chain.from_iterable(map(build, groups))), pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _build_blocks(build: Callable, groups: list) -> tuple[tuple, ...]:
+    """The gates of the blocks of `groups`, in order.  When `_may_fork`
+    holds, one forked helper builds the second half while this process
+    builds the first.  The helper is reaped before this returns or raises,
+    and killed first if this process raises.  If the helper fails in any
+    way (a nonzero exit, a signal, missing or unreadable data), this
+    process builds the second half too, so an error there surfaces exactly
+    as it does serially."""
+    split = (len(groups) + 1) // 2
+    helper = _fork_helper(build, groups[split:]) if _may_fork(len(groups)) else None
+    if helper is None:
+        return tuple(chain.from_iterable(map(build, groups)))
+    pid, pipe = helper
+    try:
+        with pipe:
+            gates = list(chain.from_iterable(map(build, groups[:split])))
+            data = pipe.read()
+    except BaseException:
+        from signal import SIGKILL  # only this path needs the module's 0.7 ms import
+
+        os.kill(pid, SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    try:
+        tail = marshal.loads(data) if status == 0 else None
+    except (EOFError, ValueError, TypeError):
+        tail = None
+    if type(tail) is not list:
+        tail = list(chain.from_iterable(map(build, groups[split:])))
+    return tuple(chain(gates, tail))
+
+
 def synth_even_permutation(
     p: Permutation,
     k: int | None = None,
@@ -315,6 +401,11 @@ def synth_even_permutation(
     for even p when n >= 4 and for any p when n <= 3.  With ancilla_budget
     n - 3 every gate with three or more controls is expanded through clean
     helpers on n - 3 extra lines, which also admits odd p.
+
+    From `_FORK_MIN_GROUPS` groups on, where the process may run on two
+    CPUs, `os.fork` exists and no other thread runs, one forked helper
+    process builds the second half of the blocks (`_build_blocks`); it is
+    reaped before this returns or raises, and the circuit is the same.
     """
     n = p.n
     if type(ancilla_budget) is not int or ancilla_budget not in (0, max(n - 3, 0)):
@@ -336,10 +427,10 @@ def synth_even_permutation(
     else:
         if k is None:
             k = _default_block_size(n)
-        groups = transposition_stream(p, k // 2)
         memos = _Memos(n, ancilla_lines)
-        gates = tuple(chain.from_iterable(
-            synth_block(group, n, ancilla_lines, _memos=memos) for group in groups
-        ))
+        gates = _build_blocks(
+            lambda group: synth_block(group, n, ancilla_lines, _memos=memos),
+            transposition_stream(p, k // 2),
+        )
     circuit = Circuit(m, n, gates, tuple(range(n)))
     return circuit, count_gates(circuit)

@@ -36,8 +36,11 @@ def fingerprint(circuit):
         (2, "4daa75039e01bd92f7168044b277083d2bc9223db255313400c090f72ce61e20", 8),
         (5, "54733e13c849849988435a961d2a03e82b6e2a3a36f04f7419e5174b9a6799e4", 286),
         (8, "b554d61bd7a3d4e9a20e1f3fbb211cb6be6f1d4c925da5a8d6c770e790db055e", 4382),
+        # 130 groups: one forked helper builds the second half where two
+        # CPUs are available, and the bytes are those of the serial build.
+        (10, "695eec085090aed2e1a441b4cd8958ce99982b61195ba8503faec4f1935da814", 22394),
     ],
-    ids=["n2", "n5", "n8"],
+    ids=["n2", "n5", "n8", "n10"],
 )
 def test_basic(n, digest, gates):
     circuit, _ = synth_even_permutation(random_even_permutation(n, Random(n)))

@@ -1,4 +1,9 @@
 """Block synthesis and no-ancilla synthesis of (even) permutations."""
+import marshal
+import os
+import signal
+import threading
+import time
 from collections import Counter
 from itertools import permutations as all_orderings
 from random import Random
@@ -454,3 +459,158 @@ class TestBlockBudgets:
                 totals.append(len(circuit))
             limit = 6 * n * (1 << n) * 1.5
             assert max(totals) <= limit, (n, totals, limit)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
+class TestForkedHalf:
+    """At n = 10 the default k = 16 gives 130 groups, so one forked helper
+    builds the second half of the blocks.  The tests let the process run on
+    two CPUs whatever the host has, and count the forks."""
+
+    N = 10
+
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        # A helper that is never reaped would hang the call; fail instead.
+        def expire(signum, frame):
+            raise TimeoutError("synthesis did not return within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture(params=[0, 7], ids=["budget-0", "helpers"])
+    def case(self, request):
+        budget = request.param
+        p = (random_permutation if budget else random_even_permutation)(self.N, Random(self.N))
+        groups = transposition_stream(p, synth_basic._default_block_size(self.N) // 2)
+        assert len(groups) >= synth_basic._FORK_MIN_GROUPS
+        return p, budget, groups
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pids, fork = [], os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return pids
+
+    @staticmethod
+    def serial(monkeypatch, p, budget):
+        def refuse():
+            raise OSError("fork refused")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", refuse)
+            return synth_even_permutation(p, ancilla_budget=budget)
+
+    @staticmethod
+    def fail_on(monkeypatch, should_fail, error=ContractError):
+        build = synth_basic.synth_block
+
+        def failing(group, *args, **kwargs):
+            if should_fail(group):
+                raise error(f"block {group} failed")
+            return build(group, *args, **kwargs)
+
+        monkeypatch.setattr(synth_basic, "synth_block", failing)
+
+    def test_serial_equals_forked(self, case, forks, monkeypatch):
+        p, budget, _ = case
+        forked = synth_even_permutation(p, ancilla_budget=budget)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert self.serial(monkeypatch, p, budget) == forked
+        assert len(forks) == 1
+        assert realized_mapping(forked[0]).images == p.images
+
+    @pytest.mark.parametrize("failure", ["raises", "killed", "no-data", "bad-data", "exit-1"])
+    def test_helper_failure_rebuilt_here(self, case, forks, monkeypatch, failure):
+        p, budget, _ = case
+        want = self.serial(monkeypatch, p, budget)
+        parent, build = os.getpid(), synth_basic.synth_block
+
+        def in_helper(group, *args, **kwargs):
+            if os.getpid() != parent:
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ContractError("the helper failed")
+            return build(group, *args, **kwargs)
+
+        if failure in ("raises", "killed"):
+            monkeypatch.setattr(synth_basic, "synth_block", in_helper)
+        elif failure == "exit-1":
+            # Well-formed data, but the helper exits 1 after writing it.
+            monkeypatch.setattr(marshal, "dump", lambda value, pipe: pipe.write(marshal.dumps([])))
+            exit_now = os._exit
+            monkeypatch.setattr(os, "_exit", lambda status: exit_now(1))
+        else:
+            data = b"" if failure == "no-data" else b"\xff"
+            monkeypatch.setattr(marshal, "dump", lambda value, pipe: pipe.write(data))
+        assert synth_even_permutation(p, ancilla_budget=budget) == want
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_helper_half_error_is_the_serial_one(self, case, forks, monkeypatch):
+        p, budget, groups = case
+        self.fail_on(monkeypatch, lambda group: group == groups[-1])
+        with pytest.raises(ContractError) as serial:
+            self.serial(monkeypatch, p, budget)
+        with pytest.raises(ContractError) as forked:
+            synth_even_permutation(p, ancilla_budget=budget)
+        assert str(forked.value) == str(serial.value) == f"block {groups[-1]} failed"
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ContractError, KeyboardInterrupt])
+    def test_own_half_error_reaps_the_helper(self, case, forks, monkeypatch, error):
+        # The helper's half would take minutes: it is killed, not awaited.
+        p, budget, groups = case
+        parent, build = os.getpid(), synth_basic.synth_block
+
+        def slow_helper(group, *args, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(600)
+            return build(group, *args, **kwargs)
+
+        monkeypatch.setattr(synth_basic, "synth_block", slow_helper)
+        self.fail_on(monkeypatch, lambda group: group == groups[0], error)
+        with pytest.raises(error, match="failed"):
+            synth_even_permutation(p, ancilla_budget=budget)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("reason", ["few-groups", "one-cpu", "thread"])
+    def test_serial_otherwise(self, case, forks, monkeypatch, reason):
+        p, budget, _ = case
+        stop = threading.Event()
+        waiter = threading.Thread(target=stop.wait)
+        if reason == "few-groups":
+            p, budget = random_even_permutation(8, Random(8)), 0
+            assert len(transposition_stream(p, 8)) < synth_basic._FORK_MIN_GROUPS
+        elif reason == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            waiter.start()
+        try:
+            circuit, _ = synth_even_permutation(p, ancilla_budget=budget)
+        finally:
+            stop.set()
+            if reason == "thread":
+                waiter.join(10)
+        assert not waiter.is_alive()
+        assert forks == []
+        assert realized_mapping(circuit).images == p.images
