@@ -16,7 +16,8 @@ PHI_REGISTRY: dict[str, Callable[[int], float]] = {
     "log2": lambda n: math.log2(n),
     "loglog": lambda n: math.log2(math.log2(n)),
     "sqrt": lambda n: math.sqrt(n),
-    # n / (log2 n + 1): n / phi(n) is the lupanov bank width before rounding.
+    # n / (log2 n + 1): n / phi(n) is a fixed bank width, which lupanov mode
+    # no longer uses; `synth_lupanov.choose_params` picks k by exact count.
     "lupanov": lambda n: n / (math.log2(n) + 1.0),
 }
 

@@ -8,9 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from rcsynth import Permutation, parse_circuit, parse_permutation, serialize_permutation
+from rcsynth import Circuit, Permutation, parse_circuit, parse_permutation, serialize_permutation
 from rcsynth import cli
-import rcsynth.io as rio
 from rcsynth.circuit import MAX_CAP
 from rcsynth.cli import build_parser, main
 from rcsynth.perm import is_even
@@ -196,6 +195,24 @@ class TestSynthAndVerify:
         assert code == 0
         assert "match on all 32 inputs" in out
 
+    def test_synth_own_check_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # A synthesizer whose circuit ends in a stray NOT on line 0: synth's
+        # own check catches it, and no circuit file is written.
+        def broken(*args, **kwargs):
+            circuit, report = synthesize(*args, **kwargs)
+            gates = circuit.gates + (((), 0),)
+            return Circuit(circuit.m, circuit.n, gates, circuit.outputs), report
+
+        synthesize = cli.synth_even_permutation
+        monkeypatch.setattr(cli, "synth_even_permutation", broken)
+        perm = tmp_path / "p.perm"
+        circ = tmp_path / "p.circ"
+        run(capsys, "rand", "even-perm", "--n", "5", "--seed", "1", "-o", str(perm))
+        code, out, err = run(capsys, "synth", "basic", str(perm), "-o", str(circ))
+        assert (code, out) == (1, "")
+        assert err.startswith("mismatch at input ")
+        assert not circ.exists()
+
     def test_line_break_in_spec_path(self, tmp_path, capsys):
         # `synth` writes the spec path into the circuit's header comment.
         perm = tmp_path / "x\ny.perm"
@@ -277,10 +294,9 @@ class TestSynthAndVerify:
     def test_bad_gate_after_more_distinct_lines_than_parser_keeps(
         self, tmp_path, capsys, bad, reason
     ):
-        # Each gate line is distinct by its comment, so the parser keeps the
-        # first _MAX_KNOWN_GATES of them only; an early line repeats after
-        # the bad one.
-        count = rio._MAX_KNOWN_GATES + 10
+        # Each gate line is distinct by its comment, over 4,096 of them, and
+        # an early line repeats after the bad one.
+        count = 4106
         body = [f"c 0 1  # {i}" for i in range(count)] + [bad, "c 0 1  # 0"]
         circ = tmp_path / "c.circ"
         circ.write_text("\n".join(["lines 2", "inputs 2", "outputs 0 1", *body]) + "\n")

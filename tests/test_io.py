@@ -82,6 +82,8 @@ class TestParseCircuit:
             ("lines 2\ninputs 2\noutputs 0 1\nz 0\n", "line 4: unknown gate kind 'z'"),
             ("lines 2\ninputs 2\noutputs 0 1\nc 0\n", "line 4: `c` takes 2 arguments"),
             ("lines 2\ninputs 2\noutputs 0 1\nc 0 y\n", "line 4: gate arguments must be integers"),
+            # A syntax error wins over an earlier line fault.
+            ("lines 2\ninputs 2\noutputs 0 1\nc 0 2\nz 0\n", "line 5: unknown gate kind 'z'"),
             (
                 "# top\nlines 2\n\ninputs 2\noutputs 0 1\n\n# note\nc 0 1\n  \nc 0 2\n",
                 "line 10: target 2 out of range [0, 2)",
@@ -95,16 +97,19 @@ class TestParseCircuit:
 
 
 def test_more_distinct_gates_than_the_parser_keeps():
-    # Every basis gate on 24 lines: more distinct texts than the parser keeps
-    # the `Gate` of, then a repeat of an early text once that bound is hit.
+    # Every basis gate on 24 lines, over 4,096 distinct texts, then a repeat
+    # of an early text and of the last one, which shares the gate of its
+    # first occurrence.
     m = 24
     gates = all_basis_gates(m)
-    assert len(gates) > 5000 > rio._MAX_KNOWN_GATES
+    assert len(gates) > 5000
     gate_lines = [gate_line(gate) for gate in gates]
     head = f"lines {m}\ninputs {m}\noutputs {' '.join(map(str, range(m)))}\n"
-    valid = head + "\n".join(gate_lines + [gate_lines[1]]) + "\n"
-    expected = Circuit(m, m, gates + [gates[1]], range(m))
-    assert parse_circuit(valid) == expected
+    valid = head + "\n".join(gate_lines + [gate_lines[1], gate_lines[-1]]) + "\n"
+    expected = Circuit(m, m, gates + [gates[1], gates[-1]], range(m))
+    parsed = parse_circuit(valid)
+    assert parsed == expected
+    assert parsed.gates[-1] is parsed.gates[len(gates) - 1]
     assert serialize_circuit(expected) == valid
     faulty = head + "\n".join(gate_lines + ["c 3 24", gate_lines[1]]) + "\n"
     line = 3 + len(gates) + 1

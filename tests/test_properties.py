@@ -7,7 +7,6 @@ arm of the sweep against a word oracle, the borrowed-line Toffoli
 expansion on any line layout, block canonicalization gate by gate, and
 basic and lupanov synthesis against the oracle."""
 import re
-from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -180,18 +179,15 @@ def repeated_circuit_texts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(repeated_circuit_texts(), st.sampled_from([1, 3, rio._MAX_KNOWN_GATES]))
-def test_parse_circuit_matches_record_oracle(text, cap):
-    # cap bounds how many raw lines the parser keeps; small ones make most
-    # repeats parse again.
+@given(repeated_circuit_texts())
+def test_parse_circuit_matches_record_oracle(text):
     expected = naive_circuit(text)
-    with mock.patch.object(rio, "_MAX_KNOWN_GATES", cap):
-        try:
-            circuit = parse_circuit(text)
-        except FormatError as exc:
-            assert str(exc) == expected
-        else:
-            assert circuit == expected
+    try:
+        circuit = parse_circuit(text)
+    except FormatError as exc:
+        assert str(exc) == expected
+    else:
+        assert circuit == expected
 
 
 @st.composite

@@ -20,6 +20,12 @@ class TestBorrowed:
         for k in (0, 1, 2):
             assert borrowed(k, (k + 1,)) == [Gate(tuple(range(k)), k)]
 
+    def test_clean_and_garbage_passthrough_below_three_controls(self):
+        for k in (0, 1, 2):
+            gate = Gate(tuple(range(k)), k)
+            assert decompose_garbage(tuple(range(k)), k, ()) == [gate]
+            assert decompose_clean(tuple(range(k)), k, ()) == [gate]
+
     @pytest.mark.parametrize("k", range(3, 9))
     def test_single_borrow_full_state_equivalence(self, k):
         # m = k + 2 lines: k controls, target, one borrowed line of any value.
