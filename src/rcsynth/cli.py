@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 invalid input or format,
 from __future__ import annotations
 
 import argparse
+import importlib
 import io as stringio
 import os
 import sys
@@ -28,13 +29,24 @@ from .io import (
     serialize_permutation,
 )
 from .perm import BooleanMapping, Permutation, is_even
-from .synth_basic import synth_even_permutation
-from .synth_lupanov import choose_params, synth_mapping
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_CONSTRAINT = 3
+
+# The synthesizers load on first use, so the other commands never compile
+# them.  cmd_synth reads these names off the module, where a tracer may patch them.
+_LAZY = {"synth_even_permutation": "synth_basic",
+         "choose_params": "synth_lupanov", "synth_mapping": "synth_lupanov"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 def _fmt(value: float) -> str:
@@ -114,17 +126,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
     target = (parse_permutation if args.mode == "basic" else parse_spec_table)(text)
     if not args.no_verify:
         check_sweep_cap(target.n)  # fail before synthesis, not after it
+    cli = sys.modules[__name__]
     if args.mode == "basic":
         ancillas = args.ancillas if args.ancillas is not None else 0
-        circuit, report = synth_even_permutation(target, k=args.k, ancilla_budget=ancillas)
+        circuit, report = cli.synth_even_permutation(target, k=args.k, ancilla_budget=ancillas)
         report_lines = [
             f"synthesized basic circuit: lines {circuit.m}, gates {len(circuit)}",
             f"gate counts: NOT {report.nots}, CNOT {report.cnots}, 2-CNOT {report.toffolis}",
             f"ancillas {circuit.q}",
         ]
     else:
-        k, s = choose_params(target, args.k)
-        circuit, stage = synth_mapping(target, k, s)
+        k, s = cli.choose_params(target, args.k)
+        circuit, stage = cli.synth_mapping(target, k, s)
         report_lines = [
             f"synthesized lupanov circuit: lines {circuit.m}, gates {len(circuit)}",
             f"parameters: k {stage.k}, s {stage.s}, p {stage.p}",

@@ -2,8 +2,7 @@
 
 A permutation (or an arbitrary mapping) on {0, ..., 2^n - 1} is stored as an
 image table.  Composition is read left to right throughout the package:
-``compose(f, g)(x) == g(f(x))``, matching the order in which circuit gates
-are applied.
+f then g maps x to g(f(x)), the order in which circuit gates are applied.
 """
 from __future__ import annotations
 

@@ -119,6 +119,65 @@ def test_cli_import_loads_no_dataclasses_inspect_or_csv():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
 
 
+def run_python(code, cwd):
+    """Run `code` in a fresh interpreter that imports the package from src/."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, cwd=cwd, env=env, timeout=60
+    )
+
+
+SYNTH_MODULES = ("rcsynth.synth_basic", "rcsynth.synth_lupanov", "rcsynth.toffoli", "array")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, []),
+    (["verify", "p.circ", "p.perm"], []),
+    (["verify", "f.circ", "f.map"], []),
+    (["stats", "f.circ"], []),
+    (["synth", "basic", "p.perm", "-o", "out.circ"], ["rcsynth.synth_basic", "rcsynth.toffoli"]),
+    (["synth", "lupanov", "f.map", "-o", "out.circ"], ["array", "rcsynth.synth_lupanov"]),
+], ids=["import", "verify-basic", "verify-lupanov", "stats", "synth-basic", "synth-lupanov"])
+def test_command_loads_only_its_synthesizer(tmp_path, capsys, argv, loaded):
+    # The synthesizers load on first use: importing the package and the CLI,
+    # and every command but `synth`, compiles none of them.
+    run(capsys, "rand", "even-perm", "--n", "5", "--seed", "1", "-o", str(tmp_path / "p.perm"))
+    run(capsys, "rand", "map", "--n", "5", "--seed", "1", "-o", str(tmp_path / "f.map"))
+    run(capsys, "synth", "basic", str(tmp_path / "p.perm"), "-o", str(tmp_path / "p.circ"))
+    run(capsys, "synth", "lupanov", str(tmp_path / "f.map"), "-o", str(tmp_path / "f.circ"))
+    call = "0" if argv is None else f"rcsynth.cli.main({argv!r})"
+    code = (
+        "import sys, rcsynth, rcsynth.cli\n"
+        f"code = {call}\n"
+        f"print(code, sorted(set({SYNTH_MODULES!r}) & set(sys.modules)), file=sys.stderr)"
+    )
+    proc = run_python(code, tmp_path)
+    assert (proc.returncode, proc.stderr.decode()) == (0, f"0 {loaded!r}\n")
+
+
+def test_lupanov_synth_calls_the_cli_attributes(tmp_path, capsys):
+    # The traced benchmark (bench/layers.py) times `choose_params` and
+    # `synth_mapping` by replacing them on the cli module.  Patched before
+    # anything imports synth_lupanov, each replacement is called once.
+    run(capsys, "rand", "map", "--n", "5", "--seed", "1", "-o", str(tmp_path / "f.map"))
+    code = (
+        "import importlib, sys\n"
+        "from rcsynth import cli\n"
+        "calls = []\n"
+        "def counting(name):\n"
+        "    def wrapper(*args):\n"
+        "        calls.append(name)\n"
+        "        return getattr(importlib.import_module('rcsynth.synth_lupanov'), name)(*args)\n"
+        "    return wrapper\n"
+        "cli.choose_params = counting('choose_params')\n"
+        "cli.synth_mapping = counting('synth_mapping')\n"
+        "code = cli.main(['synth', 'lupanov', 'f.map', '-o', 'f.circ'])\n"
+        "print(code, calls, file=sys.stderr)"
+    )
+    proc = run_python(code, tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"0 ['choose_params', 'synth_mapping']\n")
+
+
 def test_bounds_csv_bytes_on_stdout():
     proc = run_child(["bounds", "--n", "4", "8", "--csv"], subprocess.PIPE)
     assert proc.returncode == 0 and proc.stdout.count(b"\r\n") == 3

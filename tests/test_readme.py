@@ -2,10 +2,15 @@
 written, the options its "Command line" section names, and the package's
 public names."""
 import argparse
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import rcsynth
 from rcsynth.cli import build_parser, main
@@ -44,19 +49,50 @@ def test_command_line_options_exist():
     assert named and named <= known, sorted(named - known)
 
 
+# "Library use" names, the types they return or raise, and the file-format
+# functions; everything else is imported from its module.
+PUBLIC = {
+    "BooleanMapping", "Permutation", "realized_mapping",
+    "synth_even_permutation", "synth_mapping",
+    "Circuit", "Gate", "GateCountReport", "StageReport",
+    "CapacityError", "ContractError", "FormatError", "ParameterError", "ParityError",
+    "parse_circuit", "parse_mapping", "parse_permutation", "parse_spec_table",
+    "serialize_circuit", "serialize_mapping", "serialize_permutation",
+}
+
+
 def test_public_names():
-    # "Library use" names, the types they return or raise, and the file-format
-    # functions; everything else is imported from its module.
+    # Read through dir() and getattr(), as a user sees them: the synthesizers'
+    # names are bound only on first use.
     public = {
         name
-        for name, value in vars(rcsynth).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
+        for name in dir(rcsynth)
+        if not name.startswith("_") and not isinstance(getattr(rcsynth, name), ModuleType)
     }
-    assert public == {
-        "BooleanMapping", "Permutation", "realized_mapping",
-        "synth_even_permutation", "synth_mapping",
-        "Circuit", "Gate", "GateCountReport", "StageReport",
-        "CapacityError", "ContractError", "FormatError", "ParameterError", "ParityError",
-        "parse_circuit", "parse_mapping", "parse_permutation", "parse_spec_table",
-        "serialize_circuit", "serialize_mapping", "serialize_permutation",
-    }
+    assert public == PUBLIC
+
+
+def run_python(code):
+    """Run `code` in a fresh interpreter, so no test has imported anything yet."""
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    return proc.stdout.decode()
+
+
+def test_star_import_binds_the_public_names():
+    code = "ns = {}; exec('from rcsynth import *', ns); print(sorted(set(ns) - {'__builtins__'}))"
+    assert run_python(code) == f"{sorted(PUBLIC)}\n"
+
+
+@pytest.mark.parametrize("name, module", [
+    ("synth_even_permutation", "synth_basic"),
+    ("synth_mapping", "synth_lupanov"),
+    ("StageReport", "synth_lupanov"),
+])
+def test_synthesizer_names_resolve_to_their_module(name, module):
+    code = (
+        f"import rcsynth; value = rcsynth.{name}\n"
+        f"print(value is rcsynth.{module}.{name}, vars(rcsynth)['{name}'] is value)"
+    )
+    assert run_python(code) == "True True\n"
