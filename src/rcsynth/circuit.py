@@ -29,7 +29,6 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .bounds import gate_set_size
 from .errors import CapacityError, FormatError
 from .perm import BooleanMapping, _Value
 
@@ -95,11 +94,12 @@ class Circuit(_Value):
     zero-initialized ancillas; `outputs` selects the result lines.
 
     An immutable value: two circuits are equal when m, n, gates and outputs
-    are.  A circuit with more gates than the basis on m lines has
-    (`bounds.gate_set_size(m)`) must repeat some, so its gates are checked
-    once per distinct value, a gate equal to an earlier one (((True,), 2)
-    after ((1,), 2)) as that one; a fault found that way is looked up again
-    in the full sequence, so the error names its first index."""
+    are.  Each distinct gate object is checked once, in order of first
+    occurrence.  The parser shares one object among equal gates, and basic
+    synthesis among most of its repeats, so a repeat costs no check; a gate
+    that merely equals an earlier one (((True,), 2) after ((1,), 2)) is
+    checked on its own.  A fault is looked up again in the full sequence, so
+    the error names its first index."""
 
     __slots__ = _fields = ("m", "n", "gates", "outputs")
 
@@ -119,13 +119,8 @@ class Circuit(_Value):
                 raise ValueError(f"output line {line!r} is not an int")
             if not 0 <= line < self.m:
                 raise ValueError(f"output line {line} out of range [0, {self.m})")
-        gates = self.gates
-        if len(gates) > gate_set_size(self.m):
-            try:
-                gates = dict.fromkeys(gates)
-            except TypeError:  # an unhashable gate, which the full scan names
-                pass
-        if find_gate_fault(gates, self.m) is not None:
+        distinct = dict(zip(map(id, self.gates), self.gates)).values()
+        if find_gate_fault(distinct, self.m) is not None:
             index, reason = find_gate_fault(self.gates, self.m)
             raise ValueError(f"gate {index}: {reason}")
 

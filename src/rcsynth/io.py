@@ -20,10 +20,9 @@ most of its lines (35,064 distinct of 105,628 at n = 16).  Memory grows with
 the file: 300,000 distinct CNOTs, a file no synthesizer here writes, parse
 in 0.75-0.95 s with a 78 MB peak on a 2-CPU Xeon.  On an error the records
 are walked again, so its message names its line: first a record that does
-not parse, then a gate that is not valid on m lines.  A circuit with more
-gates than the basis on its m lines has (`bounds.gate_set_size(m)`) must
-repeat some, so the serializer then formats each distinct gate once and
-writes the others by lookup; below that count it formats gate by gate.
+not parse, then a gate that is not valid on m lines.  The serializer formats
+each distinct gate once and writes its repeats by lookup: a `Circuit` holds
+exact-typed gates only, so equal gates have equal lines.
 
 Permutation file: ``perm <n>`` then 2^n integers forming a bijection on
 [0, 2^n).  Mapping file: ``map <n>`` then 2^n integers in [0, 2^n).
@@ -35,7 +34,6 @@ from io import StringIO
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
-from .bounds import gate_set_size
 from .circuit import Circuit, find_gate_fault
 from .errors import FormatError
 from .perm import BooleanMapping, Permutation, _Memo
@@ -138,22 +136,16 @@ def _text(header_comments: Iterable[str], lines: list[str]) -> str:
     return "\n".join(comments + lines) + "\n"
 
 
-def _gate_lines(gates: Iterable[tuple]) -> list[str]:
-    """The `n`, `c` or `t` line of each gate."""
-    return [
-        f"t {c[0]} {c[1]} {t}" if len(c) == 2 else f"c {c[0]} {t}" if c else f"n {t}"
-        for c, t in gates
-    ]
+def _gate_line(gate: tuple) -> str:
+    """The `n`, `c` or `t` line of a basis gate."""
+    c, t = gate
+    return f"t {c[0]} {c[1]} {t}" if len(c) == 2 else f"c {c[0]} {t}" if c else f"n {t}"
 
 
 def serialize_circuit(circuit: Circuit, header_comments: Iterable[str] = ()) -> str:
     out = [f"lines {circuit.m}", f"inputs {circuit.n}"]
     out.append("outputs " + " ".join(str(i) for i in circuit.outputs))
-    gates = circuit.gates
-    if len(gates) > gate_set_size(circuit.m):
-        out += map(_Memo(lambda gate: _gate_lines((gate,))[0]).__getitem__, gates)
-    else:
-        out += _gate_lines(gates)
+    out += map(_Memo(_gate_line).__getitem__, circuit.gates)
     return _text(header_comments, out)
 
 

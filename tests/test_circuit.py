@@ -65,25 +65,44 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="outside the basis"):
             Circuit(5, 5, (Gate((3, 0, 3), 1),), tuple(range(5)))
 
-    # Each is rejected by its index, also past the basis size (12 gates on 3
-    # lines), where the circuit is checked per distinct gate: a negative
+    # Each is rejected by its index after `count` copies of one valid gate
+    # object, also past the basis size (12 gates on 3 lines): a negative
     # control, which the sweep would read as line m - 1; descending controls,
     # whose written line parses back unequal; unhashable list controls;
     # controls that are not ints, which serialize to lines that do not parse.
+    # A twin equals the valid gate before it but is not exact-typed: a float
+    # or bool line, or a tuple subclass for the controls or the gate.
     @pytest.mark.parametrize("count", [0, 20])
     @pytest.mark.parametrize(
-        "controls, reason",
+        "valid, gate, reason",
         [
-            ((2, -1), r"controls \(2, -1\) are not in ascending order"),
-            ((2, 1), r"controls \(2, 1\) are not in ascending order"),
-            ([1, 2], r"\(\[1, 2\], 0\) is not a tuple \(controls, target\) with tuple controls"),
-            ((True,), r"\(\(True,\), 0\) has a line that is not an int"),
-            ((1, 2.0), r"\(\(1, 2\.0\), 0\) has a line that is not an int"),
+            (((), 1), ((2, -1), 0), r"controls \(2, -1\) are not in ascending order"),
+            (((), 1), ((2, 1), 0), r"controls \(2, 1\) are not in ascending order"),
+            (((), 1), ([1, 2], 0), r"\(\[1, 2\], 0\) is not a tuple \(controls, target\) with tuple controls"),
+            (((), 1), ((True,), 0), r"\(\(True,\), 0\) has a line that is not an int"),
+            (((), 1), ((1, 2.0), 0), r"\(\(1, 2\.0\), 0\) has a line that is not an int"),
+            (((1,), 2), ((1.0,), 2), r"\(\(1\.0,\), 2\) has a line that is not an int"),
+            (((1,), 2), ((True,), 2), r"\(\(True,\), 2\) has a line that is not an int"),
+            (((1,), 2), ((1,), 2.0), r"\(\(1,\), 2\.0\) has a line that is not an int"),
+            (
+                ((1,), 2),
+                (type("Controls", (tuple,), {})((1,)), 2),
+                r"\(\(1,\), 2\) is not a tuple \(controls, target\) with tuple controls",
+            ),
+            (
+                ((1,), 2),
+                type("Pair", (tuple,), {})(((1,), 2)),
+                r"\(\(1,\), 2\) is not a tuple \(controls, target\) with tuple controls",
+            ),
         ],
-        ids=["negative", "descending", "list", "bool", "float"],
+        ids=[
+            "negative", "descending", "list", "bool", "float",
+            "float-twin", "bool-twin", "float-target-twin", "subclass-controls-twin",
+            "subclass-gate-twin",
+        ],
     )
-    def test_malformed_controls_rejected_at_any_length(self, controls, reason, count):
-        gates = [((), 1)] * count + [(controls, 0)]
+    def test_malformed_controls_rejected_at_any_length(self, valid, gate, reason, count):
+        gates = [valid] * count + [gate]
         with pytest.raises(ValueError, match=f"^gate {count}: {reason}$"):
             Circuit(3, 3, gates, (0, 1, 2))
 

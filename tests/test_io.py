@@ -117,35 +117,53 @@ def test_more_distinct_gates_than_the_parser_keeps():
         parse_circuit(faulty)
 
 
+@pytest.fixture
+def scanned(monkeypatch):
+    """The gate count of each `find_gate_fault` scan that `Circuit` runs."""
+    counts = []
+    find = rcircuit.find_gate_fault
+
+    def recording(gates, m):
+        counts.append(len(gates))
+        return find(gates, m)
+
+    monkeypatch.setattr(rcircuit, "find_gate_fault", recording)
+    return counts
+
+
 @pytest.mark.parametrize("count", [10, 20])
-def test_first_faulty_index_named_when_gates_repeat(count, monkeypatch):
-    # On m = 3 lines the basis has 12 gates; 20 gates must repeat, so the
-    # circuit is checked per distinct gate, 10 gate by gate.  Each gate comes
-    # twice in a row, so the faulty one, first at index 7 (file line 12 under
-    # one comment and the header), is only the fifth distinct gate; it
+def test_first_faulty_index_named_when_gates_repeat(count, scanned):
+    # On m = 3 lines the basis has 12 gates, and the circuit is checked once
+    # per distinct gate object at either count.  Each gate comes twice in a
+    # row, as one object, so the faulty one, first at index 7 (file line 12
+    # under one comment and the header), is only the fifth distinct gate; it
     # repeats near the end.
     m = 3
     basis = all_basis_gates(m)
     assert len(basis) == gate_set_size(m) == 12
     gates = [basis[i // 2] for i in range(count)]
     gates[7] = gates[count - 2] = Gate((0,), 3)
-    scanned = []
-    find = rcircuit.find_gate_fault
-
-    def recording(gates, m):
-        scanned.append(len(gates))
-        return find(gates, m)
-
-    monkeypatch.setattr(rcircuit, "find_gate_fault", recording)
     with pytest.raises(ValueError, match=r"^gate 7: target 3 out of range \[0, 3\)$"):
         Circuit(m, m, gates, range(m))
-    # Above the basis size the first scan sees each distinct gate once.
-    assert scanned[0] == (len(set(gates)) if count > 12 else count)
+    # The first scan sees each distinct gate object once.
+    assert scanned[0] == len({id(g) for g in gates})
     text = "# faulty\n" + "".join(
         f"{line}\n" for line in ["lines 3", "inputs 3", "outputs 0 1 2", *map(gate_line, gates)]
     )
     with pytest.raises(FormatError, match=r"^line 12: target 3 out of range \[0, 3\)$"):
         parse_circuit(text)
+
+
+def test_repeated_gate_object_checked_once_on_many_lines(scanned):
+    # A lupanov circuit at n = 16 spans m = 2,281 lines, whose basis of
+    # 5.9e9 gates no circuit outgrows; a gate object it repeats is still
+    # checked once.
+    m = 2281
+    gate = Gate((0,), 1)
+    gates = [gate] * 20 + [Gate((0,), m)]
+    with pytest.raises(ValueError, match=rf"^gate 20: target {m} out of range \[0, {m}\)$"):
+        Circuit(m, 1, gates, [0])
+    assert scanned[0] == 2
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])

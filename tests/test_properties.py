@@ -2,12 +2,14 @@
 against a record-by-record oracle, the record reader against a regex line
 split, the serialize/parse round trip on generated circuits and tables
 under any header comments, serialized gate lines against a gate-by-gate
-writer, the word/column transposes, simulation against the oracle, each
-arm of the sweep against a word oracle, the borrowed-line Toffoli
-expansion on any line layout, block canonicalization gate by gate, and
-basic and lupanov synthesis against the oracle."""
+writer, the gate check against a float or bool twin of an earlier gate, the
+word/column transposes, simulation against the oracle, each arm of the
+sweep against a word oracle, the borrowed-line Toffoli expansion on any
+line layout, block canonicalization gate by gate, and basic and lupanov
+synthesis against the oracle."""
 import re
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -220,12 +222,38 @@ def test_serialize_parse_round_trip(circuit, comments):
 @settings(max_examples=200, deadline=None)
 @given(circuits(max_lines=3, max_gates=60), comment_lists)
 def test_serialized_gates_match_per_gate_lines(circuit, comments):
-    # On at most 3 lines (a basis of at most 12 gates) most of these circuits
-    # repeat gates, so the serializer formats each distinct gate once.
+    # The serializer formats each distinct gate once and writes its repeats
+    # by lookup; the text must equal a gate-by-gate writer's.
     text = serialize_circuit(circuit, comments)
     head = serialize_circuit(Circuit(circuit.m, circuit.n, (), circuit.outputs), comments)
     assert text == head + "".join(f"{gate_line(g)}\n" for g in circuit.gates)
     assert parse_circuit(text) == circuit
+
+
+@st.composite
+def twinned_gates(draw):
+    """A drawn circuit, an index j, and its gates with gate j replaced by a
+    twin of an earlier gate: equal to that gate, with one line a float or,
+    for line 0 or 1, a bool."""
+    circuit = draw(circuits(max_lines=3, max_gates=60))
+    assume(len(circuit) >= 2)
+    j = draw(st.integers(1, len(circuit) - 1))
+    controls, target = circuit.gates[draw(st.integers(0, j - 1))]
+    lines = [*controls, target]
+    k = draw(st.integers(0, len(lines) - 1))
+    lines[k] = draw(st.sampled_from([float, bool] if lines[k] < 2 else [float]))(lines[k])
+    gates = list(circuit.gates)
+    gates[j] = tuple(lines[:-1]), lines[-1]
+    return circuit, j, gates
+
+
+@settings(max_examples=200, deadline=None)
+@given(twinned_gates())
+def test_twin_of_an_earlier_gate_rejected_at_its_index(case):
+    circuit, j, gates = case
+    reason = f"{re.escape(repr(gates[j]))} has a line that is not an int"
+    with pytest.raises(ValueError, match=f"^gate {j}: {reason}$"):
+        Circuit(circuit.m, circuit.n, gates, circuit.outputs)
 
 
 @st.composite
